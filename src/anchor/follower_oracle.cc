@@ -8,22 +8,12 @@
 namespace avt {
 
 void FollowerOracle::ResizeScratch() {
+  // Grow, never reset: appended slots carry a stale stamp, so a growing
+  // universe costs O(new vertices), not a rewrite of every record.
   const size_t n = graph_->NumVertices();
-  anchor_.Resize(n);
-  bump_.Resize(n);
-  deg_minus_.Resize(n);
-  in_heap_.Resize(n);
-  candidate_.Resize(n);
-  eliminated_.Resize(n);
-  support_.Resize(n);
-  base_anchor_.Resize(n);
-  base_bump_.Resize(n);
-  base_deg_minus_.Resize(n);
-  base_candidate_.Resize(n);
-  d_bump_.Resize(n);
-  d_deg_minus_.Resize(n);
-  d_candidate_.Resize(n);
-  d_in_heap_.Resize(n);
+  query_.Grow(n);
+  base_.Grow(n);
+  overlay_.Grow(n);
   base_valid_ = false;
   // Reserve the hot vectors once; queries then run allocation-free after
   // a short warm-up (forward passes rarely touch more than a small
@@ -36,41 +26,48 @@ void FollowerOracle::ResizeScratch() {
   heap_.reserve(256);
 }
 
-// Phase 1: the optimistic forward cascade, parameterized over the array
-// bundle it writes. One definition serves the per-query scratch
-// (CountFollowers / UpperBound) and the resident base (BuildBase) so the
-// two can never drift — the MarginalUpperBound == UpperBound invariant
-// the lazy argmax proof rests on depends on that. `in_heap_` and `heap_`
-// are shared transients (only live during one cascade).
+size_t FollowerOracle::MemoryFootprint() const {
+  auto bytes = [](const auto& v) { return v.capacity() * sizeof(v[0]); };
+  return query_.MemoryFootprint() + base_.MemoryFootprint() +
+         overlay_.MemoryFootprint() + bytes(base_anchors_) +
+         bytes(base_visited_) + bytes(marginal_visited_) +
+         bytes(unique_anchors_) + bytes(visited_) +
+         bytes(candidates_in_order_) + bytes(review_) + bytes(heap_);
+}
+
+// Phase 1: the optimistic forward cascade, parameterized over the bundle
+// it writes. One definition serves the per-query scratch (CountFollowers
+// / UpperBound) and the resident base (BuildBase) so the two can never
+// drift — the MarginalUpperBound == UpperBound invariant the lazy argmax
+// proof rests on depends on that. `heap_` is a shared transient (only
+// live during one cascade); the in-heap bit lives in each bundle.
 template <typename Adjacency>
-uint32_t FollowerOracle::RunCascade(
-    const Adjacency& adj, std::span<const VertexId> anchors, VertexId extra,
-    uint32_t k, EpochArray<uint8_t>& anchor_flags, EpochArray<uint32_t>& bump,
-    EpochArray<uint32_t>& deg_minus, EpochArray<uint8_t>& candidate,
-    std::vector<VertexId>& anchors_out, std::vector<VertexId>& visited_out,
-    std::vector<VertexId>* candidates_out) {
-  anchor_flags.Clear();
-  bump.Clear();
-  deg_minus.Clear();
-  candidate.Clear();
-  in_heap_.Clear();
+uint32_t FollowerOracle::RunCascade(const Adjacency& adj,
+                                    std::span<const VertexId> anchors,
+                                    VertexId extra, uint32_t k,
+                                    EpochArray<CascadeState>& state,
+                                    std::vector<VertexId>& anchors_out,
+                                    std::vector<VertexId>& visited_out,
+                                    std::vector<VertexId>* candidates_out) {
+  state.Clear();
   anchors_out.clear();
   visited_out.clear();
   if (candidates_out) candidates_out->clear();
   heap_.clear();
 
   auto add_anchor = [&](VertexId a) {
-    if (!anchor_flags.Get(a)) {
-      anchor_flags.Set(a, 1);
+    CascadeState& s = state.Mutable(a);
+    if (!(s.flags & kAnchor)) {
+      s.flags |= kAnchor;
       anchors_out.push_back(a);
     }
   };
   for (VertexId a : anchors) add_anchor(a);
   if (extra != kNoVertex) add_anchor(extra);
 
-  auto push = [this](VertexId v) {
-    if (!in_heap_.Get(v)) {
-      in_heap_.Set(v, 1);
+  auto push = [this](VertexId v, CascadeState& s) {
+    if (!(s.flags & kInHeap)) {
+      s.flags |= kInHeap;
       heap_.push_back({order_->CoreOf(v), order_->TagOf(v), v});
       std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
     }
@@ -80,11 +77,11 @@ uint32_t FollowerOracle::RunCascade(
   // positioned after a neighbor are already inside its deg+ bound).
   for (VertexId a : anchors_out) {
     for (VertexId w : adj.Neighbors(a)) {
-      if (order_->CoreOf(w) >= k || anchor_flags.Get(w)) continue;
-      if (order_->Precedes(a, w)) {
-        bump.Add(w, 1);
-        push(w);
-      }
+      if (order_->CoreOf(w) >= k || !order_->Precedes(a, w)) continue;
+      CascadeState& s = state.Mutable(w);
+      if (s.flags & kAnchor) continue;
+      ++s.bump;
+      push(w, s);
     }
   }
 
@@ -95,19 +92,20 @@ uint32_t FollowerOracle::RunCascade(
     heap_.pop_back();
     visited_out.push_back(w);
     ++stats_.visited;
-    uint64_t upper = static_cast<uint64_t>(order_->DegPlus(w)) +
-                     deg_minus.Get(w) + bump.Get(w);
+    CascadeState& s = state.Mutable(w);
+    uint64_t upper =
+        static_cast<uint64_t>(order_->DegPlus(w)) + s.deg_minus + s.bump;
     if (upper < k) continue;  // final: later pushes only target
                               // later positions.
-    candidate.Set(w, 1);
+    s.flags |= kCandidate;
     ++count;
     if (candidates_out) candidates_out->push_back(w);
     for (VertexId x : adj.Neighbors(w)) {
-      if (order_->CoreOf(x) >= k || anchor_flags.Get(x)) continue;
-      if (!order_->Precedes(w, x)) continue;
-      if (candidate.Get(x)) continue;
-      deg_minus.Add(x, 1);
-      push(x);
+      if (order_->CoreOf(x) >= k || !order_->Precedes(w, x)) continue;
+      CascadeState& t = state.Mutable(x);
+      if (t.flags & (kAnchor | kCandidate)) continue;
+      ++t.deg_minus;
+      push(x, t);
     }
   }
   return count;
@@ -117,11 +115,8 @@ template <typename Adjacency>
 uint32_t FollowerOracle::ForwardPass(const Adjacency& adj,
                                      std::span<const VertexId> anchors,
                                      VertexId extra, uint32_t k) {
-  eliminated_.Clear();
-  support_.Clear();
-  return RunCascade(adj, anchors, extra, k, anchor_, bump_, deg_minus_,
-                    candidate_, unique_anchors_, visited_,
-                    &candidates_in_order_);
+  return RunCascade(adj, anchors, extra, k, query_, unique_anchors_,
+                    visited_, &candidates_in_order_);
 }
 
 template <typename Adjacency>
@@ -129,36 +124,38 @@ uint32_t FollowerOracle::Eliminate(const Adjacency& adj, uint32_t k,
                                    std::vector<VertexId>* followers) {
   // Elimination fixpoint with exact support. `review_` doubles as the
   // FIFO (head index instead of std::queue — no per-query allocation).
+  // Every candidate's support is written before any is read, so the
+  // union with the (now dead) bump field is safe.
+  constexpr uint8_t kSupporting = kAnchor | kCandidate;
   review_.clear();
   size_t head = 0;
   for (VertexId w : candidates_in_order_) {
     uint32_t support = 0;
     for (VertexId x : adj.Neighbors(w)) {
-      if (anchor_.Get(x) || order_->CoreOf(x) >= k || candidate_.Get(x)) {
+      if ((query_.Get(x).flags & kSupporting) || order_->CoreOf(x) >= k) {
         ++support;
       }
     }
-    support_.Set(w, support);
+    query_.Mutable(w).support = support;
     if (support < k) review_.push_back(w);
   }
   while (head < review_.size()) {
     VertexId w = review_[head++];
-    if (eliminated_.Get(w)) continue;
-    if (support_.Get(w) >= k) continue;
-    eliminated_.Set(w, 1);
-    candidate_.Set(w, 0);
+    CascadeState& s = query_.Mutable(w);
+    if (s.flags & kEliminated) continue;
+    if (s.support >= k) continue;
+    s.flags = static_cast<uint8_t>((s.flags | kEliminated) & ~kCandidate);
     ++stats_.eliminated;
     for (VertexId x : adj.Neighbors(w)) {
-      if (candidate_.Get(x) && !eliminated_.Get(x) && !anchor_.Get(x)) {
-        support_.Add(x, static_cast<uint32_t>(-1));
-        if (support_.Get(x) < k) review_.push_back(x);
-      }
+      constexpr uint8_t kMask = kCandidate | kEliminated | kAnchor;
+      if ((query_.Get(x).flags & kMask) != kCandidate) continue;
+      if (--query_.Mutable(x).support < k) review_.push_back(x);
     }
   }
 
   uint32_t count = 0;
   for (VertexId w : candidates_in_order_) {
-    if (candidate_.Get(w)) {
+    if (query_.Get(w).flags & kCandidate) {
       ++count;
       if (followers) followers->push_back(w);
     }
@@ -198,16 +195,14 @@ void FollowerOracle::BuildBase(std::span<const VertexId> anchors,
   base_k_ = k;
   base_valid_ = true;
   if (k == 0) {
-    base_anchor_.Clear();
-    base_candidate_.Clear();
+    base_.Clear();
     base_anchors_.clear();
     base_visited_.clear();
     base_count_ = 0;
     return;
   }
   base_count_ = WithAdjacency([&](const auto& adj) {
-    return RunCascade(adj, anchors, kNoVertex, k, base_anchor_, base_bump_,
-                      base_deg_minus_, base_candidate_, base_anchors_,
+    return RunCascade(adj, anchors, kNoVertex, k, base_, base_anchors_,
                       base_visited_, nullptr);
   });
 }
@@ -216,17 +211,14 @@ template <typename Adjacency>
 uint32_t FollowerOracle::MarginalUpperBoundImpl(const Adjacency& adj,
                                                 VertexId x) {
   const uint32_t k = base_k_;
-  // Overlay reset: four epoch bumps, no O(n) work.
-  d_bump_.Clear();
-  d_deg_minus_.Clear();
-  d_candidate_.Clear();
-  d_in_heap_.Clear();
+  overlay_.Clear();  // probe reset: one epoch bump, no O(n) work
   marginal_visited_.clear();
   heap_.clear();
 
-  if (base_anchor_.Get(x)) return base_count_;  // trial set == base set
+  const uint8_t x_flags = base_.Get(x).flags;
+  if (x_flags & kAnchor) return base_count_;  // trial set == base set
   marginal_visited_.push_back(x);
-  if (base_candidate_.Get(x)) {
+  if (x_flags & kCandidate) {
     // x's phase-1 influence on others is already in the base state (a
     // candidate propagates the same +1 credit to its later neighbors
     // that an anchor's bump would); promoting it to an anchor only
@@ -234,21 +226,23 @@ uint32_t FollowerOracle::MarginalUpperBoundImpl(const Adjacency& adj,
     return base_count_ - 1;
   }
 
-  auto push = [this](VertexId v) {
-    if (!d_in_heap_.Get(v)) {
-      d_in_heap_.Set(v, 1);
+  auto push = [this](VertexId v, CascadeState& o) {
+    if (!(o.flags & kInHeap)) {
+      o.flags |= kInHeap;
       heap_.push_back({order_->CoreOf(v), order_->TagOf(v), v});
       std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
     }
   };
 
-  // Seeds: x's bump to later neighbors that are not already settled.
+  // Seeds: x's bump to later neighbors that are not already settled
+  // (base anchors and base candidates).
+  constexpr uint8_t kSettled = kAnchor | kCandidate;
   for (VertexId w : adj.Neighbors(x)) {
-    if (order_->CoreOf(w) >= k || base_anchor_.Get(w)) continue;
-    if (base_candidate_.Get(w)) continue;  // already a candidate
+    if (order_->CoreOf(w) >= k || (base_.Get(w).flags & kSettled)) continue;
     if (order_->Precedes(x, w)) {
-      d_bump_.Add(w, 1);
-      push(w);
+      CascadeState& o = overlay_.Mutable(w);
+      ++o.bump;
+      push(w, o);
     }
   }
 
@@ -263,18 +257,21 @@ uint32_t FollowerOracle::MarginalUpperBoundImpl(const Adjacency& adj,
     heap_.pop_back();
     marginal_visited_.push_back(w);
     ++stats_.visited;
-    uint64_t upper = static_cast<uint64_t>(order_->DegPlus(w)) +
-                     base_bump_.Get(w) + d_bump_.Get(w) +
-                     base_deg_minus_.Get(w) + d_deg_minus_.Get(w);
+    const CascadeState b = base_.Get(w);
+    CascadeState& o = overlay_.Mutable(w);
+    uint64_t upper = static_cast<uint64_t>(order_->DegPlus(w)) + b.bump +
+                     o.bump + b.deg_minus + o.deg_minus;
     if (upper < k) continue;
-    d_candidate_.Set(w, 1);
+    o.flags |= kCandidate;
     ++added;
     for (VertexId z : adj.Neighbors(w)) {
-      if (order_->CoreOf(z) >= k || base_anchor_.Get(z) || z == x) continue;
+      if (order_->CoreOf(z) >= k || z == x) continue;
+      if (base_.Get(z).flags & kSettled) continue;
       if (!order_->Precedes(w, z)) continue;
-      if (base_candidate_.Get(z) || d_candidate_.Get(z)) continue;
-      d_deg_minus_.Add(z, 1);
-      push(z);
+      CascadeState& oz = overlay_.Mutable(z);
+      if (oz.flags & kCandidate) continue;
+      ++oz.deg_minus;
+      push(z, oz);
     }
   }
   return base_count_ + added;

@@ -37,8 +37,11 @@
 // All scratch state is epoch-stamped and all hot vectors are reused
 // across queries: evaluating a candidate anchor set is allocation-free
 // and leaves the K-order untouched, which is what lets Greedy and IncAVT
-// probe thousands of hypothetical sets per snapshot. Every cascade is
-// templated over an adjacency view — any type exposing
+// probe thousands of hypothetical sets per snapshot. The per-vertex
+// scratch is three packed 16-byte records — one per cascade bundle
+// (per-query, resident base, marginal overlay) — so a visit costs one
+// cache line per bundle and an oracle holds 48 bytes per vertex.
+// Every cascade is templated over an adjacency view — any type exposing
 // Neighbors(v) -> contiguous span in Graph's iteration order — so the
 // oracle scans whichever backing the caller binds: the dynamic
 // adjacency itself, a frozen CsrView (one-shot solvers), or a
@@ -89,8 +92,13 @@ class FollowerOracle {
     ResizeScratch();
   }
 
-  /// Re-binds after the underlying graph/order changed size.
+  /// Re-binds after the underlying graph/order grew: appends stale
+  /// scratch slots (live slots untouched, no O(n) rewrite) and drops
+  /// the resident base. Never shrinks.
   void ResizeScratch();
+
+  /// Heap bytes held by the per-vertex records and the reused vectors.
+  size_t MemoryFootprint() const;
 
   /// Swaps the contiguous adjacency snapshot (nullptr = scan the graph).
   void set_csr(const CsrView* csr) { csr_ = csr; }
@@ -178,7 +186,28 @@ class FollowerOracle {
   void ResetStats() { stats_.Reset(); }
 
  private:
-  /// Phase 1 for anchors ∪ {extra}: fills candidate_ / candidates_in_
+  /// Per-vertex cascade state of one bundle; an EpochArray slot adds the
+  /// stamp, so each record is 16 bytes and one stamp bump clears every
+  /// field of the bundle at once.
+  struct CascadeState {
+    union {
+      uint32_t bump;     // phase 1: credit from earlier anchors
+      uint32_t support;  // phase 2 (query bundle only): exact support;
+                         // bump is dead once the forward pass ends
+    };
+    uint32_t deg_minus;  // credit from earlier candidates
+    uint8_t flags;       // k* bits below
+  };
+  static_assert(sizeof(CascadeState) == 12,
+                "with the epoch stamp a slot is 16 bytes: one line read");
+  enum : uint8_t {
+    kAnchor = 1,
+    kInHeap = 2,
+    kCandidate = 4,
+    kEliminated = 8,
+  };
+
+  /// Phase 1 for anchors ∪ {extra}: fills query_ / candidates_in_
   /// order_ / visited_ and returns the candidate count.
   template <typename Adjacency>
   uint32_t ForwardPass(const Adjacency& adj,
@@ -196,16 +225,13 @@ class FollowerOracle {
   const DynamicCsr* dcsr_;
   OracleStats stats_;
 
-  /// The phase-1 cascade, parameterized over the array bundle it writes
+  /// The phase-1 cascade, parameterized over the bundle it writes
   /// (per-query scratch vs resident base) so both paths share one
   /// definition. Returns the candidate count.
   template <typename Adjacency>
   uint32_t RunCascade(const Adjacency& adj,
                       std::span<const VertexId> anchors, VertexId extra,
-                      uint32_t k, EpochArray<uint8_t>& anchor_flags,
-                      EpochArray<uint32_t>& bump,
-                      EpochArray<uint32_t>& deg_minus,
-                      EpochArray<uint8_t>& candidate,
+                      uint32_t k, EpochArray<CascadeState>& state,
                       std::vector<VertexId>& anchors_out,
                       std::vector<VertexId>& visited_out,
                       std::vector<VertexId>* candidates_out);
@@ -219,25 +245,14 @@ class FollowerOracle {
   template <typename F>
   decltype(auto) WithAdjacency(F&& f);
 
-  EpochArray<uint8_t> anchor_;
-  EpochArray<uint32_t> bump_;
-  EpochArray<uint32_t> deg_minus_;
-  EpochArray<uint8_t> in_heap_;
-  EpochArray<uint8_t> candidate_;
-  EpochArray<uint8_t> eliminated_;
-  EpochArray<uint32_t> support_;
-
-  // Resident base cascade (BuildBase) + per-probe overlays. The overlays
-  // are the only state a marginal probe writes, so "resetting" a probe
-  // is four O(1) epoch bumps.
-  EpochArray<uint8_t> base_anchor_;
-  EpochArray<uint32_t> base_bump_;
-  EpochArray<uint32_t> base_deg_minus_;
-  EpochArray<uint8_t> base_candidate_;
-  EpochArray<uint32_t> d_bump_;
-  EpochArray<uint32_t> d_deg_minus_;
-  EpochArray<uint8_t> d_candidate_;
-  EpochArray<uint8_t> d_in_heap_;
+  /// Per-query bundle (CountFollowers / UpperBound).
+  EpochArray<CascadeState> query_;
+  /// Resident base cascade (BuildBase) and the per-probe overlay on top
+  /// of it (bump/deg_minus/flags there are the probe's deltas). The
+  /// overlay is the only state a marginal probe writes, so resetting a
+  /// probe is one O(1) epoch bump.
+  EpochArray<CascadeState> base_;
+  EpochArray<CascadeState> overlay_;
   std::vector<VertexId> base_anchors_;
   std::vector<VertexId> base_visited_;
   std::vector<VertexId> marginal_visited_;

@@ -37,8 +37,12 @@
 // (the determinism argument lives in trial_engine.h; enforced by
 // tests/parallel_determinism_test.cc).
 //
-// Every mode snapshots the graph into a CsrView once per solve and routes
-// the K-order build plus all cascade scans through contiguous spans.
+// Solve(graph) snapshots the graph into a CsrView once per solve and
+// routes the K-order build plus all cascade scans through contiguous
+// spans, then runs the shared pick loop (SolveOver). Callers that
+// already hold the K-order and a TrialEngine — IncAvtTracker's first
+// snapshot, which maintains both anyway — call SolveOver directly and
+// build nothing.
 
 #ifndef AVT_ANCHOR_GREEDY_H_
 #define AVT_ANCHOR_GREEDY_H_
@@ -47,6 +51,9 @@
 #include "graph/csr.h"
 
 namespace avt {
+
+class KOrder;
+class TrialEngine;
 
 /// Tuning knobs for GreedySolver.
 struct GreedyOptions {
@@ -69,6 +76,17 @@ class GreedySolver : public AnchorSolver {
   explicit GreedySolver(const GreedyOptions& options) : options_(options) {}
 
   SolverResult Solve(const Graph& graph, uint32_t k, uint32_t l) override;
+
+  /// The pick loop over prebuilt state: `order` is the K-order of the
+  /// graph that `adj` iterates (the Graph itself, a CsrView or a
+  /// DynamicCsr of it — instantiated for all three), and `engine` is
+  /// bound to that same graph and order. The engine's worker count
+  /// stands in for options.num_threads, and the final follower count
+  /// runs on its serial oracle, so the solve allocates no oracle
+  /// scratch. Anchors, followers and work counters equal Solve(graph).
+  template <typename Adjacency>
+  SolverResult SolveOver(const Adjacency& adj, const KOrder& order,
+                         TrialEngine& engine, uint32_t k, uint32_t l);
 
   std::string name() const override {
     if (!options_.prune_candidates) return "Greedy-nopruning";

@@ -59,6 +59,13 @@ void TrialEngine::ResizeScratch() {
   for (auto& oracle : oracles_) oracle->ResizeScratch();
 }
 
+size_t TrialEngine::MemoryFootprint() const {
+  size_t bytes = bounds_.capacity() * sizeof(uint32_t) +
+                 perm_.capacity() * sizeof(uint32_t);
+  for (const auto& oracle : oracles_) bytes += oracle->MemoryFootprint();
+  return bytes;
+}
+
 uint64_t TrialEngine::CascadeVisited() const {
   uint64_t total = 0;
   for (const auto& oracle : oracles_) total += oracle->stats().visited;

@@ -95,10 +95,21 @@ class TrialEngine {
 
   uint32_t num_threads() const { return num_threads_; }
 
-  /// Re-sizes every worker oracle's scratch after the bound graph/order
+  /// Worker 0's oracle: the serial path and pop-resolver of Evaluate, and
+  /// the serial oracle of every caller sharing this engine (the greedy
+  /// final follower count, IncAVT's serial local search and incumbent
+  /// queries) — so a caller never needs an oracle of its own. Use it
+  /// between Evaluate calls only.
+  FollowerOracle& serial_oracle() { return *oracles_[0]; }
+
+  /// Grows every worker oracle's scratch after the bound graph/order
   /// grew (streaming sources add vertices mid-stream). Call between
   /// Evaluate calls only.
   void ResizeScratch();
+
+  /// Heap bytes held by the worker oracles and the Evaluate scratch
+  /// (thread stacks excluded): linear in num_threads().
+  size_t MemoryFootprint() const;
 
   /// Argmax over live candidates of F(base ∪ {x}) under `policy`. `live`
   /// must be duplicate-free and disjoint from `base`; id-ascending order

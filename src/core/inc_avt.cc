@@ -93,27 +93,33 @@ AvtSnapshotResult IncAvtTracker::ProcessFirst(const Graph& g0) {
   maintainer_.Reset(g0);
   maintainer_.SetCsrMirror(options_.csr == IncAvtCsrMode::kMaintained);
   // Scan backing per options_.csr: the maintained mirror (patched in
-  // place, stable pointer), the per-delta rebuilt snapshot (stable
-  // member, refilled before every use), or the dynamic adjacency. The
-  // engine's per-worker oracles share the same backing read-only.
-  rebuilt_csr_ = CsrView{};
-  const CsrView* frozen = options_.csr == IncAvtCsrMode::kRebuildPerDelta
-                              ? &rebuilt_csr_
-                              : nullptr;
-  oracle_ = std::make_unique<FollowerOracle>(&maintainer_.graph(),
-                                             &maintainer_.order(), frozen,
-                                             maintainer_.csr());
-  engine_ = options_.num_threads > 1
-                ? std::make_unique<TrialEngine>(&maintainer_.graph(),
-                                                &maintainer_.order(), frozen,
-                                                options_.num_threads,
-                                                maintainer_.csr())
-                : nullptr;
+  // place, stable pointer), the rebuilt snapshot (stable member, filled
+  // here for the greedy solve and refilled before every delta), or the
+  // dynamic adjacency. The engine's per-worker oracles share the same
+  // backing read-only.
+  const bool rebuild = options_.csr == IncAvtCsrMode::kRebuildPerDelta;
+  if (rebuild) maintainer_.graph().BuildCsr(&rebuilt_csr_);
+  // One engine for the tracker's lifetime: its worker 0 is the serial
+  // oracle, so greedy, the local searches and the incumbent queries all
+  // share max(1, num_threads) oracles. Every bound structure has a
+  // stable address, so a repeated ProcessFirst (rollback rebuild) only
+  // grows the scratch to the new universe.
+  if (engine_ == nullptr) {
+    engine_ = std::make_unique<TrialEngine>(
+        &maintainer_.graph(), &maintainer_.order(),
+        rebuild ? &rebuilt_csr_ : nullptr, options_.num_threads,
+        maintainer_.csr());
+  } else {
+    engine_->ResizeScratch();
+  }
+  // The greedy solve runs over the maintainer's K-order and the
+  // tracker's engine — no second CSR, K-order or oracle set.
   GreedyOptions greedy_options;
   greedy_options.lazy = options_.lazy;
-  greedy_options.num_threads = options_.num_threads;
   GreedySolver greedy(greedy_options);
-  SolverResult first = greedy.Solve(g0, k_, l_);
+  SolverResult first = WithAdjacency([&](const auto& adj) {
+    return greedy.SolveOver(adj, maintainer_.order(), *engine_, k_, l_);
+  });
   anchors_ = first.anchors;
 
   // Reset the cross-snapshot memo under the configured retention
@@ -129,7 +135,9 @@ AvtSnapshotResult IncAvtTracker::ProcessFirst(const Graph& g0) {
   slot_bound_keys_.assign(num_slots, {});
   pool_state_.assign(g0.NumVertices(), kUnseen);
   is_anchor_.assign(g0.NumVertices(), 0);
+  for (VertexId a : anchors_) is_anchor_[a] = 1;
   pool_.clear();
+  pool_seen_.clear();
 
   snap.anchors = anchors_;
   snap.num_followers = first.num_followers();
@@ -153,6 +161,7 @@ void IncAvtTracker::EagerLocalSearch(const std::vector<VertexId>& pool,
   // Algorithm 6 lines 9-16 verbatim: per anchor slot, evaluate every
   // pool vertex with a full follower query and commit strict
   // improvements.
+  FollowerOracle& oracle = engine_->serial_oracle();
   std::vector<VertexId> base;
   for (size_t i = 0; i < anchors_.size() && !pool.empty(); ++i) {
     base = anchors_;
@@ -162,7 +171,7 @@ void IncAvtTracker::EagerLocalSearch(const std::vector<VertexId>& pool,
     for (VertexId v : pool) {
       if (is_anchor_[v]) continue;
       ++snap.candidates_visited;
-      uint32_t followers = oracle_->CountFollowers(base, v, k_);
+      uint32_t followers = oracle.CountFollowers(base, v, k_);
       if (followers > best_followers) {
         best_followers = followers;
         best_replacement = v;
@@ -183,7 +192,7 @@ void IncAvtTracker::EagerLocalSearch(const std::vector<VertexId>& pool,
     for (VertexId v : pool) {
       if (is_anchor_[v]) continue;
       ++snap.candidates_visited;
-      uint32_t followers = oracle_->CountFollowers(anchors_, v, k_);
+      uint32_t followers = oracle.CountFollowers(anchors_, v, k_);
       if (best_vertex == kNoVertex || followers > best_followers) {
         best_followers = followers;
         best_vertex = v;
@@ -204,6 +213,7 @@ void IncAvtTracker::LazyLocalSearch(const std::vector<VertexId>& pool,
   // discipline), but each full query is gated by a certified bound and
   // both bounds and exact values are memoized across snapshots with
   // region-based invalidation.
+  FollowerOracle& oracle = engine_->serial_oracle();
   std::vector<VertexId> base;
   std::priority_queue<LazyEntry> heap;
   bool base_ready = false;  // physical base state == this slot's base?
@@ -241,14 +251,14 @@ void IncAvtTracker::LazyLocalSearch(const std::vector<VertexId>& pool,
       TouchList& bounds = slot_bound_keys_[slot];
       for (const TouchRef& ref : bounds.refs) memo_.EraseRef(ref.key, ref.gen);
       ClearTouchList(bounds);
-      oracle_->BuildBase(trial_base, k_);
+      oracle.BuildBase(trial_base, k_);
       const uint32_t gen = memo_.Record(base_key, {0, true});
       if (gen != TrialMemoStore::kDroppedGen) {
-        RecordTouch(base_key, gen, oracle_->BaseRegionAnchors(),
-                    oracle_->BaseRegionVisited());
+        RecordTouch(base_key, gen, oracle.BaseRegionAnchors(),
+                    oracle.BaseRegionVisited());
       }
     } else {
-      oracle_->BuildBase(trial_base, k_);
+      oracle.BuildBase(trial_base, k_);
     }
     base_ready = true;
   };
@@ -260,12 +270,12 @@ void IncAvtTracker::LazyLocalSearch(const std::vector<VertexId>& pool,
                       VertexId v, bool record) -> uint32_t {
     ensure_base(slot, trial_base, record);
     ++snap.bound_probes;
-    uint32_t ub = oracle_->MarginalUpperBound(v);
+    uint32_t ub = oracle.MarginalUpperBound(v);
     if (record && memoize_slots) {
       const uint64_t key = (slot << 32) | v;
       const uint32_t gen = memo_.Record(key, {ub, false});
       if (gen != TrialMemoStore::kDroppedGen) {
-        RecordTouch(key, gen, oracle_->LastMarginalVisited(), {});
+        RecordTouch(key, gen, oracle.LastMarginalVisited(), {});
         PushTouch(slot_bound_keys_[slot], {key, gen});
       }
     }
@@ -285,13 +295,13 @@ void IncAvtTracker::LazyLocalSearch(const std::vector<VertexId>& pool,
       if (top.exact) return top;
       heap.pop();
       ++snap.candidates_visited;
-      uint32_t exact = oracle_->CountFollowers(trial_base, top.vertex, k_);
+      uint32_t exact = oracle.CountFollowers(trial_base, top.vertex, k_);
       if (record && memoize_slots) {
         const uint64_t key = (slot << 32) | top.vertex;
         const uint32_t gen = memo_.Record(key, {exact, true});
         if (gen != TrialMemoStore::kDroppedGen) {
-          RecordTouch(key, gen, oracle_->LastRegionAnchors(),
-                      oracle_->LastRegionVisited());
+          RecordTouch(key, gen, oracle.LastRegionAnchors(),
+                      oracle.LastRegionVisited());
         }
       }
       heap.push({exact, top.vertex, true});
@@ -451,7 +461,6 @@ void IncAvtTracker::EnsureVertices(VertexId count) {
   pool_state_.resize(n, kUnseen);
   is_anchor_.resize(n, 0);
   touch_index_.resize(n);
-  if (oracle_) oracle_->ResizeScratch();
   if (engine_) engine_->ResizeScratch();
 }
 
@@ -476,19 +485,9 @@ AvtSnapshotResult IncAvtTracker::ProcessDelta(const EdgeDelta& delta) {
 
   // Every adjacency walk below (invalidation neighborhoods, the
   // Theorem-3 pool filter) runs against the same backing the oracle
-  // scans: the maintained mirror, the per-delta rebuilt view, or the
-  // dynamic adjacency. All three iterate neighbors identically, so the
-  // pool — and therefore every downstream tie-break — is bit-identical
-  // across modes.
-  auto with_adjacency = [&](auto&& body) {
-    if (maintainer_.csr() != nullptr) {
-      body(*maintainer_.csr());
-    } else if (options_.csr == IncAvtCsrMode::kRebuildPerDelta) {
-      body(rebuilt_csr_);
-    } else {
-      body(g);
-    }
-  };
+  // scans (WithAdjacency). All three iterate neighbors identically, so
+  // the pool — and therefore every downstream tie-break — is
+  // bit-identical across modes.
 
   // Warm-start invalidation: kill exactly the memo entries whose
   // dependency region the churn touched. A cached evaluation stays
@@ -505,7 +504,7 @@ AvtSnapshotResult IncAvtTracker::ProcessDelta(const EdgeDelta& delta) {
       for (TouchList& list : slot_bound_keys_) ClearTouchList(list);
       touch_total_ = 0;
     }
-    with_adjacency([&](const auto& adj) {
+    WithAdjacency([&](const auto& adj) {
       for (VertexId v : impacted) {
         InvalidateTouched(v);
         for (VertexId w : adj.Neighbors(v)) InvalidateTouched(w);
@@ -517,18 +516,18 @@ AvtSnapshotResult IncAvtTracker::ProcessDelta(const EdgeDelta& delta) {
   // takes impacted vertices and their neighbors, outside C_k, passing
   // Theorem 3 (Algorithm 6 line 12); the ablation modes widen or empty
   // the pool to isolate the restriction's contribution. Sorted by id so
-  // the scan order (and thus tie-breaks) is deterministic. Scratch is
-  // reused (no n-sized allocation), and pool_state_ memoizes each
-  // vertex's Theorem-3 verdict for the delta: a vertex adjacent to many
-  // impacted vertices is filtered exactly once.
-  pool_state_.assign(pool_state_.size(), kUnseen);
-  is_anchor_.assign(is_anchor_.size(), 0);
-  for (VertexId a : anchors_) is_anchor_[a] = 1;
+  // the scan order (and thus tie-breaks) is deterministic. pool_state_
+  // memoizes each vertex's Theorem-3 verdict for the delta — a vertex
+  // adjacent to many impacted vertices is filtered exactly once — and
+  // is reset afterwards from pool_seen_, so the delta costs O(pool
+  // region), not O(n). is_anchor_ is kept current by every commit.
+  for (VertexId a : anchors_) AVT_DCHECK(is_anchor_[a]);
   pool_.clear();
-  with_adjacency([&](const auto& adj) {
+  WithAdjacency([&](const auto& adj) {
     auto consider = [&](VertexId v) {
       if (pool_state_[v] != kUnseen || is_anchor_[v]) return;
       pool_state_[v] = kRejected;
+      pool_seen_.push_back(v);
       if (order.CoreOf(v) >= k_) return;
       if (!IsAnchorCandidate(adj, order, v, k_)) return;
       pool_state_[v] = kPooled;
@@ -548,6 +547,8 @@ AvtSnapshotResult IncAvtTracker::ProcessDelta(const EdgeDelta& delta) {
         break;  // no replacements; keep S_{t-1}
     }
   });
+  for (VertexId v : pool_seen_) pool_state_[v] = kUnseen;
+  pool_seen_.clear();
   std::vector<VertexId>& pool = pool_;
   std::sort(pool.begin(), pool.end());
 
@@ -563,12 +564,13 @@ AvtSnapshotResult IncAvtTracker::ProcessDelta(const EdgeDelta& delta) {
     if (have_incumbent) current = incumbent.value;
   }
   if (!have_incumbent) {
-    current = oracle_->CountFollowers(anchors_, k_);
+    FollowerOracle& oracle = engine_->serial_oracle();
+    current = oracle.CountFollowers(anchors_, k_);
     if (options_.lazy && memo_.enabled()) {
       const uint32_t gen = memo_.Record(kIncumbentKey, {current, true});
       if (gen != TrialMemoStore::kDroppedGen) {
-        RecordTouch(kIncumbentKey, gen, oracle_->LastRegionAnchors(),
-                    oracle_->LastRegionVisited());
+        RecordTouch(kIncumbentKey, gen, oracle.LastRegionAnchors(),
+                    oracle.LastRegionVisited());
       }
     }
   }

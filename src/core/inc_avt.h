@@ -149,6 +149,8 @@ class IncAvtTracker : public AvtTracker {
   }
 
   const CoreMaintainer& maintainer() const { return maintainer_; }
+  /// The tracker's trial engine (null before the first ProcessFirst).
+  const TrialEngine* trial_engine() const { return engine_.get(); }
   const std::vector<VertexId>& current_anchors() const { return anchors_; }
 
   /// The maintained graph + K-order index: exactly the redundant state
@@ -179,6 +181,17 @@ class IncAvtTracker : public AvtTracker {
     std::vector<TouchRef> refs;
     uint32_t compact_at = kTouchCompactMin;
   };
+
+  /// Runs `body` over the scan backing the oracles read: the maintained
+  /// mirror, the rebuilt snapshot, or the dynamic adjacency.
+  template <typename F>
+  decltype(auto) WithAdjacency(F&& body) const {
+    if (maintainer_.csr() != nullptr) return body(*maintainer_.csr());
+    if (options_.csr == IncAvtCsrMode::kRebuildPerDelta) {
+      return body(rebuilt_csr_);
+    }
+    return body(maintainer_.graph());
+  }
 
   /// |C_k| of the maintained graph (anchors excluded by construction:
   /// anchors are tracked outside the k-core).
@@ -223,27 +236,29 @@ class IncAvtTracker : public AvtTracker {
   IncAvtOptions options_;
   size_t t_ = 0;
   CoreMaintainer maintainer_;
-  std::unique_ptr<FollowerOracle> oracle_;
-  /// Parallel slot-trial evaluator (created when num_threads > 1), bound
-  /// to the maintainer's graph/order plus whichever CSR backing
-  /// options_.csr selects (the per-worker oracles share the maintained
-  /// mirror read-only).
+  /// The tracker's only oracles: max(1, num_threads) workers bound to the
+  /// maintainer's graph/order plus whichever CSR backing options_.csr
+  /// selects (shared read-only). Worker 0 doubles as the serial oracle
+  /// (greedy final count, serial local searches, incumbent queries);
+  /// num_threads > 1 adds the parallel slot-trial evaluation. Created by
+  /// the first ProcessFirst and kept for the tracker's lifetime.
   std::unique_ptr<TrialEngine> engine_;
-  /// kRebuildPerDelta scratch: refilled from the maintained graph at the
-  /// start of every ProcessDelta (caller-owned buffers, so the rebuild
-  /// reuses its high-water allocation). Stable address — the oracle and
-  /// engine bind it once.
+  /// kRebuildPerDelta scratch: filled from the maintained graph by
+  /// ProcessFirst and at the start of every ProcessDelta (caller-owned
+  /// buffers, so the rebuild reuses its high-water allocation). Stable
+  /// address — the engine binds it once.
   CsrView rebuilt_csr_;
   std::vector<VertexId> anchors_;
-  /// Per-delta scratch, reused across deltas so ProcessDelta performs no
-  /// n-sized allocation in steady state (assign() reuses capacity; the
-  /// 1-byte-per-vertex memset is far cheaper than the cache misses of
-  /// wider layouts on these hot flags). pool_state_ memoizes the
+  /// Per-vertex scratch, sized once per universe so ProcessDelta neither
+  /// allocates nor clears anything n-sized. pool_state_ memoizes the
   /// Theorem-3 verdict per vertex within one delta — vertices reachable
   /// from several impacted vertices are filtered once, not per
-  /// appearance. is_anchor_ is read by the local searches.
+  /// appearance — and is reset from pool_seen_. is_anchor_ mirrors
+  /// anchors_ (set by ProcessFirst, updated by every commit) and is read
+  /// by the pool filter and the local searches.
   enum : uint8_t { kUnseen = 0, kRejected = 1, kPooled = 2 };
   std::vector<uint8_t> pool_state_;
+  std::vector<VertexId> pool_seen_;  // vertices whose pool_state_ is set
   std::vector<uint8_t> is_anchor_;
   std::vector<VertexId> pool_;
 

@@ -129,6 +129,12 @@ class KOrder {
   /// Materializes the full order, level 0 upward.
   std::vector<VertexId> FullOrder() const;
 
+  /// Heap bytes held by the per-vertex and per-level arrays.
+  size_t MemoryFootprint() const {
+    return hot_.capacity() * sizeof(Hot) + links_.capacity() * sizeof(Link) +
+           levels_.capacity() * sizeof(Level);
+  }
+
   /// Number of whole-level relabel events since Build (instrumentation).
   uint64_t relabel_count() const { return relabel_count_; }
 

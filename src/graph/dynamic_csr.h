@@ -94,6 +94,12 @@ class DynamicCsr {
   /// Slab capacity of u (live + slack slots) — instrumentation/tests.
   uint32_t CapacityOf(VertexId u) const { return slabs_[u].capacity; }
 
+  /// Heap bytes held by the descriptors and the slab storage.
+  size_t MemoryFootprint() const {
+    return slabs_.capacity() * sizeof(Slab) +
+           targets_.capacity() * sizeof(VertexId);
+  }
+
   /// Garbage entries currently stranded by relocations.
   uint64_t DeadSlots() const { return dead_; }
 

@@ -158,4 +158,12 @@ uint32_t Graph::MaxDegree() const {
   return best;
 }
 
+size_t Graph::MemoryFootprint() const {
+  size_t bytes = adjacency_.capacity() * sizeof(adjacency_[0]);
+  for (const std::vector<VertexId>& list : adjacency_) {
+    bytes += list.capacity() * sizeof(VertexId);
+  }
+  return bytes;
+}
+
 }  // namespace avt

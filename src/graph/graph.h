@@ -129,6 +129,9 @@ class Graph {
   /// Maximum degree over all vertices.
   uint32_t MaxDegree() const;
 
+  /// Heap bytes held by the adjacency lists (allocated capacity).
+  size_t MemoryFootprint() const;
+
   friend bool operator==(const Graph& lhs, const Graph& rhs) {
     return lhs.NumVertices() == rhs.NumVertices() &&
            lhs.num_edges_ == rhs.num_edges_ &&

@@ -39,6 +39,16 @@ void CoreMaintainer::EnsureVertices(VertexId count) {
   affected_mark_.Grow(n);
 }
 
+size_t CoreMaintainer::MemoryFootprint() const {
+  return graph_.MemoryFootprint() + order_.MemoryFootprint() +
+         csr_.MemoryFootprint() + deg_minus_.MemoryFootprint() +
+         in_heap_.MemoryFootprint() + candidate_.MemoryFootprint() +
+         eliminated_.MemoryFootprint() + support_.MemoryFootprint() +
+         cd_.MemoryFootprint() + dropped_.MemoryFootprint() +
+         affected_mark_.MemoryFootprint() +
+         affected_list_.capacity() * sizeof(VertexId);
+}
+
 void CoreMaintainer::SetCsrMirror(bool enabled) {
   // An enabled mirror is kept in lockstep by every mutation (and Reset
   // rebuilds it), so re-enabling is a no-op — no redundant O(n + m)

@@ -105,6 +105,9 @@ class CoreMaintainer {
   /// calls VI and VR before filtering by core number.
   std::vector<VertexId> ApplyDelta(const EdgeDelta& delta);
 
+  /// Heap bytes held: graph, K-order, CSR mirror and cascade scratch.
+  size_t MemoryFootprint() const;
+
   const MaintenanceStats& stats() const { return stats_; }
   void ResetStats() { stats_.Reset(); }
 

@@ -47,6 +47,9 @@ class EpochArray {
 
   size_t size() const { return slots_.size(); }
 
+  /// Heap bytes held (allocated capacity, not just the live size).
+  size_t MemoryFootprint() const { return slots_.capacity() * sizeof(Slot); }
+
   /// Invalidates all slots in O(1). On stamp wrap-around (once per 2^32
   /// clears) the array is physically reset so stale stamps can never
   /// collide with a reused epoch.
@@ -68,6 +71,18 @@ class EpochArray {
   void Set(size_t i, T value) {
     slots_[i].stamp = epoch_;
     slots_[i].value = value;
+  }
+
+  /// The live value for in-place update: a stale slot is first reset to
+  /// the default and stamped. Lets a record-valued array update one
+  /// field without a Get/Set round trip.
+  T& Mutable(size_t i) {
+    Slot& slot = slots_[i];
+    if (slot.stamp != epoch_) {
+      slot.value = default_;
+      slot.stamp = epoch_;
+    }
+    return slot.value;
   }
 
   /// Adds `delta` to the slot (initializing from the default) and returns

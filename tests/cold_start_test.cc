@@ -1,0 +1,165 @@
+// Cold start over shared state: IncAvtTracker::ProcessFirst solves G_0
+// greedily over the maintainer's K-order and the tracker's own trial
+// engine instead of building a second CSR, K-order and oracle set. These
+// tests pin that the shared path is invisible in outputs — anchors,
+// followers and work counters equal a standalone GreedySolver::Solve on
+// every (strategy, threads, csr) combination, and a repeated
+// ProcessFirst (the rollback rebuild) reproduces the first — and that
+// the memory it saves stays saved: packed oracle scratch per vertex, one
+// oracle per worker, engine footprint linear in the worker count.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "anchor/follower_oracle.h"
+#include "anchor/greedy.h"
+#include "anchor/trial_engine.h"
+#include "core/inc_avt.h"
+#include "gen/churn.h"
+#include "gen/models.h"
+#include "util/random.h"
+
+namespace avt {
+namespace {
+
+struct Case {
+  const char* name;
+  Graph graph;
+  uint32_t k;
+  uint32_t l;
+};
+
+std::vector<Case> Cases() {
+  std::vector<Case> cases;
+  Rng power_rng(91);
+  cases.push_back({"power-law", ChungLuPowerLaw(2000, 8.0, 2.2, 120,
+                                                power_rng),
+                   5, 4});
+  Rng er_rng(92);
+  cases.push_back({"erdos-renyi", ErdosRenyi(1500, 3300, er_rng), 3, 4});
+  return cases;
+}
+
+IncAvtOptions TrackerOptions(bool lazy, uint32_t threads,
+                             IncAvtCsrMode csr) {
+  IncAvtOptions options;
+  options.lazy = lazy;
+  options.num_threads = threads;
+  options.csr = csr;
+  return options;
+}
+
+void ExpectSameSnapshot(const AvtSnapshotResult& a,
+                        const AvtSnapshotResult& b, const std::string& what) {
+  EXPECT_EQ(a.anchors, b.anchors) << what;
+  EXPECT_EQ(a.num_followers, b.num_followers) << what;
+  EXPECT_EQ(a.candidates_visited, b.candidates_visited) << what;
+  EXPECT_EQ(a.bound_probes, b.bound_probes) << what;
+}
+
+TEST(ColdStart, ProcessFirstEqualsStandaloneGreedy) {
+  for (const Case& c : Cases()) {
+    Rng churn_rng(93);
+    Graph working = c.graph;
+    ChurnOptions churn;
+    churn.min_churn = 20;
+    churn.max_churn = 40;
+    const EdgeDelta delta = NextChurnDelta(working, churn, churn_rng);
+    for (bool lazy : {true, false}) {
+      for (uint32_t threads : {1u, 2u, 4u}) {
+        GreedyOptions greedy_options;
+        greedy_options.lazy = lazy;
+        greedy_options.num_threads = threads;
+        const SolverResult standalone =
+            GreedySolver(greedy_options).Solve(c.graph, c.k, c.l);
+        ASSERT_FALSE(standalone.anchors.empty()) << c.name;
+        for (IncAvtCsrMode csr :
+             {IncAvtCsrMode::kNone, IncAvtCsrMode::kRebuildPerDelta,
+              IncAvtCsrMode::kMaintained}) {
+          const std::string what =
+              std::string(c.name) + " lazy=" + std::to_string(lazy) +
+              " threads=" + std::to_string(threads) +
+              " csr=" + std::to_string(static_cast<int>(csr));
+          IncAvtTracker tracker(c.k, c.l, IncAvtMode::kRestricted,
+                                TrackerOptions(lazy, threads, csr));
+          const AvtSnapshotResult first = tracker.ProcessFirst(c.graph);
+          EXPECT_EQ(first.anchors, standalone.anchors) << what;
+          EXPECT_EQ(first.num_followers, standalone.num_followers()) << what;
+          EXPECT_EQ(first.candidates_visited, standalone.candidates_visited)
+              << what;
+          EXPECT_EQ(first.bound_probes, standalone.bound_probes) << what;
+
+          // Rollback rebuild: the same tracker, its state moved on by a
+          // delta, re-initialized from G_0 — and the replayed delta must
+          // land where the first replay landed.
+          const AvtSnapshotResult next = tracker.ProcessDelta(delta);
+          ExpectSameSnapshot(tracker.ProcessFirst(c.graph), first,
+                             what + " (second ProcessFirst)");
+          ExpectSameSnapshot(tracker.ProcessDelta(delta), next,
+                             what + " (replayed delta)");
+        }
+      }
+    }
+  }
+}
+
+TEST(ColdStart, OracleScratchIsPackedPerVertex) {
+  // The per-vertex cost is the slope between two universe sizes; the
+  // reserved hot vectors are the same constant at both.
+  constexpr VertexId kN = 50'000;
+  Graph small(kN);
+  Graph large(2 * kN);
+  KOrder small_order;
+  KOrder large_order;
+  small_order.Build(small);
+  large_order.Build(large);
+  const FollowerOracle small_oracle(&small, &small_order);
+  const FollowerOracle large_oracle(&large, &large_order);
+  const size_t per_vertex =
+      (large_oracle.MemoryFootprint() - small_oracle.MemoryFootprint()) / kN;
+  EXPECT_LE(per_vertex, 56u);
+}
+
+TEST(ColdStart, TrackerHoldsOneOraclePerWorker) {
+  Rng rng(94);
+  const Graph g0 = ChungLuPowerLaw(20'000, 8.0, 2.2, 200, rng);
+  KOrder order;
+  order.Build(g0);
+  const size_t one_oracle = FollowerOracle(&g0, &order).MemoryFootprint();
+  for (uint32_t threads : {0u, 1u, 2u, 4u}) {
+    IncAvtTracker tracker(5, 4, IncAvtMode::kRestricted,
+                          TrackerOptions(true, threads,
+                                         IncAvtCsrMode::kMaintained));
+    tracker.ProcessFirst(g0);
+    const uint32_t workers = std::max(1u, threads);
+    ASSERT_NE(tracker.trial_engine(), nullptr);
+    EXPECT_EQ(tracker.trial_engine()->num_threads(), workers);
+    // The greedy solve ran on these same oracles: their footprint is
+    // `workers` oracles plus at most one more oracle's worth of grown
+    // hot vectors — a second oracle set would double it.
+    const size_t engine = tracker.trial_engine()->MemoryFootprint();
+    EXPECT_GE(engine, workers * one_oracle) << "threads=" << threads;
+    EXPECT_LT(engine, (workers + 1) * one_oracle) << "threads=" << threads;
+    EXPECT_GT(tracker.maintainer().MemoryFootprint(),
+              tracker.maintainer().order().MemoryFootprint());
+  }
+}
+
+TEST(ColdStart, EngineFootprintIsLinearInThreads) {
+  Rng rng(95);
+  const Graph g = ChungLuPowerLaw(5000, 6.0, 2.2, 80, rng);
+  KOrder order;
+  order.Build(g);
+  const size_t one = TrialEngine(&g, &order, nullptr, 1).MemoryFootprint();
+  for (uint32_t threads : {2u, 3u, 4u}) {
+    EXPECT_EQ(TrialEngine(&g, &order, nullptr, threads).MemoryFootprint(),
+              threads * one)
+        << "threads=" << threads;
+  }
+}
+
+}  // namespace
+}  // namespace avt

@@ -152,6 +152,24 @@ TEST(EpochArray, AddInitializesFromDefault) {
   EXPECT_EQ(arr.Add(1, 1), 1u);
 }
 
+TEST(EpochArray, MutableResetsStaleRecordsAndGrowKeepsLiveOnes) {
+  struct Record {
+    uint32_t count;
+    uint8_t flags;
+  };
+  EpochArray<Record> arr(4);
+  arr.Mutable(1).count = 3;
+  arr.Mutable(1).flags |= 2;
+  EXPECT_EQ(arr.Get(1).count, 3u);
+  EXPECT_EQ(arr.Get(1).flags, 2);
+  arr.Grow(8);
+  EXPECT_EQ(arr.Get(1).count, 3u);  // live slot survives growth
+  EXPECT_FALSE(arr.Contains(6));    // appended slots read as stale
+  arr.Clear();
+  EXPECT_EQ(arr.Mutable(1).count, 0u);  // a stale record resets whole
+  EXPECT_EQ(arr.Get(1).flags, 0);
+}
+
 TEST(FlatKeyMap, PutFindEraseRoundTrip) {
   FlatKeyMap<uint32_t> map;
   EXPECT_TRUE(map.empty());
