@@ -31,7 +31,7 @@ size_t FollowerOracle::MemoryFootprint() const {
   return query_.MemoryFootprint() + base_.MemoryFootprint() +
          overlay_.MemoryFootprint() + bytes(base_anchors_) +
          bytes(base_visited_) + bytes(marginal_visited_) +
-         bytes(unique_anchors_) + bytes(visited_) +
+         bytes(slot_base_) + bytes(unique_anchors_) + bytes(visited_) +
          bytes(candidates_in_order_) + bytes(review_) + bytes(heap_);
 }
 
@@ -207,23 +207,24 @@ void FollowerOracle::BuildBase(std::span<const VertexId> anchors,
   });
 }
 
-template <typename Adjacency>
-uint32_t FollowerOracle::MarginalUpperBoundImpl(const Adjacency& adj,
-                                                VertexId x) {
+template <bool kCheckDirty, typename Adjacency>
+int32_t FollowerOracle::MarginalUpperBoundImpl(const Adjacency& adj,
+                                               VertexId x) {
   const uint32_t k = base_k_;
   overlay_.Clear();  // probe reset: one epoch bump, no O(n) work
   marginal_visited_.clear();
   heap_.clear();
 
   const uint8_t x_flags = base_.Get(x).flags;
-  if (x_flags & kAnchor) return base_count_;  // trial set == base set
+  if (kCheckDirty && (x_flags & kDirty)) return kDirtyMarginal;
+  if (x_flags & kAnchor) return 0;  // trial set == base set
   marginal_visited_.push_back(x);
   if (x_flags & kCandidate) {
     // x's phase-1 influence on others is already in the base state (a
     // candidate propagates the same +1 credit to its later neighbors
     // that an anchor's bump would); promoting it to an anchor only
     // removes its own candidacy.
-    return base_count_ - 1;
+    return -1;
   }
 
   auto push = [this](VertexId v, CascadeState& o) {
@@ -235,22 +236,26 @@ uint32_t FollowerOracle::MarginalUpperBoundImpl(const Adjacency& adj,
   };
 
   // Seeds: x's bump to later neighbors that are not already settled
-  // (base anchors and base candidates).
+  // (base anchors and base candidates). Position is tested before the
+  // base record is read, so a neighbor x never credits is never read —
+  // and cannot make a reference probe dirty.
   constexpr uint8_t kSettled = kAnchor | kCandidate;
   for (VertexId w : adj.Neighbors(x)) {
-    if (order_->CoreOf(w) >= k || (base_.Get(w).flags & kSettled)) continue;
-    if (order_->Precedes(x, w)) {
-      CascadeState& o = overlay_.Mutable(w);
-      ++o.bump;
-      push(w, o);
-    }
+    if (order_->CoreOf(w) >= k || !order_->Precedes(x, w)) continue;
+    const uint8_t w_flags = base_.Get(w).flags;
+    if (kCheckDirty && (w_flags & kDirty)) return kDirtyMarginal;
+    if (w_flags & kSettled) continue;
+    CascadeState& o = overlay_.Mutable(w);
+    ++o.bump;
+    push(w, o);
   }
 
   // Continue the base fixpoint: influence flows only forward in K-order,
   // so the position-ordered pops decide every vertex after all of its
   // (base + marginal) earlier contributors — the combined result is the
-  // least fixpoint for base_anchors ∪ {x}.
-  uint32_t added = 0;
+  // least fixpoint for base_anchors ∪ {x}. Every popped vertex had its
+  // base record read (and dirty-checked) when it was pushed.
+  int32_t added = 0;
   while (!heap_.empty()) {
     VertexId w = heap_.front().vertex;
     std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
@@ -265,24 +270,71 @@ uint32_t FollowerOracle::MarginalUpperBoundImpl(const Adjacency& adj,
     o.flags |= kCandidate;
     ++added;
     for (VertexId z : adj.Neighbors(w)) {
-      if (order_->CoreOf(z) >= k || z == x) continue;
-      if (base_.Get(z).flags & kSettled) continue;
-      if (!order_->Precedes(w, z)) continue;
+      if (order_->CoreOf(z) >= k || z == x || !order_->Precedes(w, z)) {
+        continue;
+      }
+      const uint8_t z_flags = base_.Get(z).flags;
+      if (kCheckDirty && (z_flags & kDirty)) return kDirtyMarginal;
+      if (z_flags & kSettled) continue;
       CascadeState& oz = overlay_.Mutable(z);
       if (oz.flags & kCandidate) continue;
       ++oz.deg_minus;
       push(z, oz);
     }
   }
-  return base_count_ + added;
+  return added;
 }
 
 uint32_t FollowerOracle::MarginalUpperBound(VertexId x) {
   AVT_DCHECK(base_valid_);
   ++stats_.bound_queries;
   if (base_k_ == 0) return 0;
-  return WithAdjacency(
-      [&](const auto& adj) { return MarginalUpperBoundImpl(adj, x); });
+  return WithAdjacency([&](const auto& adj) {
+    return static_cast<uint32_t>(
+        static_cast<int64_t>(base_count_) +
+        MarginalUpperBoundImpl</*kCheckDirty=*/false>(adj, x));
+  });
+}
+
+void FollowerOracle::BuildSwapReference(std::span<const VertexId> anchors,
+                                        uint32_t k, size_t first_slot,
+                                        std::vector<uint32_t>* slot_counts) {
+  ++stats_.swap_references;
+  BuildBase(anchors, k);
+  slot_counts->assign(anchors.size(), 0);
+  if (k == 0) return;
+  WithAdjacency([&](const auto& adj) {
+    // Only vertices some cascade touched can hold non-default state, so
+    // comparing S's region and slot i's region finds every difference.
+    constexpr uint8_t kVisible = kAnchor | kCandidate;
+    auto mark_if_differs = [&](VertexId v) {
+      const CascadeState q = query_.Get(v);
+      CascadeState& b = base_.Mutable(v);
+      if (((b.flags ^ q.flags) & kVisible) || b.bump != q.bump ||
+          b.deg_minus != q.deg_minus) {
+        b.flags |= kDirty;
+      }
+    };
+    for (size_t i = first_slot; i < anchors.size(); ++i) {
+      slot_base_.assign(anchors.begin(), anchors.end());
+      slot_base_.erase(slot_base_.begin() + static_cast<ptrdiff_t>(i));
+      (*slot_counts)[i] = RunCascade(adj, slot_base_, kNoVertex, k, query_,
+                                     unique_anchors_, visited_, nullptr);
+      for (VertexId v : base_anchors_) mark_if_differs(v);
+      for (VertexId v : base_visited_) mark_if_differs(v);
+      for (VertexId v : unique_anchors_) mark_if_differs(v);
+      for (VertexId v : visited_) mark_if_differs(v);
+    }
+  });
+}
+
+int32_t FollowerOracle::SwapMarginal(VertexId x) {
+  AVT_DCHECK(base_valid_);
+  ++stats_.bound_queries;
+  if (base_k_ == 0) return 0;
+  return WithAdjacency([&](const auto& adj) {
+    return MarginalUpperBoundImpl</*kCheckDirty=*/true>(adj, x);
+  });
 }
 
 }  // namespace avt

@@ -53,6 +53,7 @@
 #define AVT_ANCHOR_FOLLOWER_ORACLE_H_
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -66,10 +67,12 @@ class DynamicCsr;
 
 /// Work counters for a follower query (paper's "visited vertices").
 struct OracleStats {
-  uint64_t queries = 0;        // full CountFollowers evaluations
-  uint64_t bound_queries = 0;  // phase-1-only UpperBound evaluations
-  uint64_t visited = 0;        // vertices popped by forward passes
-  uint64_t eliminated = 0;     // candidates removed by fixpoints
+  uint64_t queries = 0;          // full CountFollowers evaluations
+  uint64_t bound_queries = 0;    // phase-1-only probes (UpperBound,
+                                 // MarginalUpperBound, SwapMarginal)
+  uint64_t swap_references = 0;  // BuildSwapReference calls
+  uint64_t visited = 0;          // vertices popped by forward passes
+  uint64_t eliminated = 0;       // candidates removed by fixpoints
 
   void Reset() { *this = OracleStats{}; }
 };
@@ -146,7 +149,8 @@ class FollowerOracle {
   // MarginalUpperBound == UpperBound on random graphs).
   //
   // Base state survives full CountFollowers queries (disjoint scratch);
-  // it is invalidated by ResizeScratch or the next BuildBase.
+  // it is replaced by the next BuildBase or BuildSwapReference and
+  // dropped by ResizeScratch.
 
   /// Runs and retains phase 1 for `anchors` at threshold k.
   void BuildBase(std::span<const VertexId> anchors, uint32_t k);
@@ -156,6 +160,41 @@ class FollowerOracle {
   /// Phase-1 candidate count of base_anchors ∪ {x} (== UpperBound for
   /// that trial set), at the cost of x's marginal cascade only.
   uint32_t MarginalUpperBound(VertexId x);
+
+  // --- swap reference: every slot's bound from one probe -------------
+  //
+  // IncAVT's swap phase bounds each pool vertex x against every slot
+  // base S∖{S[i]}, and those bases differ from S only near each S[i]'s
+  // own cascade. BuildSwapReference makes S's cascade the resident base
+  // and sets kDirty on every vertex whose base-visible state (anchor
+  // and candidate bits, bump, deg_minus) differs under some slot base.
+  // A marginal probe is a deterministic function of the adjacency, the
+  // K-order and the base state at the vertices it reads; if it reads no
+  // dirty vertex, every slot base holds identical state at every read,
+  // so the probe runs identically against each of them and
+  //     MarginalUpperBound(x) after BuildBase(S∖{S[i]})
+  //         == slot_counts[i] + SwapMarginal(x)
+  // (tests/follower_oracle_test.cc pins it). No monotonicity argument
+  // is needed. A probe that reads a dirty vertex stops and returns
+  // kDirtyMarginal; the caller then probes that vertex per slot.
+
+  static constexpr int32_t kDirtyMarginal =
+      std::numeric_limits<int32_t>::min();
+
+  /// Runs phase 1 for `anchors` into the resident base (as BuildBase
+  /// does) and for every slot base anchors∖{anchors[i]}, i >= first_slot,
+  /// into the per-query bundle — which invalidates LastRegion* like any
+  /// query. slot_counts[i] receives slot i's phase-1 count (0 below
+  /// first_slot). Costs O(base regions) beyond the l + 1 cascades.
+  void BuildSwapReference(std::span<const VertexId> anchors, uint32_t k,
+                          size_t first_slot,
+                          std::vector<uint32_t>* slot_counts);
+
+  /// x's phase-1 delta over the resident base: -1 if x is a base
+  /// candidate, 0 if a base anchor, otherwise the count x's marginal
+  /// cascade adds; kDirtyMarginal as soon as the probe reads a kDirty
+  /// vertex. Counts as one bound query.
+  int32_t SwapMarginal(VertexId x);
 
   /// Base dependency region (anchors + phase-1 pops), for memoization.
   std::span<const VertexId> BaseRegionAnchors() const {
@@ -205,6 +244,7 @@ class FollowerOracle {
     kInHeap = 2,
     kCandidate = 4,
     kEliminated = 8,
+    kDirty = 16,  // base bundle only: state differs under a slot base
   };
 
   /// Phase 1 for anchors ∪ {extra}: fills query_ / candidates_in_
@@ -236,8 +276,12 @@ class FollowerOracle {
                       std::vector<VertexId>& visited_out,
                       std::vector<VertexId>* candidates_out);
 
-  template <typename Adjacency>
-  uint32_t MarginalUpperBoundImpl(const Adjacency& adj, VertexId x);
+  /// The marginal probe body shared by MarginalUpperBound and
+  /// SwapMarginal: x's phase-1 delta over the resident base. With
+  /// kCheckDirty it returns kDirtyMarginal on the first kDirty base
+  /// record it reads.
+  template <bool kCheckDirty, typename Adjacency>
+  int32_t MarginalUpperBoundImpl(const Adjacency& adj, VertexId x);
 
   /// Single definition of the backing precedence (maintained mirror,
   /// then frozen snapshot, then dynamic adjacency): every query entry
@@ -256,6 +300,7 @@ class FollowerOracle {
   std::vector<VertexId> base_anchors_;
   std::vector<VertexId> base_visited_;
   std::vector<VertexId> marginal_visited_;
+  std::vector<VertexId> slot_base_;  // BuildSwapReference's S∖{S[i]}
   uint32_t base_k_ = 0;
   uint32_t base_count_ = 0;
   bool base_valid_ = false;

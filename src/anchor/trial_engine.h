@@ -101,6 +101,7 @@ class TrialEngine {
   /// queries) — so a caller never needs an oracle of its own. Use it
   /// between Evaluate calls only.
   FollowerOracle& serial_oracle() { return *oracles_[0]; }
+  const FollowerOracle& serial_oracle() const { return *oracles_[0]; }
 
   /// Grows every worker oracle's scratch after the bound graph/order
   /// grew (streaming sources add vertices mid-stream). Call between

@@ -230,12 +230,13 @@ void IncAvtTracker::LazyLocalSearch(const std::vector<VertexId>& pool,
       mode_ != IncAvtMode::kRestricted && memo_.enabled();
 
   // (Re)establishes the oracle's resident cascade for the slot's trial
-  // base. Each slot's base is memoized across snapshots under
-  // kBaseKeyBase | slot with its own dependency region; when churn kills
-  // it, every per-slot bound probed against it dies too
-  // (slot_bound_keys_). The oracle holds one physical base at a time, so
-  // switching slots rebuilds it — a rebuild over a clean region is
-  // deterministic, so memoized bounds stay exact.
+  // base. With the slot memo on, each slot's base is memoized across
+  // snapshots under kBaseKeyBase | slot with its own dependency region;
+  // when churn kills it, every per-slot bound probed against it dies too
+  // (slot_bound_keys_). Only memo_hit reads those keys, so without the
+  // slot memo nothing is recorded. The oracle holds one physical base at
+  // a time, so switching slots rebuilds it — a rebuild over a clean
+  // region is deterministic, so memoized bounds stay exact.
   // `record = false` skips all memo/touch bookkeeping — used by the
   // extend phase, whose every iteration ends in a commit that would
   // discard the entries unread.
@@ -243,7 +244,7 @@ void IncAvtTracker::LazyLocalSearch(const std::vector<VertexId>& pool,
                          bool record) {
     if (base_ready) return;
     const uint64_t base_key = kBaseKeyBase | slot;
-    if (record && memo_.enabled() && !memo_.ContainsLive(base_key)) {
+    if (record && memoize_slots && !memo_.ContainsLive(base_key)) {
       // The base died (churn or eviction): every bound probed against
       // it dies too. Stale references — bounds since re-recorded under
       // a newer generation, or upgraded to exact entries that carry
@@ -339,20 +340,46 @@ void IncAvtTracker::LazyLocalSearch(const std::vector<VertexId>& pool,
     return true;
   };
 
-  // Swap phase.
+  // Swap phase. Only bounds above the incumbent enter the heap: with
+  // stop_at_current an entry <= current is never resolved or returned,
+  // so dropping it leaves the pop sequence unchanged.
+  //
+  // Without the slot memo, all slots share one swap reference (see
+  // FollowerOracle::BuildSwapReference): one SwapMarginal per pool
+  // vertex gives slot i's bound as slot_counts_[i] + delta, and only
+  // vertices whose probe read a dirty vertex are probed per slot. A
+  // commit changes S, so the next slot rebuilds the reference when at
+  // least two slots remain to share it.
+  bool reference_live = false;  // swap_marginals_ describe anchors_
   for (size_t i = 0; i < anchors_.size() && !pool.empty(); ++i) {
     base = anchors_;
     base.erase(base.begin() + static_cast<ptrdiff_t>(i));
     heap = std::priority_queue<LazyEntry>();
     base_ready = false;
-    for (VertexId v : pool) {
-      if (is_anchor_[v]) continue;
-      LazyEntry cached;
-      if (memo_hit(i, v, &cached)) {
-        heap.push(cached);
-      } else {
-        heap.push({bound_of(i, base, v, /*record=*/true), v, false});
+    if (!memoize_slots && !reference_live && anchors_.size() - i >= 2) {
+      oracle.BuildSwapReference(anchors_, k_, i, &slot_counts_);
+      swap_marginals_.resize(pool.size());
+      for (size_t j = 0; j < pool.size(); ++j) {
+        if (!is_anchor_[pool[j]]) {
+          swap_marginals_[j] = oracle.SwapMarginal(pool[j]);
+        }
       }
+      reference_live = true;
+    }
+    for (size_t j = 0; j < pool.size(); ++j) {
+      const VertexId v = pool[j];
+      if (is_anchor_[v]) continue;
+      LazyEntry entry;
+      if (reference_live &&
+          swap_marginals_[j] != FollowerOracle::kDirtyMarginal) {
+        ++snap.bound_probes;
+        entry = {static_cast<uint32_t>(static_cast<int64_t>(slot_counts_[i]) +
+                                       swap_marginals_[j]),
+                 v, false};
+      } else if (!memo_hit(i, v, &entry)) {
+        entry = {bound_of(i, base, v, /*record=*/true), v, false};
+      }
+      if (entry.value > current) heap.push(entry);
     }
     LazyEntry winner =
         resolve_top(i, base, /*stop_at_current=*/true, /*record=*/true);
@@ -361,6 +388,7 @@ void IncAvtTracker::LazyLocalSearch(const std::vector<VertexId>& pool,
     is_anchor_[winner.vertex] = 1;
     anchors_[i] = winner.vertex;
     commit(winner);
+    reference_live = false;
   }
 
   // Extend phase: the eager loop always commits the argmax (anchoring
@@ -521,7 +549,8 @@ AvtSnapshotResult IncAvtTracker::ProcessDelta(const EdgeDelta& delta) {
   // adjacent to many impacted vertices is filtered exactly once — and
   // is reset afterwards from pool_seen_, so the delta costs O(pool
   // region), not O(n). is_anchor_ is kept current by every commit.
-  for (VertexId a : anchors_) AVT_DCHECK(is_anchor_[a]);
+  AVT_DCHECK(std::all_of(anchors_.begin(), anchors_.end(),
+                         [&](VertexId a) { return is_anchor_[a] != 0; }));
   pool_.clear();
   WithAdjacency([&](const auto& adj) {
     auto consider = [&](VertexId v) {

@@ -26,7 +26,17 @@
 //     certified UpperBound (phase-1-only cascade). A slot's max-heap of
 //     bounds is popped lazily; if the top bound cannot strictly beat the
 //     incumbent follower count, the whole slot is settled with zero full
-//     queries — the common steady-state outcome.
+//     queries — the common steady-state outcome. Bounds at or below the
+//     incumbent never enter the swap-phase heap: they could never be
+//     resolved or returned.
+//   * Without the per-slot memo (kRestricted, or MemoPolicy::kNone), the
+//     serial swap phase gets every slot's bounds from one swap
+//     reference: the phase-1 cascade of S itself, with the vertices
+//     whose state differs under some slot base S∖{u_i} marked dirty.
+//     One marginal probe per pool vertex then gives its exact bound for
+//     all l slots; only probes that read a dirty vertex (a few dozen per
+//     delta) are redone per slot. A commit changes S, so the next slot
+//     rebuilds the reference while at least two slots remain.
 //   * Every evaluation (bound or full) records its dependency region:
 //     the trial anchors plus all vertices popped by the forward pass. A
 //     query's result is a pure function of the edges incident to that
@@ -261,6 +271,11 @@ class IncAvtTracker : public AvtTracker {
   std::vector<VertexId> pool_seen_;  // vertices whose pool_state_ is set
   std::vector<uint8_t> is_anchor_;
   std::vector<VertexId> pool_;
+  /// Swap-reference scratch for the serial lazy search: one
+  /// SwapMarginal per pool_ entry and one phase-1 count per slot base.
+  /// Pool- and l-sized, reused across deltas.
+  std::vector<int32_t> swap_marginals_;
+  std::vector<uint32_t> slot_counts_;
 
   // --- lazy-mode state ---------------------------------------------
   /// Cross-snapshot trial memo behind the MemoPolicy abstraction (key

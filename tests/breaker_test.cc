@@ -221,8 +221,10 @@ TEST(CircuitBreaker, DeterministicUnderSeed) {
       trace += std::to_string(static_cast<int>(breaker.state()));
     }
     DeltaSource::Stats stats = breaker.SourceStats();
-    trace += "/" + std::to_string(stats.breaker_opens) + "/" +
-             std::to_string(stats.breaker_rejected_pulls);
+    trace += '/';
+    trace += std::to_string(stats.breaker_opens);
+    trace += '/';
+    trace += std::to_string(stats.breaker_rejected_pulls);
     return trace;
   };
   EXPECT_EQ(run(), run());

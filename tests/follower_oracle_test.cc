@@ -263,6 +263,82 @@ TEST(FollowerOracle, MarginalProbeEqualsUpperBound) {
   }
 }
 
+TEST(FollowerOracle, SwapReferenceGivesEverySlotBound) {
+  // One probe against the swap reference of S must equal the marginal
+  // probe against each slot base S∖{S[i]} wherever it reads no dirty
+  // vertex — for every slot and every non-core x, including reference
+  // candidates (the -1 delta), anchors, and sets holding a k-core
+  // member. The run must see clean and dirty probes both, or the check
+  // proves nothing.
+  uint64_t clean = 0;
+  uint64_t dirty = 0;
+  uint64_t reference_candidates = 0;
+  uint64_t sets_with_core_member = 0;
+  for (uint64_t seed = 0; seed < 4; ++seed) {
+    for (int model : {0, 1}) {
+      Rng rng(7900 + 2 * seed + model);
+      Graph g = model == 0 ? ChungLuPowerLaw(200, 6.0, 2.2, 40, rng)
+                           : ErdosRenyi(200, 700, rng);
+      KOrder order;
+      order.Build(g);
+      FollowerOracle oracle(&g, &order);
+      const VertexId n = g.NumVertices();
+      for (uint32_t k : {2u, 3u, 4u}) {
+        std::vector<VertexId> pool = CollectAnchorCandidates(g, order, k);
+        if (pool.size() < 6) continue;
+        VertexId core_member = kNoVertex;
+        for (VertexId v = 0; v < n && core_member == kNoVertex; ++v) {
+          if (order.CoreOf(v) >= k) core_member = v;
+        }
+        for (size_t size = 2; size <= 6; ++size) {
+          std::vector<VertexId> anchors;
+          for (size_t j = 0; j < size; ++j) {
+            anchors.push_back(pool[(seed + j * pool.size() / size) %
+                                   pool.size()]);
+          }
+          if (size % 2 == 0 && core_member != kNoVertex) {
+            anchors[1] = core_member;
+            ++sets_with_core_member;
+          }
+          // Odd sizes skip slot 0, as the tracker does after a commit.
+          const size_t first_slot = size % 2;
+          std::vector<uint32_t> slot_counts;
+          oracle.BuildSwapReference(anchors, k, first_slot, &slot_counts);
+          ASSERT_EQ(slot_counts.size(), anchors.size());
+          std::vector<int32_t> deltas(n, 0);
+          for (VertexId x = 0; x < n; ++x) {
+            if (order.CoreOf(x) < k) deltas[x] = oracle.SwapMarginal(x);
+          }
+          for (size_t i = first_slot; i < anchors.size(); ++i) {
+            std::vector<VertexId> slot_base = anchors;
+            slot_base.erase(slot_base.begin() + static_cast<ptrdiff_t>(i));
+            EXPECT_EQ(slot_counts[i],
+                      oracle.UpperBound(slot_base, kNoVertex, k));
+            oracle.BuildBase(slot_base, k);
+            for (VertexId x = 0; x < n; ++x) {
+              if (order.CoreOf(x) >= k) continue;
+              if (deltas[x] == FollowerOracle::kDirtyMarginal) {
+                ++dirty;
+                continue;
+              }
+              ++clean;
+              if (deltas[x] == -1) ++reference_candidates;
+              EXPECT_EQ(static_cast<int64_t>(slot_counts[i]) + deltas[x],
+                        oracle.MarginalUpperBound(x))
+                  << "seed " << seed << " model " << model << " k=" << k
+                  << " |S|=" << size << " slot " << i << " x=" << x;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(clean, 0u);
+  EXPECT_GT(dirty, 0u);
+  EXPECT_GT(reference_candidates, 0u);
+  EXPECT_GT(sets_with_core_member, 0u);
+}
+
 TEST(FollowerOracle, BaseSurvivesFullQueries) {
   // Full CountFollowers queries use disjoint scratch: marginal probes
   // issued after them must still see the resident base.

@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 
 #include "anchor/greedy.h"
 #include "core/inc_avt.h"
@@ -122,6 +123,7 @@ struct TrackTrace {
   std::vector<uint32_t> followers;
   std::vector<uint64_t> candidates;
   std::vector<uint64_t> probes;
+  std::vector<uint64_t> references;  // serial oracle's swap references
 };
 
 TrackTrace RunIncAvt(const SnapshotSequence& sequence, uint32_t k,
@@ -131,6 +133,7 @@ TrackTrace RunIncAvt(const SnapshotSequence& sequence, uint32_t k,
   options.num_threads = threads;
   IncAvtTracker tracker(k, l, IncAvtMode::kRestricted, options);
   TrackTrace trace;
+  uint64_t references = 0;
   sequence.ForEachSnapshot([&](size_t t, const Graph& graph,
                                const EdgeDelta& delta) {
     AvtSnapshotResult snap = t == 0 ? tracker.ProcessFirst(graph)
@@ -139,6 +142,10 @@ TrackTrace RunIncAvt(const SnapshotSequence& sequence, uint32_t k,
     trace.followers.push_back(snap.num_followers);
     trace.candidates.push_back(snap.candidates_visited);
     trace.probes.push_back(snap.bound_probes);
+    const uint64_t total =
+        tracker.trial_engine()->serial_oracle().stats().swap_references;
+    trace.references.push_back(total - references);
+    references = total;
   });
   return trace;
 }
@@ -187,6 +194,48 @@ TEST(ParallelIncAvt, BitIdenticalAcrossThreadCountsAndChurn) {
           << "seed " << seed << " t=" << t;
     }
   }
+}
+
+TEST(ParallelIncAvt, MidSwapCommitRebuildsTheSwapReference) {
+  // The serial lazy search bounds every slot from one swap reference of
+  // the anchor set; a commit at slot 0 of three changes that set with
+  // two slots left, so the reference is rebuilt for slot 1. Streams
+  // that commit there must stay identical lazy vs eager and serial vs
+  // parallel (counters included), and the rebuild must really run:
+  // exactly two references on such a delta, at most one otherwise.
+  constexpr uint32_t kK = 3;
+  constexpr uint32_t kL = 3;
+  size_t rebuilds = 0;
+  for (uint64_t seed = 0; seed < 4; ++seed) {
+    Rng rng(4600 + seed);
+    Graph g0 = ChungLuPowerLaw(300, 6.0, 2.2, 40, rng);
+    ChurnOptions churn;
+    churn.num_snapshots = 10;
+    churn.min_churn = 25;
+    churn.max_churn = 50;
+    SnapshotSequence sequence = MakeChurnSnapshots(g0, churn, rng);
+    TrackTrace lazy = RunIncAvt(sequence, kK, kL, true, 1);
+    TrackTrace eager = RunIncAvt(sequence, kK, kL, false, 1);
+    TrackTrace parallel = RunIncAvt(sequence, kK, kL, true, 2);
+    ASSERT_EQ(lazy.anchors[0].size(), kL) << "seed " << seed;
+    for (size_t t = 1; t < lazy.anchors.size(); ++t) {
+      const std::string what =
+          "seed " + std::to_string(seed) + " t=" + std::to_string(t);
+      EXPECT_EQ(eager.anchors[t], lazy.anchors[t]) << what;
+      EXPECT_EQ(eager.followers[t], lazy.followers[t]) << what;
+      EXPECT_EQ(parallel.anchors[t], lazy.anchors[t]) << what;
+      EXPECT_EQ(parallel.followers[t], lazy.followers[t]) << what;
+      EXPECT_EQ(parallel.candidates[t], lazy.candidates[t]) << what;
+      EXPECT_EQ(parallel.probes[t], lazy.probes[t]) << what;
+      if (lazy.anchors[t][0] != lazy.anchors[t - 1][0]) {
+        EXPECT_EQ(lazy.references[t], 2u) << what;
+        ++rebuilds;
+      } else {
+        EXPECT_LE(lazy.references[t], 1u) << what;
+      }
+    }
+  }
+  EXPECT_GT(rebuilds, 0u) << "no slot-0 commit; the rebuild never ran";
 }
 
 TEST(ParallelIncAvt, WiderPoolModeStaysDeterministic) {

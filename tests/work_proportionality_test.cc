@@ -94,7 +94,10 @@ TEST(WorkProportionality, PoolIsRebuiltFromScratchEveryDelta) {
   // replays the churn, the Theorem-3 pool over impacted ∪ N(impacted)
   // minus the anchors is recomputed from it, and on every delta that
   // commits nothing the lazy search must have probed each pool vertex
-  // once per anchor slot.
+  // once per anchor slot. The serial search gets those bounds from one
+  // swap-reference probe per pool vertex plus per-slot probes for the
+  // few dirty ones, so its oracle runs strictly fewer bound queries than
+  // that — and exactly as many on the 8x padded universe.
   Rng rng(7200);
   const Graph g0 = ChungLuPowerLaw(1500, 8.0, 2.2, 100, rng);
   ChurnOptions churn;
@@ -104,15 +107,23 @@ TEST(WorkProportionality, PoolIsRebuiltFromScratchEveryDelta) {
   const SnapshotSequence sequence = MakeChurnSnapshots(g0, churn, rng);
   constexpr uint32_t kK = 4;
   constexpr uint32_t kL = 4;
+  Graph padded = g0;
+  for (VertexId i = 0; i < 8 * g0.NumVertices(); ++i) padded.AddVertex();
   for (uint32_t threads : {1u, 2u}) {
     IncAvtOptions options;
     options.num_threads = threads;
     IncAvtTracker tracker(kK, kL, IncAvtMode::kRestricted, options);
+    IncAvtTracker wide(kK, kL, IncAvtMode::kRestricted, options);
     CoreMaintainer shadow;
     shadow.Reset(g0);
     std::vector<VertexId> anchors = tracker.ProcessFirst(g0).anchors;
+    ASSERT_EQ(wide.ProcessFirst(padded).anchors, anchors);
     ASSERT_EQ(anchors.size(), kL);
+    auto bound_queries = [](const IncAvtTracker& t) {
+      return t.trial_engine()->serial_oracle().stats().bound_queries;
+    };
     size_t checked = 0;
+    size_t shared = 0;
     for (const EdgeDelta& delta : sequence.deltas()) {
       const std::vector<VertexId> impacted = shadow.ApplyDelta(delta);
       std::vector<uint8_t> seen(shadow.graph().NumVertices(), 0);
@@ -127,15 +138,28 @@ TEST(WorkProportionality, PoolIsRebuiltFromScratchEveryDelta) {
         consider(v);
         for (VertexId w : shadow.graph().Neighbors(v)) consider(w);
       }
+      const uint64_t queries_before = bound_queries(tracker);
+      const uint64_t wide_queries_before = bound_queries(wide);
       const AvtSnapshotResult snap = tracker.ProcessDelta(delta);
+      ASSERT_EQ(wide.ProcessDelta(delta).anchors, snap.anchors);
+      const uint64_t queries = bound_queries(tracker) - queries_before;
       if (snap.anchors == anchors) {
         EXPECT_EQ(snap.bound_probes, kL * pool)
             << "threads=" << threads << " t=" << snap.t;
         ++checked;
+        if (threads == 1 && pool > 0) {
+          EXPECT_LT(queries, kL * pool) << "t=" << snap.t;
+          EXPECT_EQ(bound_queries(wide) - wide_queries_before, queries)
+              << "t=" << snap.t;
+          ++shared;
+        }
       }
       anchors = snap.anchors;
     }
     EXPECT_GT(checked, 0u) << "every delta committed; nothing pinned";
+    if (threads == 1) {
+      EXPECT_GT(shared, 0u) << "no shared-bound delta";
+    }
   }
 }
 
