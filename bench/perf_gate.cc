@@ -16,13 +16,6 @@
 // recorded alongside because wall-clock scaling is bounded by the
 // machine; the work counters and outputs are deterministic everywhere.
 //
-// PR-4 gate — CSR maintenance for the incremental tracker: the IncAVT
-// per-delta workload across the three cascade-scan backings (no CSR /
-// rebuild-per-delta CsrView / delta-maintained DynamicCsr), emitted to
-// --csr-out with the patch-vs-rebuild ratio. Anchors are additionally
-// asserted identical for the maintained backing across
-// {lazy, eager} x threads {1, 2, 8}.
-//
 // PR-5 gate — streaming ingestion: the same IncAVT workload driven
 // three ways, emitted to --stream-out:
 //
@@ -42,7 +35,7 @@
 //   window boundary. A second check streams a generated temporal
 //   edge-list FILE (StreamingEdgeFileSource, the zero-materialization
 //   path) against the WindowSnapshots sequence across
-//   {lazy, eager} x csr {none, maintained} x threads {1, 8} and asserts
+//   {lazy, eager} x threads {1, 8} and asserts
 //   bit-identical anchors and follower counts — the acceptance matrix.
 //
 // PR-6 gate — parallel scaling after the batching/partition bugfix:
@@ -65,27 +58,6 @@
 // asserted identical to the uninterrupted writer's. Emitted to
 // --durability-out.
 //
-// PR-8 gate — bounded memo memory: the cross-snapshot trial memo
-// under every retention policy (memoize-all / top-value-only / LRU
-// under a byte budget / none), measured on two streams emitted to
-// --memo-out:
-//
-//   * erase-heavy — --memo-transitions transitions of ~255-edge churn
-//     (~200k edge deltas at the default 800) in IncAvtMode::
-//     kMaintainedFull, the workload whose invalidation-walk erase
-//     traffic used to grow the memo's FlatKeyMap without bound
-//     (tombstones counted toward the growth trigger). Asserts the
-//     memoize-all peak footprint stays bounded and the LRU arm never
-//     exceeds its budget;
-//   * retention — gentle churn where entries survive long enough for
-//     the policies to differ in hit rate (the memory/recomputation
-//     trade the policy knob exists for).
-//
-// Anchors are asserted bit-identical across all four policies x
-// {lazy, eager} on the erase-heavy stream, and a direct FlatKeyMap
-// put/erase soak asserts capacity stays within 4x of the live set's
-// own capacity across 100k cycles (the tombstone-growth fix itself).
-//
 // PR-9 gate — self-healing audit overhead: the streamed IncAVT
 // workload (--audit-transitions churn transitions) with the sentinel
 // auditor off / every 16 transactions / every transaction, timed
@@ -96,20 +68,18 @@
 // and the production cadence (every 16) must stay within 1.15x of the
 // unaudited wall time.
 //
-// Outputs are asserted identical between all strategies, thread counts,
-// and scan backings before any number is written: the gate measures a
+// Outputs are asserted identical between all strategies and thread
+// counts before any number is written: the gate measures a
 // speedup, never a quality trade. The JSON is intentionally flat so
 // future PRs can diff it and append their own gates alongside.
 //
 //   ./bench_perf_gate [--n=50000] [--k=3] [--l=10] [--t=12]
 //                     [--churn=150] [--repeats=3] [--out=BENCH_PR2.json]
 //                     [--threads-list=1,2,4,8] [--threads-out=BENCH_PR3.json]
-//                     [--csr-out=BENCH_PR4.json]
 //                     [--stream-out=BENCH_PR5.json] [--coalesce-window=3]
 //                     [--scaling-out=BENCH_PR6.json] [--batch=3]
 //                     [--durability-out=BENCH_PR7.json]
 //                     [--recovery-deltas=50000]
-//                     [--memo-out=BENCH_PR8.json] [--memo-transitions=800]
 //                     [--selfheal-out=BENCH_PR9.json]
 //                     [--audit-transitions=96]
 //
@@ -138,7 +108,6 @@
 #include "graph/io.h"
 #include "graph/snapshots.h"
 #include "util/flags.h"
-#include "util/flat_map.h"
 #include "util/random.h"
 #include "util/status.h"
 #include "util/timer.h"
@@ -179,7 +148,6 @@ GateMetrics MeasureIncAvt(const SnapshotSequence& sequence, uint32_t k,
                           uint32_t l, bool lazy, int repeats,
                           std::vector<std::vector<VertexId>>* anchors_out,
                           uint32_t num_threads = 1,
-                          IncAvtCsrMode csr_mode = IncAvtCsrMode::kMaintained,
                           size_t batch_size = 1) {
   GateMetrics metrics;
   metrics.millis = 1e300;
@@ -187,7 +155,6 @@ GateMetrics MeasureIncAvt(const SnapshotSequence& sequence, uint32_t k,
     IncAvtOptions options;
     options.lazy = lazy;
     options.num_threads = num_threads;
-    options.csr = csr_mode;
     options.batch_size = batch_size;
     // All tracking rides the streaming engine; snap.millis is the
     // tracker's own per-transition timer, so the sum matches the old
@@ -265,48 +232,6 @@ WallRun MeasureDurableDrain(const SnapshotSequence& sequence, uint32_t k,
     run.track = std::move(track);
   }
   return run;
-}
-
-// One tracker run for the PR-8 memo gate: kMaintainedFull (the full
-// candidate pool — kRestricted memoizes no slot entries and exerts no
-// memo pressure), one pass, per-policy counters summed over the stream.
-struct MemoRun {
-  double millis = 0;  // ProcessDelta time only (t >= 1)
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t evictions = 0;
-  uint64_t peak_bytes = 0;
-  std::vector<std::vector<VertexId>> track;
-};
-
-MemoRun MeasureMemoPolicy(const SnapshotSequence& sequence, uint32_t k,
-                          uint32_t l, MemoPolicy policy, size_t budget,
-                          bool lazy) {
-  IncAvtOptions options;
-  options.lazy = lazy;
-  options.memo_policy = policy;
-  options.memo_budget_bytes = budget;
-  IncAvtTracker tracker(k, l, IncAvtMode::kMaintainedFull, options);
-  MemoRun run;
-  sequence.ForEachSnapshot(
-      [&](size_t t, const Graph& graph, const EdgeDelta& delta) {
-        AvtSnapshotResult snap =
-            t == 0 ? tracker.ProcessFirst(graph) : tracker.ProcessDelta(delta);
-        run.track.push_back(snap.anchors);
-        run.hits += snap.memo_hits;
-        run.misses += snap.memo_misses;
-        run.evictions += snap.memo_evictions;
-        run.peak_bytes = std::max(run.peak_bytes, snap.memo_bytes);
-        if (t > 0) run.millis += snap.millis;
-      });
-  return run;
-}
-
-double HitRate(const MemoRun& run) {
-  const uint64_t lookups = run.hits + run.misses;
-  return lookups == 0 ? 0.0
-                      : static_cast<double>(run.hits) /
-                            static_cast<double>(lookups);
 }
 
 // One audited engine run for the PR-9 gate: wall time around Drain
@@ -462,53 +387,6 @@ int main(int argc, char** argv) {
                 Ratio(incavt_by_threads.front().millis,
                       incavt_by_threads.back().millis));
   }
-
-  // --- Gate 4 (PR 4): CSR maintenance for the incremental tracker ----
-  // The IncAVT per-delta workload (lazy, serial — the headline path)
-  // across the three cascade-scan backings. The maintained backing is
-  // then re-run across {lazy, eager} x threads {1, 2, 8} and every
-  // anchor track must match the no-CSR baseline bit for bit.
-  const std::string csr_out = flags.GetString("csr-out", "BENCH_PR4.json");
-  std::vector<std::vector<VertexId>> nocsr_track;
-  std::vector<std::vector<VertexId>> rebuild_track;
-  std::vector<std::vector<VertexId>> maintained_track;
-  GateMetrics inc_nocsr =
-      MeasureIncAvt(sequence, k, l, /*lazy=*/true, repeats, &nocsr_track,
-                    /*num_threads=*/1, IncAvtCsrMode::kNone);
-  GateMetrics inc_rebuild =
-      MeasureIncAvt(sequence, k, l, /*lazy=*/true, repeats, &rebuild_track,
-                    /*num_threads=*/1, IncAvtCsrMode::kRebuildPerDelta);
-  GateMetrics inc_maintained =
-      MeasureIncAvt(sequence, k, l, /*lazy=*/true, repeats,
-                    &maintained_track, /*num_threads=*/1,
-                    IncAvtCsrMode::kMaintained);
-  AVT_CHECK_MSG(nocsr_track == lazy_track,
-                "perf gate violated: csr=none IncAVT diverged");
-  AVT_CHECK_MSG(rebuild_track == nocsr_track,
-                "perf gate violated: rebuild-per-delta IncAVT diverged");
-  AVT_CHECK_MSG(maintained_track == nocsr_track,
-                "perf gate violated: maintained-CSR IncAVT diverged");
-  std::printf("incavt csr=none:       %8.2f ms/delta\n",
-              inc_nocsr.millis / deltas);
-  std::printf("incavt csr=rebuild:    %8.2f ms/delta\n",
-              inc_rebuild.millis / deltas);
-  std::printf("incavt csr=maintained: %8.2f ms/delta  (%.2fx vs none, "
-              "%.2fx vs rebuild)\n",
-              inc_maintained.millis / deltas,
-              Ratio(inc_nocsr.millis, inc_maintained.millis),
-              Ratio(inc_rebuild.millis, inc_maintained.millis));
-  for (bool strategy_lazy : {true, false}) {
-    for (uint32_t threads : {1u, 2u, 8u}) {
-      std::vector<std::vector<VertexId>> track;
-      MeasureIncAvt(sequence, k, l, strategy_lazy, /*repeats=*/1, &track,
-                    threads, IncAvtCsrMode::kMaintained);
-      AVT_CHECK_MSG(track == nocsr_track,
-                    "perf gate violated: maintained-CSR IncAVT diverged "
-                    "in the strategy x threads matrix");
-    }
-  }
-  std::printf("incavt maintained identity matrix: {lazy, eager} x threads "
-              "{1, 2, 8} all bit-identical\n");
 
   // --- Gate 5 (PR 5): streaming ingestion ----------------------------
   // Same churn workload, three drivers. Wall time is measured OUTSIDE
@@ -669,7 +547,7 @@ int main(int argc, char** argv) {
   // (d) acceptance matrix — a generated temporal edge-list FILE
   // streamed with zero materialization vs the WindowSnapshots sequence
   // of the SAME file (load-order id compaction matches), across
-  // {lazy, eager} x csr {none, maintained} x threads {1, 8}.
+  // {lazy, eager} x threads {1, 8}.
   const size_t file_T = 8;
   const uint32_t file_window = 45;
   std::filesystem::path tmp_path =
@@ -691,45 +569,40 @@ int main(int argc, char** argv) {
   SnapshotSequence file_sequence =
       WindowSnapshots(reloaded.value(), file_T, file_window);
   for (bool strategy_lazy : {true, false}) {
-    for (IncAvtCsrMode mode :
-         {IncAvtCsrMode::kNone, IncAvtCsrMode::kMaintained}) {
-      for (uint32_t threads : {1u, 8u}) {
-        IncAvtOptions options;
-        options.lazy = strategy_lazy;
-        options.num_threads = threads;
-        options.csr = mode;
-        auto run_config = [&](std::unique_ptr<DeltaSource> src) {
-          AvtEngine engine(
-              std::make_unique<IncAvtTracker>(
-                  k, l, IncAvtMode::kRestricted, options),
-              std::move(src));
-          std::vector<std::vector<VertexId>> anchors;
-          std::vector<uint32_t> followers;
-          engine.SetObserver([&](const AvtSnapshotResult& snap) {
-            anchors.push_back(snap.anchors);
-            followers.push_back(snap.num_followers);
-          });
-          Status status = engine.Drain();
-          AVT_CHECK_MSG(status.ok(), status.ToString().c_str());
-          return std::make_pair(std::move(anchors), std::move(followers));
-        };
-        auto materialized =
-            run_config(std::make_unique<SequenceSource>(&file_sequence));
-        auto opened = StreamingEdgeFileSource::Open(tmp_path.string(),
-                                                    file_T, file_window);
-        AVT_CHECK_MSG(opened.ok(), opened.status().ToString().c_str());
-        auto streamed = run_config(std::move(opened).value());
-        AVT_CHECK_MSG(materialized == streamed,
-                      "perf gate violated: streamed temporal file "
-                      "diverged from materialized WindowSnapshots in the "
-                      "{strategy x csr x threads} matrix");
-      }
+    for (uint32_t threads : {1u, 8u}) {
+      IncAvtOptions options;
+      options.lazy = strategy_lazy;
+      options.num_threads = threads;
+      auto run_config = [&](std::unique_ptr<DeltaSource> src) {
+        AvtEngine engine(
+            std::make_unique<IncAvtTracker>(
+                k, l, IncAvtMode::kRestricted, options),
+            std::move(src));
+        std::vector<std::vector<VertexId>> anchors;
+        std::vector<uint32_t> followers;
+        engine.SetObserver([&](const AvtSnapshotResult& snap) {
+          anchors.push_back(snap.anchors);
+          followers.push_back(snap.num_followers);
+        });
+        Status status = engine.Drain();
+        AVT_CHECK_MSG(status.ok(), status.ToString().c_str());
+        return std::make_pair(std::move(anchors), std::move(followers));
+      };
+      auto materialized =
+          run_config(std::make_unique<SequenceSource>(&file_sequence));
+      auto opened = StreamingEdgeFileSource::Open(tmp_path.string(),
+                                                  file_T, file_window);
+      AVT_CHECK_MSG(opened.ok(), opened.status().ToString().c_str());
+      auto streamed = run_config(std::move(opened).value());
+      AVT_CHECK_MSG(materialized == streamed,
+                    "perf gate violated: streamed temporal file "
+                    "diverged from materialized WindowSnapshots in the "
+                    "{strategy x threads} matrix");
     }
   }
   std::filesystem::remove(tmp_path);
   std::printf("stream acceptance matrix: file-streamed == materialized "
-              "for {lazy, eager} x csr {none, maintained} x threads "
-              "{1, 8}\n");
+              "for {lazy, eager} x threads {1, 8}\n");
 
   // --- Gate 6 (PR 6): parallel scaling after the batching fix --------
   // BENCH_PR3 recorded the defect this PR fixes: the per-shard trial
@@ -794,7 +667,7 @@ int main(int argc, char** argv) {
     for (uint32_t threads : {1u, 8u}) {
       std::vector<std::vector<VertexId>> track;
       MeasureIncAvt(sequence, k, l, /*lazy=*/true, /*repeats=*/1, &track,
-                    threads, IncAvtCsrMode::kMaintained, b);
+                    threads, b);
       AVT_CHECK_MSG(track == expected,
                     "perf gate violated: batched IncAVT diverged from "
                     "the net-delta mirror replay");
@@ -813,7 +686,7 @@ int main(int argc, char** argv) {
     std::vector<std::vector<VertexId>> track;
     incavt_batched_by_threads.push_back(
         MeasureIncAvt(sequence, k, l, /*lazy=*/true, repeats, &track,
-                      threads, IncAvtCsrMode::kMaintained, gate6_batch));
+                      threads, gate6_batch));
     AVT_CHECK_MSG(track == batched_expected,
                   "perf gate violated: batched IncAVT diverged across "
                   "thread counts");
@@ -996,151 +869,6 @@ int main(int argc, char** argv) {
               static_cast<double>(recovery_wal_bytes) / (1024.0 * 1024.0),
               recovery_millis, recovery_per_delta, recovery_write_millis);
 
-  // --- Gate 8 (PR 8): bounded memo memory ----------------------------
-  const std::string memo_out = flags.GetString("memo-out", "BENCH_PR8.json");
-  const size_t memo_transitions =
-      static_cast<size_t>(flags.GetInt("memo-transitions", 800));
-  AVT_CHECK_MSG(memo_transitions >= 1, "--memo-transitions must be >= 1");
-  // Tight enough that the per-snapshot working set overflows it (the
-  // table holds ~128 slots, evicting down to ~80 live entries): the
-  // gate shows LRU actually evicting, not a budget it never feels.
-  const size_t memo_lru_budget = 8 * 1024;
-  const uint32_t memo_k = 3, memo_l = 4, memo_n = 1200;
-
-  // (a) Erase-heavy stream: ~255 edge events per transition (~200k edge
-  // deltas at the default 800 transitions). The invalidation walk
-  // erases and re-records memo entries constantly — the traffic that
-  // used to balloon the FlatKeyMap via tombstone-triggered doubling.
-  Rng memo_rng(seed + 13);
-  Graph memo_g = ChungLuPowerLaw(memo_n, 6.0, 2.1, 100, memo_rng);
-  ChurnOptions memo_churn;
-  memo_churn.num_snapshots = memo_transitions + 1;
-  memo_churn.min_churn = 250;
-  memo_churn.max_churn = 260;
-  SnapshotSequence memo_sequence =
-      MakeChurnSnapshots(memo_g, memo_churn, memo_rng);
-  const double memo_deltas = static_cast<double>(memo_transitions);
-
-  struct MemoPolicyArm {
-    MemoPolicy policy;
-    size_t budget;
-  };
-  const MemoPolicyArm memo_arms[] = {
-      {MemoPolicy::kMemoizeAll, 0},
-      {MemoPolicy::kTopValueOnly, 0},
-      {MemoPolicy::kLru, memo_lru_budget},
-      {MemoPolicy::kNone, 0},
-  };
-  MemoRun memo_heavy[4];
-  for (size_t i = 0; i < 4; ++i) {
-    memo_heavy[i] =
-        MeasureMemoPolicy(memo_sequence, memo_k, memo_l,
-                          memo_arms[i].policy, memo_arms[i].budget,
-                          /*lazy=*/true);
-  }
-  // Identity matrix: every policy, lazy AND eager, must walk the exact
-  // same anchor track — retention is a memory knob, never a result
-  // knob (eviction only ever costs recomputation).
-  for (size_t i = 1; i < 4; ++i) {
-    AVT_CHECK_MSG(memo_heavy[i].track == memo_heavy[0].track,
-                  "perf gate violated: a memo policy changed the "
-                  "anchor track");
-  }
-  for (const MemoPolicyArm& arm : memo_arms) {
-    MemoRun eager = MeasureMemoPolicy(memo_sequence, memo_k, memo_l,
-                                      arm.policy, arm.budget,
-                                      /*lazy=*/false);
-    AVT_CHECK_MSG(eager.track == memo_heavy[0].track,
-                  "perf gate violated: eager anchors diverged from lazy "
-                  "under a memo policy");
-    AVT_CHECK_MSG(eager.peak_bytes == 0,
-                  "perf gate violated: eager mode reported memo bytes");
-  }
-  // The bounded-memory assertions themselves. memoize-all's footprint
-  // must stay a small multiple of its initial table (the pre-fix map
-  // reached tens of MiB here by doubling on tombstone load); the LRU
-  // arm's slot array must never outgrow its budget.
-  AVT_CHECK_MSG(memo_heavy[0].peak_bytes <= 2u * 1024 * 1024,
-                "perf gate violated: memoize-all memo footprint grew "
-                "past 2 MiB on the erase-heavy stream (tombstone "
-                "growth is back)");
-  AVT_CHECK_MSG(memo_heavy[2].peak_bytes <= memo_lru_budget,
-                "perf gate violated: lru memo footprint exceeded its "
-                "byte budget");
-  const char* memo_names[] = {"all", "top", "lru", "none"};
-  for (size_t i = 0; i < 4; ++i) {
-    std::printf("memo erase-heavy %-5s %8.3f ms/delta  %5.1f%% hit rate  "
-                "%8" PRIu64 " evictions  peak %llu KiB\n",
-                memo_names[i], memo_heavy[i].millis / memo_deltas,
-                100.0 * HitRate(memo_heavy[i]), memo_heavy[i].evictions,
-                static_cast<unsigned long long>(
-                    memo_heavy[i].peak_bytes / 1024));
-  }
-
-  // (b) Retention stream: gentle churn, where entries survive between
-  // snapshots and the policies genuinely differ in hit rate.
-  const size_t retention_transitions =
-      std::max<size_t>(30, memo_transitions / 4);
-  Rng retention_rng(81);
-  Graph retention_g = ChungLuPowerLaw(400, 6.0, 2.2, 50, retention_rng);
-  ChurnOptions retention_churn;
-  retention_churn.num_snapshots = retention_transitions + 1;
-  retention_churn.min_churn = 1;
-  retention_churn.max_churn = 4;
-  SnapshotSequence retention_sequence =
-      MakeChurnSnapshots(retention_g, retention_churn, retention_rng);
-  MemoRun memo_retention[4];
-  for (size_t i = 0; i < 4; ++i) {
-    memo_retention[i] =
-        MeasureMemoPolicy(retention_sequence, memo_k, memo_l,
-                          memo_arms[i].policy, memo_arms[i].budget,
-                          /*lazy=*/true);
-    AVT_CHECK_MSG(i == 0 ||
-                      memo_retention[i].track == memo_retention[0].track,
-                  "perf gate violated: a memo policy changed the "
-                  "retention-stream anchor track");
-    std::printf("memo retention   %-5s %5.1f%% hit rate  %8" PRIu64
-                " evictions  peak %llu KiB\n",
-                memo_names[i], 100.0 * HitRate(memo_retention[i]),
-                memo_retention[i].evictions,
-                static_cast<unsigned long long>(
-                    memo_retention[i].peak_bytes / 1024));
-  }
-  AVT_CHECK_MSG(memo_retention[2].peak_bytes <= memo_lru_budget,
-                "perf gate violated: lru memo footprint exceeded its "
-                "byte budget on the retention stream");
-  if (retention_transitions >= 100) {
-    AVT_CHECK_MSG(memo_retention[0].hits > 0,
-                  "perf gate violated: the memo earned no hits on the "
-                  "retention stream (the cache is dead weight)");
-  }
-
-  // (c) The FlatKeyMap fix, measured directly: 100k put/erase cycles
-  // with a 1000-entry live set. Pre-fix this doubled capacity every
-  // time tombstones crossed the growth trigger (~128k slots by the
-  // end); post-fix capacity stays within 4x of what the live set needs.
-  const size_t soak_live = 1000, soak_cycles = 100000;
-  FlatKeyMap<uint64_t> soak_map;
-  for (uint64_t key = 0; key < soak_live; ++key) soak_map.Put(key, key);
-  const size_t soak_capacity_for_live = soak_map.capacity();
-  size_t soak_max_capacity = soak_map.capacity();
-  for (uint64_t cycle = 0; cycle < soak_cycles; ++cycle) {
-    soak_map.Put(soak_live + cycle, cycle);
-    soak_map.Erase(cycle);
-    soak_max_capacity = std::max(soak_max_capacity, soak_map.capacity());
-  }
-  AVT_CHECK_MSG(soak_map.size() == soak_live,
-                "perf gate violated: FlatKeyMap soak lost entries");
-  AVT_CHECK_MSG(soak_max_capacity <= 4 * soak_capacity_for_live,
-                "perf gate violated: FlatKeyMap capacity exceeded 4x "
-                "the live set's capacity under erase-heavy churn");
-  std::printf("flat_map soak: %zu cycles at %zu live entries — capacity "
-              "%zu..%zu slots (%.1fx live-set capacity, bound 4x)\n",
-              soak_cycles, soak_live, soak_capacity_for_live,
-              soak_max_capacity,
-              static_cast<double>(soak_max_capacity) /
-                  static_cast<double>(soak_capacity_for_live));
-
   // --- Gate 9 (PR 9): online integrity audit overhead ----------------
   // The streamed IncAVT workload with the sentinel auditor off / every
   // 16 transactions / every transaction. The audit (sampled coreness
@@ -1283,44 +1011,6 @@ int main(int argc, char** argv) {
   std::fclose(tf);
   std::printf("wrote %s\n", threads_out.c_str());
 
-  // --- Emit BENCH_PR4.json (CSR maintenance) -------------------------
-  FILE* cf = std::fopen(csr_out.c_str(), "w");
-  AVT_CHECK_MSG(cf != nullptr, "cannot open csr-maintenance output file");
-  std::fprintf(cf, "{\n");
-  std::fprintf(cf, "  \"bench\": \"perf_gate_csr_maintenance\",\n");
-  std::fprintf(cf, "  \"pr\": 4,\n");
-  std::fprintf(
-      cf,
-      "  \"config\": {\"n\": %u, \"avg_degree\": 8.0, \"alpha\": 2.1, "
-      "\"k\": %u, \"l\": %u, \"snapshots\": %zu, \"churn_min\": %u, "
-      "\"churn_max\": %u, \"seed\": %" PRIu64 ", \"repeats\": %d, "
-      "\"strategy\": \"lazy\", \"threads\": 1},\n",
-      n, k, l, T, churn, churn + 100, seed, repeats);
-  std::fprintf(cf, "  \"incavt_per_delta\": {\n");
-  PrintMetrics(cf, "no_csr", inc_nocsr, ",");
-  PrintMetrics(cf, "rebuild_per_delta", inc_rebuild, ",");
-  PrintMetrics(cf, "maintained", inc_maintained, ",");
-  std::fprintf(cf, "    \"maintained_vs_no_csr_wall_ratio\": %.3f,\n",
-               inc_nocsr.millis > 0
-                   ? inc_maintained.millis / inc_nocsr.millis
-                   : 0.0);
-  std::fprintf(cf, "    \"maintained_vs_rebuild_wall_ratio\": %.3f,\n",
-               inc_rebuild.millis > 0
-                   ? inc_maintained.millis / inc_rebuild.millis
-                   : 0.0);
-  std::fprintf(cf, "    \"patch_vs_rebuild_wall_speedup\": %.2f,\n",
-               Ratio(inc_rebuild.millis, inc_maintained.millis));
-  std::fprintf(cf, "    \"maintained_speedup_vs_no_csr\": %.2f\n",
-               Ratio(inc_nocsr.millis, inc_maintained.millis));
-  std::fprintf(cf, "  },\n");
-  std::fprintf(cf,
-               "  \"identity_matrix\": {\"strategies\": [\"lazy\", "
-               "\"eager\"], \"threads\": [1, 2, 8]},\n");
-  std::fprintf(cf, "  \"identical_outputs\": true\n");
-  std::fprintf(cf, "}\n");
-  std::fclose(cf);
-  std::printf("wrote %s\n", csr_out.c_str());
-
   // --- Emit BENCH_PR5.json (streaming ingestion) ---------------------
   FILE* sf = std::fopen(stream_out.c_str(), "w");
   AVT_CHECK_MSG(sf != nullptr, "cannot open stream-ingestion output file");
@@ -1332,7 +1022,7 @@ int main(int argc, char** argv) {
       "  \"config\": {\"n\": %u, \"avg_degree\": 8.0, \"alpha\": 2.1, "
       "\"k\": %u, \"l\": %u, \"snapshots\": %zu, \"churn_min\": %u, "
       "\"churn_max\": %u, \"seed\": %" PRIu64 ", \"repeats\": %d, "
-      "\"strategy\": \"lazy\", \"threads\": 1, \"csr\": \"maintained\", "
+      "\"strategy\": \"lazy\", \"threads\": 1, "
       "\"coalesce_window\": %zu},\n",
       n, k, l, T, churn, churn + 100, seed, repeats, coalesce_window);
   std::fprintf(sf, "  \"incavt_ingestion\": {\n");
@@ -1360,8 +1050,8 @@ int main(int argc, char** argv) {
   std::fprintf(sf,
                "  \"acceptance_matrix\": {\"source\": "
                "\"StreamingEdgeFileSource\", \"strategies\": [\"lazy\", "
-               "\"eager\"], \"csr\": [\"none\", \"maintained\"], "
-               "\"threads\": [1, 8], \"coalesce_window_identity\": 1},\n");
+               "\"eager\"], \"threads\": [1, 8], "
+               "\"coalesce_window_identity\": 1},\n");
   std::fprintf(sf, "  \"identical_outputs\": true\n");
   std::fprintf(sf, "}\n");
   std::fclose(sf);
@@ -1378,7 +1068,7 @@ int main(int argc, char** argv) {
       "  \"config\": {\"n\": %u, \"avg_degree\": 8.0, \"alpha\": 2.1, "
       "\"k\": %u, \"l\": %u, \"snapshots\": %zu, \"churn_min\": %u, "
       "\"churn_max\": %u, \"seed\": %" PRIu64 ", \"repeats\": %d, "
-      "\"strategy\": \"lazy\", \"csr\": \"maintained\", \"batch\": %zu},\n",
+      "\"strategy\": \"lazy\", \"batch\": %zu},\n",
       n, k, l, T, churn, churn + 100, seed, repeats, gate6_batch);
   std::fprintf(gf, "  \"host_cpus\": %u,\n", host_cpus);
   std::fprintf(gf, "  \"wall_assert\": \"%s\",\n", wall_assert);
@@ -1419,8 +1109,7 @@ int main(int argc, char** argv) {
       "  \"config\": {\"n\": %u, \"avg_degree\": 8.0, \"alpha\": 2.1, "
       "\"k\": %u, \"l\": %u, \"snapshots\": %zu, \"churn_min\": %u, "
       "\"churn_max\": %u, \"seed\": %" PRIu64 ", \"repeats\": %d, "
-      "\"strategy\": \"lazy\", \"csr\": \"maintained\", "
-      "\"checkpoint_every\": %zu},\n",
+      "\"strategy\": \"lazy\", \"checkpoint_every\": %zu},\n",
       n, k, l, T, churn, churn + 100, seed, repeats,
       gate7_checkpoint_every);
   std::fprintf(df, "  \"incavt_streamed_wall\": {\n");
@@ -1453,67 +1142,6 @@ int main(int argc, char** argv) {
   std::fprintf(df, "}\n");
   std::fclose(df);
   std::printf("wrote %s\n", durability_out.c_str());
-
-  // --- Emit BENCH_PR8.json (bounded memo memory) ---------------------
-  FILE* mf = std::fopen(memo_out.c_str(), "w");
-  AVT_CHECK_MSG(mf != nullptr, "cannot open memo output file");
-  std::fprintf(mf, "{\n");
-  std::fprintf(mf, "  \"bench\": \"perf_gate_memo_policy\",\n");
-  std::fprintf(mf, "  \"pr\": 8,\n");
-  std::fprintf(
-      mf,
-      "  \"config\": {\"n\": %u, \"avg_degree\": 6.0, \"alpha\": 2.1, "
-      "\"k\": %u, \"l\": %u, \"mode\": \"maintained-full\", "
-      "\"transitions\": %zu, \"churn_min\": 250, \"churn_max\": 260, "
-      "\"lru_budget_bytes\": %zu, \"seed\": %" PRIu64 "},\n",
-      memo_n, memo_k, memo_l, memo_transitions, memo_lru_budget,
-      seed + 13);
-  std::fprintf(mf, "  \"erase_heavy_per_policy\": {\n");
-  for (size_t i = 0; i < 4; ++i) {
-    std::fprintf(
-        mf,
-        "    \"%s\": {\"millis_per_delta\": %.3f, \"hit_rate\": %.4f, "
-        "\"hits\": %" PRIu64 ", \"misses\": %" PRIu64
-        ", \"evictions\": %" PRIu64 ", \"peak_memo_bytes\": %" PRIu64
-        "}%s\n",
-        memo_names[i], memo_heavy[i].millis / memo_deltas,
-        HitRate(memo_heavy[i]), memo_heavy[i].hits, memo_heavy[i].misses,
-        memo_heavy[i].evictions, memo_heavy[i].peak_bytes,
-        i + 1 < 4 ? "," : "");
-  }
-  std::fprintf(mf, "  },\n");
-  std::fprintf(
-      mf,
-      "  \"retention_config\": {\"n\": 400, \"transitions\": %zu, "
-      "\"churn_min\": 1, \"churn_max\": 4},\n",
-      retention_transitions);
-  std::fprintf(mf, "  \"retention_per_policy\": {\n");
-  for (size_t i = 0; i < 4; ++i) {
-    std::fprintf(
-        mf,
-        "    \"%s\": {\"hit_rate\": %.4f, \"hits\": %" PRIu64
-        ", \"misses\": %" PRIu64 ", \"evictions\": %" PRIu64
-        ", \"peak_memo_bytes\": %" PRIu64 "}%s\n",
-        memo_names[i], HitRate(memo_retention[i]), memo_retention[i].hits,
-        memo_retention[i].misses, memo_retention[i].evictions,
-        memo_retention[i].peak_bytes, i + 1 < 4 ? "," : "");
-  }
-  std::fprintf(mf, "  },\n");
-  std::fprintf(
-      mf,
-      "  \"flat_map_soak\": {\"cycles\": %zu, \"live_entries\": %zu, "
-      "\"capacity_for_live\": %zu, \"max_capacity\": %zu, "
-      "\"capacity_ratio\": %.2f, \"bound\": 4.0},\n",
-      soak_cycles, soak_live, soak_capacity_for_live, soak_max_capacity,
-      static_cast<double>(soak_max_capacity) /
-          static_cast<double>(soak_capacity_for_live));
-  std::fprintf(mf,
-               "  \"identity_matrix\": \"policies {all, top, lru, none} "
-               "x {lazy, eager}\",\n");
-  std::fprintf(mf, "  \"identical_outputs\": true\n");
-  std::fprintf(mf, "}\n");
-  std::fclose(mf);
-  std::printf("wrote %s\n", memo_out.c_str());
 
   // --- Emit BENCH_PR9.json (self-healing audit overhead) -------------
   FILE* hf = std::fopen(selfheal_out.c_str(), "w");

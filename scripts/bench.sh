@@ -1,30 +1,24 @@
 #!/usr/bin/env bash
-# Reproduces BENCH_PR2.json + BENCH_PR3.json + BENCH_PR4.json +
-# BENCH_PR5.json + BENCH_PR6.json + BENCH_PR7.json + BENCH_PR8.json +
-# BENCH_PR9.json: Release build, then the perf gate.
+# Reproduces BENCH_PR2.json + BENCH_PR3.json + BENCH_PR5.json +
+# BENCH_PR6.json + BENCH_PR7.json + BENCH_PR9.json: Release build, then
+# the perf gate.
 #
 #   scripts/bench.sh                 # full gates (n=50k): BENCH_PR2.json
 #                                    # + BENCH_PR3.json (thread scaling)
-#                                    # + BENCH_PR4.json (CSR maintenance)
 #                                    # + BENCH_PR5.json (stream ingestion)
 #                                    # + BENCH_PR6.json (parallel scaling
 #                                    #   after the batching fix; enforces
 #                                    #   speedup > 1 at >= 4 CPUs)
 #                                    # + BENCH_PR7.json (WAL overhead +
 #                                    #   50k-delta recovery wall time)
-#                                    # + BENCH_PR8.json (memo retention
-#                                    #   policies; ~200k-delta erase-heavy
-#                                    #   stream, LRU budget enforcement)
 #                                    # + BENCH_PR9.json (sentinel audit
 #                                    #   overhead; every-16 cadence must
 #                                    #   stay within 1.15x of audits-off)
 #   scripts/bench.sh --smoke         # small run for CI (bench_smoke.json
 #                                    # + bench_smoke_pr3.json
-#                                    # + bench_smoke_pr4.json
 #                                    # + bench_smoke_pr5.json
 #                                    # + bench_smoke_pr6.json
 #                                    # + bench_smoke_pr7.json
-#                                    # + bench_smoke_pr8.json
 #                                    # + bench_smoke_pr9.json)
 #   scripts/bench.sh --stream-out=X.json   # redirect the PR-5 JSON
 #   scripts/bench.sh --scale-out=X.json    # ALSO run bench_scalability
@@ -35,12 +29,9 @@
 #
 # The gate measures the eager ("before", seed execution strategy) and
 # lazy ("after", certified-bound) pick loops on identical inputs, the
-# lazy loops across the --threads-list worker counts, the IncAVT
-# per-delta workload across the three cascade-scan backings (no CSR /
-# rebuild-per-delta / delta-maintained), the three ingestion drivers
-# (materialized snapshot-pull / streamed AvtEngine / coalesced
-# windows), the four memo retention policies (memoize-all / top /
-# lru / none), and the sentinel-audit cadences (off / every-16 /
+# lazy loops across the --threads-list worker counts, the three
+# ingestion drivers (materialized snapshot-pull / streamed AvtEngine /
+# coalesced windows), and the sentinel-audit cadences (off / every-16 /
 # every-1), checks all outputs are bit-identical, and emits the
 # before/after JSON that docs/PERFORMANCE.md explains. Wall times move
 # with the host (the PR-3 JSON records host_cpus for that reason); the
@@ -51,24 +42,20 @@ cd "$(dirname "$0")/.."
 
 out="BENCH_PR2.json"
 threads_out="BENCH_PR3.json"
-csr_out="BENCH_PR4.json"
 stream_out="BENCH_PR5.json"
 scaling_out="BENCH_PR6.json"
 durability_out="BENCH_PR7.json"
-memo_out="BENCH_PR8.json"
 selfheal_out="BENCH_PR9.json"
 extra=()
 if [[ "${1:-}" == "--smoke" ]]; then
   shift
   out="bench_smoke.json"
   threads_out="bench_smoke_pr3.json"
-  csr_out="bench_smoke_pr4.json"
   stream_out="bench_smoke_pr5.json"
   scaling_out="bench_smoke_pr6.json"
   durability_out="bench_smoke_pr7.json"
-  memo_out="bench_smoke_pr8.json"
   selfheal_out="bench_smoke_pr9.json"
-  extra+=(--n=8000 --t=6 --repeats=1 --recovery-deltas=2000 --memo-transitions=60 --audit-transitions=48)
+  extra+=(--n=8000 --t=6 --repeats=1 --recovery-deltas=2000 --audit-transitions=48)
 fi
 if [[ "${1:-}" == --stream-out=* ]]; then
   stream_out="${1#--stream-out=}"
@@ -88,11 +75,10 @@ cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build -j "$jobs" --target bench_perf_gate
 
 ./build/bench_perf_gate --out="$out" --threads-out="$threads_out" \
-  --csr-out="$csr_out" --stream-out="$stream_out" \
-  --scaling-out="$scaling_out" --durability-out="$durability_out" \
-  --memo-out="$memo_out" --selfheal-out="$selfheal_out" \
+  --stream-out="$stream_out" --scaling-out="$scaling_out" \
+  --durability-out="$durability_out" --selfheal-out="$selfheal_out" \
   "${extra[@]}" "$@"
-echo "bench output: $out + $threads_out + $csr_out + $stream_out + $scaling_out + $durability_out + $memo_out + $selfheal_out"
+echo "bench output: $out + $threads_out + $stream_out + $scaling_out + $durability_out + $selfheal_out"
 
 # Scalability tier (PR 10): full stream->track->anchor pipeline at
 # n=1M driven from the binary edge log, plus the text-vs-binlog

@@ -7,12 +7,10 @@
 // from |V| to the vertices adjacent "upward" to the shell, which is the
 // dominant speedup of the paper's optimized Greedy over OLAK.
 //
-// Everything here is templated over the adjacency view (Graph, CsrView,
-// or the delta-maintained DynamicCsr — all iterate neighbors in the same
-// order, see graph/dynamic_csr.h), so the one-shot solvers filter over
-// their frozen snapshot and the incremental tracker filters its
-// churn-restricted pool over the maintained mirror without leaving the
-// contiguous scan path.
+// Everything here is templated over the adjacency view (Graph or
+// CsrView — both iterate neighbors in the same order), so the one-shot
+// solvers filter over their frozen snapshot and the incremental tracker
+// filters its churn-restricted pool over the maintained graph.
 
 #ifndef AVT_ANCHOR_CANDIDATES_H_
 #define AVT_ANCHOR_CANDIDATES_H_

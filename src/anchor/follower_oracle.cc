@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <functional>
 
-#include "graph/dynamic_csr.h"
-
 namespace avt {
 
 void FollowerOracle::ResizeScratch() {
@@ -30,9 +28,9 @@ size_t FollowerOracle::MemoryFootprint() const {
   auto bytes = [](const auto& v) { return v.capacity() * sizeof(v[0]); };
   return query_.MemoryFootprint() + base_.MemoryFootprint() +
          overlay_.MemoryFootprint() + bytes(base_anchors_) +
-         bytes(base_visited_) + bytes(marginal_visited_) +
-         bytes(slot_base_) + bytes(unique_anchors_) + bytes(visited_) +
-         bytes(candidates_in_order_) + bytes(review_) + bytes(heap_);
+         bytes(base_visited_) + bytes(slot_base_) + bytes(unique_anchors_) +
+         bytes(visited_) + bytes(candidates_in_order_) + bytes(review_) +
+         bytes(heap_);
 }
 
 // Phase 1: the optimistic forward cascade, parameterized over the bundle
@@ -165,7 +163,6 @@ uint32_t FollowerOracle::Eliminate(const Adjacency& adj, uint32_t k,
 
 template <typename F>
 decltype(auto) FollowerOracle::WithAdjacency(F&& f) {
-  if (dcsr_ != nullptr) return f(*dcsr_);
   if (csr_ != nullptr) return f(*csr_);
   return f(*graph_);
 }
@@ -212,13 +209,11 @@ int32_t FollowerOracle::MarginalUpperBoundImpl(const Adjacency& adj,
                                                VertexId x) {
   const uint32_t k = base_k_;
   overlay_.Clear();  // probe reset: one epoch bump, no O(n) work
-  marginal_visited_.clear();
   heap_.clear();
 
   const uint8_t x_flags = base_.Get(x).flags;
   if (kCheckDirty && (x_flags & kDirty)) return kDirtyMarginal;
   if (x_flags & kAnchor) return 0;  // trial set == base set
-  marginal_visited_.push_back(x);
   if (x_flags & kCandidate) {
     // x's phase-1 influence on others is already in the base state (a
     // candidate propagates the same +1 credit to its later neighbors
@@ -260,7 +255,6 @@ int32_t FollowerOracle::MarginalUpperBoundImpl(const Adjacency& adj,
     VertexId w = heap_.front().vertex;
     std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
     heap_.pop_back();
-    marginal_visited_.push_back(w);
     ++stats_.visited;
     const CascadeState b = base_.Get(w);
     CascadeState& o = overlay_.Mutable(w);

@@ -43,11 +43,10 @@
 // cache line per bundle and an oracle holds 48 bytes per vertex.
 // Every cascade is templated over an adjacency view — any type exposing
 // Neighbors(v) -> contiguous span in Graph's iteration order — so the
-// oracle scans whichever backing the caller binds: the dynamic
-// adjacency itself, a frozen CsrView (one-shot solvers), or a
-// delta-maintained DynamicCsr that the CoreMaintainer patches in place
-// under churn (the incremental tracker). All three iterate neighbors in
-// the identical order, so results are bit-identical across backings.
+// oracle scans whichever backing the caller binds: the graph itself (the
+// incremental tracker, whose maintainer patches it under churn) or a
+// frozen CsrView (one-shot solvers). Both iterate neighbors in the
+// identical order, so results are bit-identical across backings.
 
 #ifndef AVT_ANCHOR_FOLLOWER_ORACLE_H_
 #define AVT_ANCHOR_FOLLOWER_ORACLE_H_
@@ -62,8 +61,6 @@
 #include "util/epoch.h"
 
 namespace avt {
-
-class DynamicCsr;
 
 /// Work counters for a follower query (paper's "visited vertices").
 struct OracleStats {
@@ -82,16 +79,12 @@ struct OracleStats {
 /// (rebuild/maintain them through CoreMaintainer). An optional CsrView
 /// snapshot of the same graph routes all neighbor scans through
 /// contiguous storage; the caller must keep it in sync with the graph
-/// (drop it via set_csr(nullptr) before mutating). Alternatively a
-/// delta-maintained DynamicCsr — patched in lockstep with the graph by
-/// CoreMaintainer — keeps the contiguous path live under churn; when
-/// both are bound the maintained view wins.
+/// (drop it via set_csr(nullptr) before mutating).
 class FollowerOracle {
  public:
   FollowerOracle(const Graph* graph, const KOrder* order,
-                 const CsrView* csr = nullptr,
-                 const DynamicCsr* dynamic_csr = nullptr)
-      : graph_(graph), order_(order), csr_(csr), dcsr_(dynamic_csr) {
+                 const CsrView* csr = nullptr)
+      : graph_(graph), order_(order), csr_(csr) {
     ResizeScratch();
   }
 
@@ -105,12 +98,6 @@ class FollowerOracle {
 
   /// Swaps the contiguous adjacency snapshot (nullptr = scan the graph).
   void set_csr(const CsrView* csr) { csr_ = csr; }
-
-  /// Swaps the maintained adjacency mirror (nullptr = fall back to the
-  /// frozen CsrView, then the graph).
-  void set_dynamic_csr(const DynamicCsr* dynamic_csr) {
-    dcsr_ = dynamic_csr;
-  }
 
   /// Returns |F_k(anchors)|; optionally materializes the follower set
   /// (K-order position order). Anchors inside the k-core contribute
@@ -183,9 +170,9 @@ class FollowerOracle {
 
   /// Runs phase 1 for `anchors` into the resident base (as BuildBase
   /// does) and for every slot base anchors∖{anchors[i]}, i >= first_slot,
-  /// into the per-query bundle — which invalidates LastRegion* like any
-  /// query. slot_counts[i] receives slot i's phase-1 count (0 below
-  /// first_slot). Costs O(base regions) beyond the l + 1 cascades.
+  /// into the per-query bundle, like any query. slot_counts[i] receives
+  /// slot i's phase-1 count (0 below first_slot). Costs O(base regions)
+  /// beyond the l + 1 cascades.
   void BuildSwapReference(std::span<const VertexId> anchors, uint32_t k,
                           size_t first_slot,
                           std::vector<uint32_t>* slot_counts);
@@ -195,31 +182,6 @@ class FollowerOracle {
   /// cascade adds; kDirtyMarginal as soon as the probe reads a kDirty
   /// vertex. Counts as one bound query.
   int32_t SwapMarginal(VertexId x);
-
-  /// Base dependency region (anchors + phase-1 pops), for memoization.
-  std::span<const VertexId> BaseRegionAnchors() const {
-    return base_anchors_;
-  }
-  std::span<const VertexId> BaseRegionVisited() const {
-    return base_visited_;
-  }
-  /// Vertices the last MarginalUpperBound popped beyond the base region
-  /// (plus x itself, reported first).
-  std::span<const VertexId> LastMarginalVisited() const {
-    return marginal_visited_;
-  }
-
-  /// Vertices whose state the most recent query (full or bound) depended
-  /// on: the unique anchors plus every vertex popped by the forward pass.
-  /// The query result is a pure function of the edges incident to this
-  /// region and of the K-order positions of region members and their
-  /// neighbors — the soundness basis for IncAVT's cross-snapshot memo
-  /// (entries are reused only while the region avoids churn-impacted
-  /// vertices). Invalidated by the next query.
-  std::span<const VertexId> LastRegionAnchors() const {
-    return unique_anchors_;
-  }
-  std::span<const VertexId> LastRegionVisited() const { return visited_; }
 
   const OracleStats& stats() const { return stats_; }
   void ResetStats() { stats_.Reset(); }
@@ -262,7 +224,6 @@ class FollowerOracle {
   const Graph* graph_;
   const KOrder* order_;
   const CsrView* csr_;
-  const DynamicCsr* dcsr_;
   OracleStats stats_;
 
   /// The phase-1 cascade, parameterized over the bundle it writes
@@ -283,9 +244,9 @@ class FollowerOracle {
   template <bool kCheckDirty, typename Adjacency>
   int32_t MarginalUpperBoundImpl(const Adjacency& adj, VertexId x);
 
-  /// Single definition of the backing precedence (maintained mirror,
-  /// then frozen snapshot, then dynamic adjacency): every query entry
-  /// point dispatches through this so the rule cannot drift per method.
+  /// Single definition of the backing precedence (frozen snapshot, then
+  /// the graph): every query entry point dispatches through this so the
+  /// rule cannot drift per method.
   template <typename F>
   decltype(auto) WithAdjacency(F&& f);
 
@@ -299,7 +260,6 @@ class FollowerOracle {
   EpochArray<CascadeState> overlay_;
   std::vector<VertexId> base_anchors_;
   std::vector<VertexId> base_visited_;
-  std::vector<VertexId> marginal_visited_;
   std::vector<VertexId> slot_base_;  // BuildSwapReference's S∖{S[i]}
   uint32_t base_k_ = 0;
   uint32_t base_count_ = 0;

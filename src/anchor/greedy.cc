@@ -3,7 +3,6 @@
 #include "anchor/candidates.h"
 #include "anchor/trial_engine.h"
 #include "corelib/korder.h"
-#include "graph/dynamic_csr.h"
 
 namespace avt {
 
@@ -80,8 +79,5 @@ template SolverResult GreedySolver::SolveOver(const Graph&, const KOrder&,
 template SolverResult GreedySolver::SolveOver(const CsrView&, const KOrder&,
                                               TrialEngine&, uint32_t,
                                               uint32_t);
-template SolverResult GreedySolver::SolveOver(const DynamicCsr&,
-                                              const KOrder&, TrialEngine&,
-                                              uint32_t, uint32_t);
 
 }  // namespace avt

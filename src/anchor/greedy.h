@@ -78,9 +78,9 @@ class GreedySolver : public AnchorSolver {
   SolverResult Solve(const Graph& graph, uint32_t k, uint32_t l) override;
 
   /// The pick loop over prebuilt state: `order` is the K-order of the
-  /// graph that `adj` iterates (the Graph itself, a CsrView or a
-  /// DynamicCsr of it — instantiated for all three), and `engine` is
-  /// bound to that same graph and order. The engine's worker count
+  /// graph that `adj` iterates (the Graph itself or a CsrView of it —
+  /// instantiated for both), and `engine` is bound to that same graph
+  /// and order. The engine's worker count
   /// stands in for options.num_threads, and the final follower count
   /// runs on its serial oracle, so the solve allocates no oracle
   /// scratch. Anchors, followers and work counters equal Solve(graph).

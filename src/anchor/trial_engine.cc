@@ -44,14 +44,12 @@ constexpr size_t kMinProbesPerWorker = 8;
 }  // namespace
 
 TrialEngine::TrialEngine(const Graph* graph, const KOrder* order,
-                         const CsrView* csr, uint32_t num_threads,
-                         const DynamicCsr* dynamic_csr)
+                         const CsrView* csr, uint32_t num_threads)
     : num_threads_(std::max<uint32_t>(1, num_threads)), order_(order) {
   if (num_threads_ > 1) pool_ = std::make_unique<ThreadPool>(num_threads_);
   oracles_.reserve(num_threads_);
   for (uint32_t w = 0; w < num_threads_; ++w) {
-    oracles_.push_back(
-        std::make_unique<FollowerOracle>(graph, order, csr, dynamic_csr));
+    oracles_.push_back(std::make_unique<FollowerOracle>(graph, order, csr));
   }
 }
 

@@ -84,14 +84,10 @@ struct TrialOutcome {
 /// outlive the engine and stay consistent while Evaluate runs; after the
 /// graph/order are maintained in place (IncAVT), the next Evaluate simply
 /// reads the new state — per-worker oracles hold no cross-call caches.
-/// `dynamic_csr` (optional) binds every worker oracle to one shared
-/// delta-maintained adjacency mirror: the maintainer patches it between
-/// Evaluate calls and workers only read it during a call, so the sharing
-/// is race-free and the scans stay contiguous across the whole stream.
 class TrialEngine {
  public:
   TrialEngine(const Graph* graph, const KOrder* order, const CsrView* csr,
-              uint32_t num_threads, const DynamicCsr* dynamic_csr = nullptr);
+              uint32_t num_threads);
 
   uint32_t num_threads() const { return num_threads_; }
 

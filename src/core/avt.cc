@@ -24,16 +24,6 @@ const char* AvtAlgorithmName(AvtAlgorithm algorithm) {
   return "unknown";
 }
 
-const char* MemoPolicyName(MemoPolicy policy) {
-  switch (policy) {
-    case MemoPolicy::kMemoizeAll: return "all";
-    case MemoPolicy::kTopValueOnly: return "top";
-    case MemoPolicy::kLru: return "lru";
-    case MemoPolicy::kNone: return "none";
-  }
-  return "unknown";
-}
-
 double AvtRunResult::TotalMillis() const {
   double total = 0;
   for (const auto& s : snapshots) total += s.millis;
@@ -134,10 +124,7 @@ Status StaticAvtTracker::RestoreCheckpointState(const std::string& blob) {
 
 std::unique_ptr<AvtTracker> MakeTracker(AvtAlgorithm algorithm, uint32_t k,
                                         uint32_t l, uint32_t num_threads,
-                                        IncAvtCsrMode csr_mode,
-                                        size_t batch_size,
-                                        MemoPolicy memo_policy,
-                                        size_t memo_budget_bytes) {
+                                        size_t batch_size) {
   switch (algorithm) {
     case AvtAlgorithm::kGreedy: {
       GreedyOptions options;
@@ -157,10 +144,7 @@ std::unique_ptr<AvtTracker> MakeTracker(AvtAlgorithm algorithm, uint32_t k,
     case AvtAlgorithm::kIncAvt: {
       IncAvtOptions options;
       options.num_threads = num_threads;
-      options.csr = csr_mode;
       options.batch_size = batch_size;
-      options.memo_policy = memo_policy;
-      options.memo_budget_bytes = memo_budget_bytes;
       return std::make_unique<IncAvtTracker>(k, l, IncAvtMode::kRestricted,
                                              options);
     }
@@ -170,11 +154,9 @@ std::unique_ptr<AvtTracker> MakeTracker(AvtAlgorithm algorithm, uint32_t k,
 
 AvtRunResult RunAvt(const SnapshotSequence& sequence, AvtAlgorithm algorithm,
                     uint32_t k, uint32_t l, uint32_t num_threads,
-                    IncAvtCsrMode csr_mode, size_t batch_size,
-                    MemoPolicy memo_policy, size_t memo_budget_bytes) {
+                    size_t batch_size) {
   std::unique_ptr<AvtTracker> tracker =
-      MakeTracker(algorithm, k, l, num_threads, csr_mode, batch_size,
-                  memo_policy, memo_budget_bytes);
+      MakeTracker(algorithm, k, l, num_threads, batch_size);
   AVT_CHECK(tracker != nullptr);
   // Every run — bench, CLI, test — rides the streaming engine; the
   // sequence adapter re-emits deltas verbatim, so this is bit-identical

@@ -43,46 +43,6 @@ enum class AvtAlgorithm {
 
 const char* AvtAlgorithmName(AvtAlgorithm algorithm);
 
-/// Adjacency backing for the incremental tracker's cascade scans (the
-/// knob lives here so the runner/CLI can set it without pulling in
-/// inc_avt.h; see IncAvtOptions).
-enum class IncAvtCsrMode {
-  /// Scan the maintainer's dynamic per-vertex adjacency (the pre-PR-4
-  /// behavior; the differential baseline).
-  kNone,
-  /// Snapshot a fresh CsrView from the maintained graph after every
-  /// delta — contiguous scans bought with an O(n + m) rebuild per
-  /// transition (the ablation arm the perf gate measures patching
-  /// against).
-  kRebuildPerDelta,
-  /// Delta-maintained DynamicCsr patched in place by the maintainer
-  /// (default): contiguous scans with O(churn) maintenance per delta.
-  kMaintained,
-};
-
-/// Retention policy for IncAVT's cross-snapshot trial memo (the knob
-/// lives here so the runner/CLI can set it without pulling in
-/// inc_avt.h; see IncAvtOptions and core/memo_store.h). The memo is a
-/// cache of exact evaluations, so eviction can only cost recomputation:
-/// anchors are bit-identical across all four policies (enforced by the
-/// differential-fuzz policy matrix).
-enum class MemoPolicy {
-  /// Memoize every evaluation, unbounded — the pre-PR-8 behavior, now
-  /// byte-accounted.
-  kMemoizeAll,
-  /// Keep only the best-valued (slot, candidate) entry per slot, plus
-  /// the incumbent and per-slot base cascades: O(l) live entries.
-  kTopValueOnly,
-  /// Memoize everything under a byte budget; least-recently-used
-  /// entries are evicted when the table would outgrow it.
-  kLru,
-  /// No cross-snapshot memo at all (certified-bound gating within a
-  /// transition still applies).
-  kNone,
-};
-
-const char* MemoPolicyName(MemoPolicy policy);
-
 /// Per-snapshot tracking output.
 struct AvtSnapshotResult {
   size_t t = 0;
@@ -95,13 +55,10 @@ struct AvtSnapshotResult {
   uint64_t candidates_visited = 0;
   /// Cheap phase-1 bound probes issued by lazy pick/swap loops.
   uint64_t bound_probes = 0;
-  /// Cross-snapshot memo counters for this transition (IncAVT lazy mode
-  /// only; zero elsewhere). memo_bytes is the memo table's footprint
-  /// AFTER the transition — table capacity never shrinks, so the
-  /// per-run maximum is the true peak.
+  /// Always 0: no tracker keeps a cross-snapshot trial memo any more.
+  /// Kept only because the perfbench harness still reads them.
   uint64_t memo_hits = 0;
   uint64_t memo_misses = 0;
-  uint64_t memo_evictions = 0;
   uint64_t memo_bytes = 0;
 };
 
@@ -153,11 +110,11 @@ class AvtTracker {
   /// Serializes the tracker's EXACT resumable state into `*out`
   /// (replacing its contents), for durability checkpoints. Returns
   /// false when the tracker does not support state snapshots — the
-  /// default, and the right answer whenever any retained state is
-  /// history-dependent in ways a blob cannot capture faithfully (the
-  /// incremental tracker's cross-snapshot memo shapes its work
-  /// counters, so it declines and recovery replays the full WAL
-  /// instead, which is bit-identical by construction).
+  /// default, and the right answer whenever a blob cannot capture the
+  /// retained state faithfully (the incremental tracker's K-order
+  /// positions are history-dependent, so it declines and recovery
+  /// replays the full WAL instead, which is bit-identical by
+  /// construction).
   virtual bool SaveCheckpointState(std::string* out) const {
     (void)out;
     return false;
@@ -175,7 +132,7 @@ class AvtTracker {
   /// How many consecutive source deltas the driver should merge into
   /// one net-effect transaction before each ProcessDelta call. 1 (the
   /// default) means verbatim per-delta delivery; trackers whose
-  /// per-transition fixed costs dominate (IncAVT's invalidation walk +
+  /// per-transition fixed costs dominate (IncAVT's incumbent query +
   /// candidate-pool rebuild) override this to request batched
   /// transactions. With N > 1 the tracker observes every N-th snapshot
   /// of the stream — exactly the state a per-delta replay reaches at
@@ -242,33 +199,22 @@ class StaticAvtTracker : public AvtTracker {
 
 /// Runs one algorithm over a whole snapshot sequence. `num_threads`
 /// sizes the trial engine of the algorithms that have one (Greedy,
-/// IncAVT); the other algorithms ignore it. `csr_mode` selects IncAVT's
-/// cascade-scan backing (ignored by the other algorithms). Output is
-/// bit-identical at every thread count and every csr mode. `batch_size`
-/// sets IncAVT's delta-transaction width (ignored by the re-solve
-/// families, whose per-snapshot cost has no per-delta fixed part): with
-/// N > 1 the engine merges N consecutive deltas per transaction, so the
-/// run reports one result per BATCH BOUNDARY snapshot — each
-/// bit-identical to the per-delta replay's result at that snapshot
-/// (tests/differential_fuzz_test.cc pins this). `memo_policy` /
-/// `memo_budget_bytes` bound IncAVT's cross-snapshot memo (ignored by
-/// the re-solve families, which keep no cross-snapshot cache); anchors
-/// are bit-identical under every policy — only the work counters and
-/// memory footprint move.
+/// IncAVT); the other algorithms ignore it. Output is bit-identical at
+/// every thread count. `batch_size` sets IncAVT's delta-transaction
+/// width (ignored by the re-solve families, whose per-snapshot cost has
+/// no per-delta fixed part): with N > 1 the engine merges N consecutive
+/// deltas per transaction, so the run reports one result per BATCH
+/// BOUNDARY snapshot — each bit-identical to the per-delta replay's
+/// result at that snapshot (tests/differential_fuzz_test.cc pins this).
 AvtRunResult RunAvt(const SnapshotSequence& sequence, AvtAlgorithm algorithm,
                     uint32_t k, uint32_t l, uint32_t num_threads = 1,
-                    IncAvtCsrMode csr_mode = IncAvtCsrMode::kMaintained,
-                    size_t batch_size = 1,
-                    MemoPolicy memo_policy = MemoPolicy::kMemoizeAll,
-                    size_t memo_budget_bytes = 0);
+                    size_t batch_size = 1);
 
-/// Factory for trackers (IncAVT included). `num_threads` / `csr_mode` /
-/// `batch_size` / `memo_policy` / `memo_budget_bytes` as in RunAvt.
-std::unique_ptr<AvtTracker> MakeTracker(
-    AvtAlgorithm algorithm, uint32_t k, uint32_t l, uint32_t num_threads = 1,
-    IncAvtCsrMode csr_mode = IncAvtCsrMode::kMaintained, size_t batch_size = 1,
-    MemoPolicy memo_policy = MemoPolicy::kMemoizeAll,
-    size_t memo_budget_bytes = 0);
+/// Factory for trackers (IncAVT included). `num_threads` / `batch_size`
+/// as in RunAvt.
+std::unique_ptr<AvtTracker> MakeTracker(AvtAlgorithm algorithm, uint32_t k,
+                                        uint32_t l, uint32_t num_threads = 1,
+                                        size_t batch_size = 1);
 
 }  // namespace avt
 

@@ -52,10 +52,6 @@ void AvtEngine::Record(AvtSnapshotResult snap) {
   max_millis_ = std::max(max_millis_, snap.millis);
   total_candidates_ += snap.candidates_visited;
   total_followers_ += snap.num_followers;
-  memo_hits_ += snap.memo_hits;
-  memo_misses_ += snap.memo_misses;
-  memo_evictions_ += snap.memo_evictions;
-  memo_peak_bytes_ = std::max(memo_peak_bytes_, snap.memo_bytes);
   if (processed_ > 0) {
     double jaccard = JaccardSimilarity(previous_anchors_, snap.anchors);
     stability_sum_ += jaccard;
@@ -374,10 +370,6 @@ void AvtEngine::AdoptReplay(ReplayedRun run) {
   total_followers_ = 0;
   stability_sum_ = 0;
   anchor_changes_ = 0;
-  memo_hits_ = 0;
-  memo_misses_ = 0;
-  memo_evictions_ = 0;
-  memo_peak_bytes_ = 0;
   previous_anchors_.clear();
   result_.snapshots.clear();
   replaying_ = true;
@@ -842,10 +834,6 @@ RunSummary AvtEngine::Summary() const {
       transitions == 0 ? 1.0
                        : stability_sum_ / static_cast<double>(transitions);
   summary.anchor_changes = anchor_changes_;
-  summary.memo_hits = memo_hits_;
-  summary.memo_misses = memo_misses_;
-  summary.memo_evictions = memo_evictions_;
-  summary.memo_peak_bytes = memo_peak_bytes_;
   return summary;
 }
 

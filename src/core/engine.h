@@ -292,14 +292,6 @@ class AvtEngine {
   uint64_t total_followers_ = 0;
   double stability_sum_ = 0;
   size_t anchor_changes_ = 0;
-  /// Memo totals + peak footprint (zero for memo-less trackers). Not
-  /// part of the checkpoint cross-check: IncAVT declines state blobs,
-  /// so recovery always full-replays and recomputes them exactly, and
-  /// the blob-restoring static trackers never touch a memo.
-  uint64_t memo_hits_ = 0;
-  uint64_t memo_misses_ = 0;
-  uint64_t memo_evictions_ = 0;
-  uint64_t memo_peak_bytes_ = 0;
   std::vector<VertexId> previous_anchors_;
 
   // Durability state (inert until EnableDurability/Recover).

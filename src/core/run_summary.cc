@@ -42,11 +42,6 @@ RunSummary SummarizeRun(const AvtRunResult& run) {
     summary.max_millis = std::max(summary.max_millis, snap.millis);
     summary.total_candidates += snap.candidates_visited;
     summary.total_followers += snap.num_followers;
-    summary.memo_hits += snap.memo_hits;
-    summary.memo_misses += snap.memo_misses;
-    summary.memo_evictions += snap.memo_evictions;
-    summary.memo_peak_bytes = std::max(summary.memo_peak_bytes,
-                                       snap.memo_bytes);
     if (t > 0) {
       double jaccard = JaccardSimilarity(run.snapshots[t - 1].anchors,
                                          snap.anchors);
@@ -76,21 +71,6 @@ std::string FormatRunSummary(const RunSummary& summary) {
                 summary.mean_followers, summary.anchor_stability,
                 summary.anchor_changes);
   std::string line = buf;
-  if (summary.memo_hits > 0 || summary.memo_misses > 0 ||
-      summary.memo_evictions > 0) {
-    const uint64_t lookups = summary.memo_hits + summary.memo_misses;
-    const double hit_rate =
-        lookups == 0 ? 0.0
-                     : static_cast<double>(summary.memo_hits) /
-                           static_cast<double>(lookups);
-    std::snprintf(buf, sizeof(buf),
-                  ", memo %.0f%% hit rate (%llu evictions, peak %llu KiB)",
-                  100.0 * hit_rate,
-                  static_cast<unsigned long long>(summary.memo_evictions),
-                  static_cast<unsigned long long>(
-                      summary.memo_peak_bytes / 1024));
-    line += buf;
-  }
   if (summary.source_retries > 0 || summary.source_transient_errors > 0) {
     std::snprintf(buf, sizeof(buf),
                   ", %llu transient source errors absorbed (%llu retries)",

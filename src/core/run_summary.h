@@ -40,14 +40,6 @@ struct RunSummary {
   /// SummarizeRun has no source to ask.
   uint64_t source_retries = 0;
   uint64_t source_transient_errors = 0;
-  /// Cross-snapshot memo totals (IncAVT lazy mode; zero for trackers
-  /// without a memo). memo_peak_bytes is the high-water footprint of
-  /// the memo table across the run — under MemoPolicy::kLru it never
-  /// exceeds the configured byte budget.
-  uint64_t memo_hits = 0;
-  uint64_t memo_misses = 0;
-  uint64_t memo_evictions = 0;
-  uint64_t memo_peak_bytes = 0;
   /// Self-healing telemetry (AvtEngine only; SummarizeRun leaves these
   /// zero). Audits are the cadenced integrity checks of core/health.h;
   /// quarantined deltas went to the dead-letter log instead of the

@@ -33,8 +33,6 @@
 
 namespace avt {
 
-class DynamicCsr;
-
 /// Sentinel for "no vertex" in the level lists.
 inline constexpr VertexId kNoVertex = static_cast<VertexId>(-1);
 
@@ -110,10 +108,7 @@ class KOrder {
   void MoveToLevelBack(VertexId v, uint32_t level);
 
   /// Recomputes deg+(v) from current positions; returns the new value.
-  /// The DynamicCsr overload serves the maintainer's mirrored cascades
-  /// (same ComputeDegPlus definition, contiguous scan).
   uint32_t RecomputeDegPlus(const Graph& graph, VertexId v);
-  uint32_t RecomputeDegPlus(const DynamicCsr& csr, VertexId v);
 
   void SetDegPlus(VertexId v, uint32_t value) {
     hot_[v].deg_plus = value;

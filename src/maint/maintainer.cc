@@ -9,7 +9,6 @@ void CoreMaintainer::Reset(const Graph& graph) {
   graph_ = graph;
   order_.Build(graph_);
   stats_.Reset();
-  if (csr_enabled_) csr_.Rebuild(graph_);
   const size_t n = graph_.NumVertices();
   deg_minus_.Resize(n);
   in_heap_.Resize(n);
@@ -27,7 +26,6 @@ void CoreMaintainer::EnsureVertices(VertexId count) {
     graph_.AddVertex();
     order_.AddVertex();
   }
-  if (csr_enabled_) csr_.EnsureVertices(count);
   const size_t n = graph_.NumVertices();
   deg_minus_.Grow(n);
   in_heap_.Grow(n);
@@ -41,25 +39,12 @@ void CoreMaintainer::EnsureVertices(VertexId count) {
 
 size_t CoreMaintainer::MemoryFootprint() const {
   return graph_.MemoryFootprint() + order_.MemoryFootprint() +
-         csr_.MemoryFootprint() + deg_minus_.MemoryFootprint() +
-         in_heap_.MemoryFootprint() + candidate_.MemoryFootprint() +
+         deg_minus_.MemoryFootprint() + in_heap_.MemoryFootprint() +
+         candidate_.MemoryFootprint() +
          eliminated_.MemoryFootprint() + support_.MemoryFootprint() +
          cd_.MemoryFootprint() + dropped_.MemoryFootprint() +
          affected_mark_.MemoryFootprint() +
          affected_list_.capacity() * sizeof(VertexId);
-}
-
-void CoreMaintainer::SetCsrMirror(bool enabled) {
-  // An enabled mirror is kept in lockstep by every mutation (and Reset
-  // rebuilds it), so re-enabling is a no-op — no redundant O(n + m)
-  // rebuild when a tracker re-initializes.
-  if (enabled == csr_enabled_) return;
-  csr_enabled_ = enabled;
-  if (enabled) {
-    csr_.Rebuild(graph_);
-  } else {
-    csr_ = DynamicCsr{};
-  }
 }
 
 void CoreMaintainer::MarkAffected(VertexId v) {
@@ -72,7 +57,6 @@ void CoreMaintainer::MarkAffected(VertexId v) {
 
 bool CoreMaintainer::InsertEdge(VertexId u, VertexId v) {
   if (!graph_.AddEdge(u, v)) return false;
-  if (csr_enabled_) csr_.AddEdge(u, v);
   ++stats_.edges_inserted;
 
   // Lemma 1: the endpoint earlier in K-order gains a later neighbor.
@@ -85,17 +69,11 @@ bool CoreMaintainer::InsertEdge(VertexId u, VertexId v) {
   // Lemma 2: core numbers can only change when deg+(root) exceeds its
   // core number.
   if (order_.DegPlus(root) <= level) return true;
-  if (csr_enabled_) {
-    RunInsertCascade(csr_, root, level);
-  } else {
-    RunInsertCascade(graph_, root, level);
-  }
+  RunInsertCascade(root, level);
   return true;
 }
 
-template <typename Adjacency>
-void CoreMaintainer::RunInsertCascade(const Adjacency& adj, VertexId root,
-                                      uint32_t level) {
+void CoreMaintainer::RunInsertCascade(VertexId root, uint32_t level) {
   ++stats_.cascades;
   deg_minus_.Clear();
   in_heap_.Clear();
@@ -127,7 +105,7 @@ void CoreMaintainer::RunInsertCascade(const Adjacency& adj, VertexId root,
                                    // later pushes can target it).
     candidate_.Set(w, 1);
     candidates_in_order.push_back(w);
-    for (VertexId x : adj.Neighbors(w)) {
+    for (VertexId x : graph_.Neighbors(w)) {
       if (order_.CoreOf(x) != level) continue;
       if (!order_.Precedes(w, x)) continue;
       if (candidate_.Get(x)) continue;
@@ -144,7 +122,7 @@ void CoreMaintainer::RunInsertCascade(const Adjacency& adj, VertexId root,
   std::queue<VertexId> review;
   for (VertexId w : candidates_in_order) {
     uint32_t support = 0;
-    for (VertexId x : adj.Neighbors(w)) {
+    for (VertexId x : graph_.Neighbors(w)) {
       if (order_.CoreOf(x) > level || candidate_.Get(x)) ++support;
     }
     support_.Set(w, support);
@@ -160,7 +138,7 @@ void CoreMaintainer::RunInsertCascade(const Adjacency& adj, VertexId root,
     eliminated_.Set(w, 1);
     candidate_.Set(w, 0);
     eliminated_in_order.push_back(w);
-    for (VertexId x : adj.Neighbors(w)) {
+    for (VertexId x : graph_.Neighbors(w)) {
       if (candidate_.Get(x) && !eliminated_.Get(x)) {
         support_.Add(x, static_cast<uint32_t>(-1));
         if (support_.Get(x) <= level) review.push(x);
@@ -188,7 +166,7 @@ void CoreMaintainer::RunInsertCascade(const Adjacency& adj, VertexId root,
   // changed: exactly the visited vertices (a vertex not visited has no
   // moved neighbor that crossed from before to after it).
   for (VertexId w : visited) {
-    order_.RecomputeDegPlus(adj, w);
+    order_.RecomputeDegPlus(graph_, w);
   }
 }
 
@@ -203,7 +181,6 @@ bool CoreMaintainer::RemoveEdge(VertexId u, VertexId v) {
   // gone (Lemma 1, mirrored).
   VertexId earlier = order_.Precedes(u, v) ? u : v;
   order_.IncrementDegPlus(earlier, -1);
-  if (csr_enabled_) csr_.RemoveEdge(u, v);
   ++stats_.edges_removed;
   MarkAffected(u);
   MarkAffected(v);
@@ -216,17 +193,11 @@ bool CoreMaintainer::RemoveEdge(VertexId u, VertexId v) {
   std::vector<VertexId> seeds;
   if (ku == level) seeds.push_back(u);
   if (kv == level && v != u) seeds.push_back(v);
-  if (csr_enabled_) {
-    RunRemoveCascade(csr_, seeds, level);
-  } else {
-    RunRemoveCascade(graph_, seeds, level);
-  }
+  RunRemoveCascade(seeds, level);
   return true;
 }
 
-template <typename Adjacency>
-void CoreMaintainer::RunRemoveCascade(const Adjacency& adj,
-                                      const std::vector<VertexId>& seeds,
+void CoreMaintainer::RunRemoveCascade(const std::vector<VertexId>& seeds,
                                       uint32_t level) {
   cd_.Clear();
   dropped_.Clear();
@@ -241,7 +212,7 @@ void CoreMaintainer::RunRemoveCascade(const Adjacency& adj,
   auto touch = [&](VertexId w) {
     if (cd_.Contains(w)) return;
     uint32_t count = 0;
-    for (VertexId x : adj.Neighbors(w)) {
+    for (VertexId x : graph_.Neighbors(w)) {
       if (effective_core(x, level) >= level) ++count;
     }
     cd_.Set(w, count);
@@ -263,7 +234,7 @@ void CoreMaintainer::RunRemoveCascade(const Adjacency& adj,
     dropped_.Set(w, 1);
     dropped_in_order.push_back(w);
     MarkAffected(w);
-    for (VertexId x : adj.Neighbors(w)) {
+    for (VertexId x : graph_.Neighbors(w)) {
       if (order_.CoreOf(x) != level || dropped_.Get(x)) continue;
       if (cd_.Contains(x)) {
         cd_.Add(x, static_cast<uint32_t>(-1));
@@ -288,10 +259,10 @@ void CoreMaintainer::RunRemoveCascade(const Adjacency& adj,
   // vertex from their later set). Recomputing all level-`level` neighbors
   // is simpler and within the same complexity bound.
   for (VertexId w : dropped_in_order) {
-    order_.RecomputeDegPlus(adj, w);
-    for (VertexId x : adj.Neighbors(w)) {
+    order_.RecomputeDegPlus(graph_, w);
+    for (VertexId x : graph_.Neighbors(w)) {
       if (order_.CoreOf(x) == level) {
-        order_.RecomputeDegPlus(adj, x);
+        order_.RecomputeDegPlus(graph_, x);
       }
     }
   }

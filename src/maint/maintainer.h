@@ -39,7 +39,6 @@
 
 #include "corelib/korder.h"
 #include "graph/delta.h"
-#include "graph/dynamic_csr.h"
 #include "graph/graph.h"
 #include "util/epoch.h"
 
@@ -69,24 +68,14 @@ class CoreMaintainer {
   const KOrder& order() const { return order_; }
   uint32_t CoreOf(VertexId v) const { return order_.CoreOf(v); }
 
-  /// Enables/disables the delta-maintained CSR mirror of the graph's
-  /// adjacency. While enabled, every InsertEdge / RemoveEdge patches the
-  /// mirror in lockstep with the dynamic adjacency (identical neighbor
-  /// order at every point — see dynamic_csr.h), so scan-heavy readers
-  /// (the follower oracle, the trial engine's worker oracles) can stay
-  /// bound to one contiguous view across the whole snapshot stream.
-  /// Enabling (re)builds the mirror from the current graph; disabling
-  /// frees it. Reset() rebuilds an enabled mirror for the new graph.
-  void SetCsrMirror(bool enabled);
-
-  /// The maintained CSR mirror, or nullptr when disabled. The pointer
-  /// stays valid across deltas (the object is patched in place).
-  const DynamicCsr* csr() const { return csr_enabled_ ? &csr_ : nullptr; }
+  /// Retained no-op: the maintainer once patched an optional CSR mirror
+  /// of its adjacency, and callers that asked for one still compile.
+  /// Every cascade scans graph() whatever the argument.
+  void SetCsrMirror(bool enabled) { (void)enabled; }
 
   /// Grows the vertex universe to at least `count` ids: isolated
-  /// vertices appended to the graph, the K-order (back of level 0), the
-  /// CSR mirror when enabled, and every cascade scratch array — all in
-  /// lockstep, no rebuild. Streaming delta sources discover vertices
+  /// vertices appended to the graph, the K-order (back of level 0) and
+  /// every cascade scratch array — all in lockstep, no rebuild. Streaming delta sources discover vertices
   /// mid-stream; callers grow before ApplyDelta so edge endpoints are
   /// always in range. Existing state (cores, tags, deg+) is untouched:
   /// an isolated vertex cannot change any other vertex's core number.
@@ -105,7 +94,7 @@ class CoreMaintainer {
   /// calls VI and VR before filtering by core number.
   std::vector<VertexId> ApplyDelta(const EdgeDelta& delta);
 
-  /// Heap bytes held: graph, K-order, CSR mirror and cascade scratch.
+  /// Heap bytes held: graph, K-order and cascade scratch.
   size_t MemoryFootprint() const;
 
   const MaintenanceStats& stats() const { return stats_; }
@@ -121,22 +110,13 @@ class CoreMaintainer {
   bool InjectIndexFaultForDrill();
 
  private:
-  /// Cascades are templated over the adjacency they scan: the dynamic
-  /// per-vertex lists, or — when the mirror is enabled — the maintained
-  /// CSR (patched before the cascade runs, so both see the identical
-  /// post-mutation neighborhood in the identical order).
-  template <typename Adjacency>
-  void RunInsertCascade(const Adjacency& adj, VertexId root, uint32_t level);
-  template <typename Adjacency>
-  void RunRemoveCascade(const Adjacency& adj,
-                        const std::vector<VertexId>& seeds, uint32_t level);
+  void RunInsertCascade(VertexId root, uint32_t level);
+  void RunRemoveCascade(const std::vector<VertexId>& seeds, uint32_t level);
   void MarkAffected(VertexId v);
 
   Graph graph_;
   KOrder order_;
   MaintenanceStats stats_;
-  DynamicCsr csr_;
-  bool csr_enabled_ = false;
 
   // Scratch for cascades (sized to vertex count by Reset()).
   EpochArray<uint32_t> deg_minus_;

@@ -34,6 +34,13 @@ Flags Flags::Parse(int argc, char** argv) {
   return flags;
 }
 
+std::vector<std::string> Flags::Names() const {
+  std::vector<std::string> names;
+  names.reserve(values_.size());
+  for (const auto& [name, value] : values_) names.push_back(name);
+  return names;
+}
+
 int64_t Flags::GetInt(const std::string& name, int64_t default_value) const {
   auto it = values_.find(name);
   if (it == values_.end()) return default_value;

@@ -1,8 +1,8 @@
 // Minimal command-line flag parsing for the bench/example binaries.
 //
 // Supports --name=value and --name value forms plus boolean switches
-// (--verbose). Unknown flags are reported; positional arguments are
-// collected in order. This deliberately avoids a third-party dependency —
+// (--verbose). Names() lists what was parsed, so a caller can reject
+// flags it does not read; positional arguments are collected in order. This deliberately avoids a third-party dependency —
 // the harness only needs a handful of scalar options.
 
 #ifndef AVT_UTIL_FLAGS_H_
@@ -34,6 +34,9 @@ class Flags {
   int64_t GetInt(const std::string& name, int64_t default_value) const;
   double GetDouble(const std::string& name, double default_value) const;
   bool GetBool(const std::string& name, bool default_value) const;
+
+  /// Every parsed flag name, sorted.
+  std::vector<std::string> Names() const;
 
   const std::vector<std::string>& positional() const { return positional_; }
   const std::vector<std::string>& errors() const { return errors_; }

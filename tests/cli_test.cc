@@ -10,6 +10,7 @@
 #include <fstream>
 #include <sstream>
 #include <thread>
+#include <utility>
 
 namespace avt {
 namespace cli {
@@ -225,135 +226,36 @@ TEST_F(CliTest, ThreadsAtOrBelowHardwareNotClamped) {
   EXPECT_EQ(err.find("clamping"), std::string::npos) << err;
 }
 
-TEST_F(CliTest, HelpMentionsCsrKnob) {
-  std::string out;
-  ASSERT_EQ(Run({"help"}, &out), 0);
-  EXPECT_NE(out.find("--csr maintained|rebuild|none"), std::string::npos);
-}
-
-TEST_F(CliTest, TrackRejectsUnknownCsrMode) {
-  std::string out, err;
-  EXPECT_EQ(Run({"track", "--dataset=CollegeMsg", "--t=3", "--csr=frozen"},
-                &out, &err),
-            2);
-  EXPECT_NE(err.find("unknown --csr"), std::string::npos);
-}
-
-TEST_F(CliTest, TrackCsrBackingsAgree) {
-  // The scan backing is a speed knob: every per-snapshot result column
-  // must be identical across maintained / rebuild / none (millis aside,
-  // which is why the comparison keeps only the result columns).
-  auto result_fields = [](const std::string& text) {
-    // Keep t / followers / anchored_core / candidates columns of the
-    // table rows (drop the trailing millis column), plus the smoothness
-    // line.
-    std::string kept;
-    std::istringstream stream(text);
-    for (std::string line; std::getline(stream, line);) {
-      if (line.find("smoothness") != std::string::npos) {
-        kept += line + "\n";
-        continue;
-      }
-      std::istringstream row(line);
-      std::string t, followers, core, candidates;
-      if (row >> t >> followers >> core >> candidates &&
-          t.find_first_not_of("0123456789") == std::string::npos) {
-        kept += t + " " + followers + " " + core + " " + candidates + "\n";
-      }
-    }
-    return kept;
+TEST_F(CliTest, EveryCommandRejectsFlagsItDoesNotRead) {
+  // A flag a subcommand does not read — a typo, or a retired knob —
+  // exits 2 before the command runs, instead of being silently ignored.
+  const std::vector<std::string> track = {"track", "--dataset=CollegeMsg",
+                                          "--t=3"};
+  using Case = std::pair<std::vector<std::string>, std::string>;
+  const std::vector<Case> cases = {
+      {{"gen", "--out=" + TempPath("never.txt")}, "--bogus=1"},
+      {{"stats", "g.txt"}, "--bogus=1"},
+      {{"core", "g.txt"}, "--bogus=1"},
+      {{"anchors", "g.txt"}, "--bogus=1"},
+      {track, "--bogus=1"},
+      {{"stream", "--source=gen", "--n=200", "--t=2"}, "--bogus=1"},
+      {{"quarantine", "qdir"}, "--bogus=1"},
+      {{"convert", "log.txt"}, "--bogus=1"},
+      {track, "--csr=none"},
+      {track, "--theads=2"},
+      {track, "--memo-policy=none"},
+      {track, "--memo-budget=4096"},
   };
-  std::string maintained, rebuild, none;
-  ASSERT_EQ(Run({"track", "--dataset=CollegeMsg", "--t=4", "--k=3", "--l=3",
-                 "--scale=0.3", "--algo=incavt", "--csr=maintained"},
-                &maintained),
-            0);
-  ASSERT_EQ(Run({"track", "--dataset=CollegeMsg", "--t=4", "--k=3", "--l=3",
-                 "--scale=0.3", "--algo=incavt", "--csr=rebuild"},
-                &rebuild),
-            0);
-  ASSERT_EQ(Run({"track", "--dataset=CollegeMsg", "--t=4", "--k=3", "--l=3",
-                 "--scale=0.3", "--algo=incavt", "--csr=none"},
-                &none),
-            0);
-  EXPECT_NE(result_fields(maintained), "");
-  EXPECT_EQ(result_fields(maintained), result_fields(rebuild));
-  EXPECT_EQ(result_fields(maintained), result_fields(none));
-}
-
-TEST_F(CliTest, TrackRejectsUnknownMemoPolicy) {
-  std::string out, err;
-  EXPECT_EQ(Run({"track", "--dataset=CollegeMsg", "--t=3",
-                 "--memo-policy=mru"},
-                &out, &err),
-            2);
-  EXPECT_NE(err.find("unknown --memo-policy"), std::string::npos);
-  EXPECT_NE(err.find("lru"), std::string::npos);  // lists valid values
-}
-
-TEST_F(CliTest, MemoBudgetRequiresLruPolicy) {
-  std::string out, err;
-  EXPECT_EQ(Run({"track", "--dataset=CollegeMsg", "--t=3",
-                 "--memo-budget=65536"},
-                &out, &err),
-            2);
-  EXPECT_NE(err.find("--memo-policy=lru"), std::string::npos);
-
-  EXPECT_EQ(Run({"stream", "--dataset=CollegeMsg", "--t=3", "--k=3",
-                 "--l=3", "--memo-policy=lru", "--memo-budget=0"},
-                &out, &err),
-            2);
-  EXPECT_NE(err.find("positive byte count"), std::string::npos);
-}
-
-TEST_F(CliTest, TrackMemoPoliciesAgreeAndReportCounters) {
-  // Same result-column equality contract as the CSR knob: memo
-  // retention is a memory knob, never a result knob. The lazy default
-  // prints a memo summary line; lru under a budget must stay under it.
-  auto result_fields = [](std::string text) {
-    for (char& c : text) {
-      if (c == '|') c = ' ';
-    }
-    std::string kept;
-    std::istringstream stream(text);
-    for (std::string line; std::getline(stream, line);) {
-      std::istringstream row(line);
-      std::string t, followers, core, candidates;
-      if (row >> t >> followers >> core >> candidates &&
-          t.find_first_not_of("0123456789") == std::string::npos) {
-        kept += t + " " + followers + " " + core + " " + candidates + "\n";
-      }
-    }
-    return kept;
-  };
-  std::string all, lru, none;
-  ASSERT_EQ(Run({"track", "--dataset=CollegeMsg", "--t=4", "--k=3", "--l=3",
-                 "--scale=0.3", "--algo=incavt", "--memo-policy=all"},
-                &all),
-            0);
-  ASSERT_EQ(Run({"track", "--dataset=CollegeMsg", "--t=4", "--k=3", "--l=3",
-                 "--scale=0.3", "--algo=incavt", "--memo-policy=lru",
-                 "--memo-budget=16384"},
-                &lru),
-            0);
-  ASSERT_EQ(Run({"track", "--dataset=CollegeMsg", "--t=4", "--k=3", "--l=3",
-                 "--scale=0.3", "--algo=incavt", "--memo-policy=none"},
-                &none),
-            0);
-  EXPECT_NE(result_fields(all), "");
-  EXPECT_EQ(result_fields(all), result_fields(lru));
-  EXPECT_EQ(result_fields(all), result_fields(none));
-  EXPECT_NE(all.find("memo policy=all:"), std::string::npos);
-  EXPECT_NE(lru.find("memo policy=lru:"), std::string::npos);
-  // kNone has no memo activity, so no memo line at all.
-  EXPECT_EQ(none.find("memo policy="), std::string::npos);
-}
-
-TEST_F(CliTest, HelpMentionsMemoKnobs) {
-  std::string out;
-  ASSERT_EQ(Run({"help"}, &out), 0);
-  EXPECT_NE(out.find("--memo-policy"), std::string::npos);
-  EXPECT_NE(out.find("--memo-budget"), std::string::npos);
+  for (const auto& [base, flag] : cases) {
+    std::vector<std::string> args = base;
+    args.push_back(flag);
+    std::string out, err;
+    EXPECT_EQ(Run(args, &out, &err), 2) << base[0] << " " << flag;
+    const std::string name = flag.substr(0, flag.find('='));
+    EXPECT_NE(err.find("unknown flag " + name), std::string::npos)
+        << base[0] << ": " << err;
+    EXPECT_EQ(out, "") << base[0] << " " << flag;
+  }
 }
 
 TEST_F(CliTest, AnchorsThreadedMatchesSerial) {
@@ -483,6 +385,57 @@ TEST_F(CliTest, ConvertToBinlogRoundTripsThroughStream) {
             0);
   ASSERT_NE(FinalLine(from_text), "");
   EXPECT_EQ(FinalLine(from_binlog), FinalLine(from_text));
+}
+
+TEST_F(CliTest, FlagsUsedByScriptsAndReadmeStillRun) {
+  // Every flag the README examples and scripts/*.sh pass, on tiny
+  // inputs: none may trip the unknown-flag check.
+  const std::string graph = TempPath("readme_g.txt");
+  const std::string log = TempPath("readme_log.txt");
+  const std::string binlog = TempPath("readme_log.avtb");
+  const std::string ckpt = TempDir("readme_ckpt");
+  const std::string drill = TempDir("readme_drill");
+  const std::string qdir = TempDir("readme_qdir");
+  WriteTemporalFixture(log);
+  const std::vector<std::string> gen_stream = {
+      "stream", "--source=gen", "--n=400", "--t=6", "--k=3", "--l=5",
+      "--churn-min=10", "--churn-max=20", "--seed=3"};
+  auto with = [&](std::vector<std::string> extra) {
+    std::vector<std::string> args = gen_stream;
+    args.insert(args.end(), extra.begin(), extra.end());
+    return args;
+  };
+  const std::vector<std::vector<std::string>> runs = {
+      {"gen", "--model=chung-lu", "--n=300", "--avg-degree=6", "--seed=7",
+       "--out=" + graph},
+      {"stats", graph},
+      {"core", graph, "--k=3", "--list"},
+      {"anchors", graph, "--k=3", "--l=5", "--threads=2"},
+      {"track", "--dataset=eu-core", "--t=3", "--k=3", "--l=3",
+       "--scale=0.05", "--seed=7", "--threads=2"},
+      gen_stream,
+      with({"--checkpoint-dir=" + ckpt, "--checkpoint-every=2",
+            "--fsync=never"}),
+      with({"--checkpoint-dir=" + ckpt, "--checkpoint-every=2",
+            "--fsync=never", "--resume"}),
+      with({"--audit-every=2", "--poison-rate=0.3", "--poison-seed=99",
+            "--quarantine-dir=" + qdir}),
+      {"quarantine", qdir},
+      with({"--checkpoint-dir=" + drill, "--checkpoint-every=2",
+            "--audit-every=2", "--corrupt-state-after=4"}),
+      {"stream", "--source=file", "--temporal=" + log, "--t=5", "--window=90",
+       "--k=3", "--l=5", "--coalesce-window", "2"},
+      {"convert", log, binlog, "--t=5", "--window=90"},
+      {"stream", "--source=binlog", "--binlog=" + binlog, "--k=3", "--l=5",
+       "--batch=2"},
+  };
+  for (const std::vector<std::string>& args : runs) {
+    std::string out, err;
+    const int rc = Run(args, &out, &err);
+    // 6: completed but degraded (the poison and corruption drills).
+    EXPECT_TRUE(rc == 0 || rc == 6) << args[0] << " rc=" << rc << ": " << err;
+    EXPECT_EQ(err.find("unknown flag"), std::string::npos) << err;
+  }
 }
 
 TEST_F(CliTest, ConvertBinlogRejectsUnsortedEvents) {

@@ -3,10 +3,11 @@
 // engine instead of building a second CSR, K-order and oracle set. These
 // tests pin that the shared path is invisible in outputs — anchors,
 // followers and work counters equal a standalone GreedySolver::Solve on
-// every (strategy, threads, csr) combination, and a repeated
-// ProcessFirst (the rollback rebuild) reproduces the first — and that
-// the memory it saves stays saved: packed oracle scratch per vertex, one
-// oracle per worker, engine footprint linear in the worker count.
+// every (strategy, threads) combination, and a repeated ProcessFirst
+// (the rollback rebuild) reproduces the first — and that the memory it
+// saves stays saved: packed oracle scratch per vertex, one oracle per
+// worker, engine footprint linear in the worker count, and a maintainer
+// that holds one adjacency (no mirror).
 
 #include <gtest/gtest.h>
 
@@ -43,12 +44,10 @@ std::vector<Case> Cases() {
   return cases;
 }
 
-IncAvtOptions TrackerOptions(bool lazy, uint32_t threads,
-                             IncAvtCsrMode csr) {
+IncAvtOptions TrackerOptions(bool lazy, uint32_t threads) {
   IncAvtOptions options;
   options.lazy = lazy;
   options.num_threads = threads;
-  options.csr = csr;
   return options;
 }
 
@@ -76,31 +75,26 @@ TEST(ColdStart, ProcessFirstEqualsStandaloneGreedy) {
         const SolverResult standalone =
             GreedySolver(greedy_options).Solve(c.graph, c.k, c.l);
         ASSERT_FALSE(standalone.anchors.empty()) << c.name;
-        for (IncAvtCsrMode csr :
-             {IncAvtCsrMode::kNone, IncAvtCsrMode::kRebuildPerDelta,
-              IncAvtCsrMode::kMaintained}) {
-          const std::string what =
-              std::string(c.name) + " lazy=" + std::to_string(lazy) +
-              " threads=" + std::to_string(threads) +
-              " csr=" + std::to_string(static_cast<int>(csr));
-          IncAvtTracker tracker(c.k, c.l, IncAvtMode::kRestricted,
-                                TrackerOptions(lazy, threads, csr));
-          const AvtSnapshotResult first = tracker.ProcessFirst(c.graph);
-          EXPECT_EQ(first.anchors, standalone.anchors) << what;
-          EXPECT_EQ(first.num_followers, standalone.num_followers()) << what;
-          EXPECT_EQ(first.candidates_visited, standalone.candidates_visited)
-              << what;
-          EXPECT_EQ(first.bound_probes, standalone.bound_probes) << what;
+        const std::string what = std::string(c.name) +
+                                 " lazy=" + std::to_string(lazy) +
+                                 " threads=" + std::to_string(threads);
+        IncAvtTracker tracker(c.k, c.l, IncAvtMode::kRestricted,
+                              TrackerOptions(lazy, threads));
+        const AvtSnapshotResult first = tracker.ProcessFirst(c.graph);
+        EXPECT_EQ(first.anchors, standalone.anchors) << what;
+        EXPECT_EQ(first.num_followers, standalone.num_followers()) << what;
+        EXPECT_EQ(first.candidates_visited, standalone.candidates_visited)
+            << what;
+        EXPECT_EQ(first.bound_probes, standalone.bound_probes) << what;
 
-          // Rollback rebuild: the same tracker, its state moved on by a
-          // delta, re-initialized from G_0 — and the replayed delta must
-          // land where the first replay landed.
-          const AvtSnapshotResult next = tracker.ProcessDelta(delta);
-          ExpectSameSnapshot(tracker.ProcessFirst(c.graph), first,
-                             what + " (second ProcessFirst)");
-          ExpectSameSnapshot(tracker.ProcessDelta(delta), next,
-                             what + " (replayed delta)");
-        }
+        // Rollback rebuild: the same tracker, its state moved on by a
+        // delta, re-initialized from G_0 — and the replayed delta must
+        // land where the first replay landed.
+        const AvtSnapshotResult next = tracker.ProcessDelta(delta);
+        ExpectSameSnapshot(tracker.ProcessFirst(c.graph), first,
+                           what + " (second ProcessFirst)");
+        ExpectSameSnapshot(tracker.ProcessDelta(delta), next,
+                           what + " (replayed delta)");
       }
     }
   }
@@ -131,8 +125,7 @@ TEST(ColdStart, TrackerHoldsOneOraclePerWorker) {
   const size_t one_oracle = FollowerOracle(&g0, &order).MemoryFootprint();
   for (uint32_t threads : {0u, 1u, 2u, 4u}) {
     IncAvtTracker tracker(5, 4, IncAvtMode::kRestricted,
-                          TrackerOptions(true, threads,
-                                         IncAvtCsrMode::kMaintained));
+                          TrackerOptions(true, threads));
     tracker.ProcessFirst(g0);
     const uint32_t workers = std::max(1u, threads);
     ASSERT_NE(tracker.trial_engine(), nullptr);
@@ -146,6 +139,20 @@ TEST(ColdStart, TrackerHoldsOneOraclePerWorker) {
     EXPECT_GT(tracker.maintainer().MemoryFootprint(),
               tracker.maintainer().order().MemoryFootprint());
   }
+}
+
+TEST(ColdStart, MaintainerHoldsOneAdjacency) {
+  // The cold-1m shape at 1/50 scale: Chung-Lu, average degree 10,
+  // exponent 2.2, maximum degree n/20. The maintainer holds the graph,
+  // the K-order and its cascade scratch and nothing else; a second copy
+  // of the adjacency would add ~68 B/vertex here.
+  constexpr VertexId kN = 20'000;
+  Rng rng(96);
+  const Graph g0 = ChungLuPowerLaw(kN, 10.0, 2.2, kN / 20, rng);
+  IncAvtTracker tracker(5, 4);
+  tracker.ProcessFirst(g0);
+  const size_t per_vertex = tracker.maintainer().MemoryFootprint() / kN;
+  EXPECT_LE(per_vertex, 160u);
 }
 
 TEST(ColdStart, EngineFootprintIsLinearInThreads) {

@@ -11,14 +11,6 @@
 // maintenance or tracking path, regardless of which anchors the
 // heuristic picked.
 //
-// Every transition is driven through TWO trackers in lockstep: the
-// default (delta-maintained DynamicCsr scans) and the csr=kNone
-// baseline (dynamic-adjacency scans). After each delta the maintained
-// CSR must mirror the dynamic adjacency exactly — same per-vertex
-// neighbor sequence, order included — and both trackers must report
-// bit-identical anchors: the order-preservation contract of
-// graph/dynamic_csr.h, checked under the full churn distribution.
-//
 // On a mismatch the failing schedule is SHRUNK — whole transitions
 // first, then individual edges while the schedule is small — and
 // printed, so the minimized repro can be pasted into a regression test.
@@ -49,7 +41,6 @@
 #include "gen/temporal.h"
 #include "graph/delta.h"
 #include "graph/delta_source.h"
-#include "graph/dynamic_csr.h"
 #include "graph/edge_log.h"
 #include "graph/io.h"
 #include "util/random.h"
@@ -124,72 +115,19 @@ std::string FormatSchedule(const std::vector<EdgeDelta>& schedule) {
   return out.str();
 }
 
-// The maintained CSR must equal the dynamic adjacency elementwise —
-// same per-vertex neighbor ORDER, not just the same sets.
-std::string CompareCsrToAdjacency(const DynamicCsr* csr, const Graph& g) {
-  std::ostringstream why;
-  if (csr == nullptr) {
-    return "maintained tracker exposes no CSR mirror";
-  }
-  if (csr->NumVertices() != g.NumVertices() ||
-      csr->NumEdges() != g.NumEdges()) {
-    why << "CSR shape (" << csr->NumVertices() << ", " << csr->NumEdges()
-        << ") != graph (" << g.NumVertices() << ", " << g.NumEdges() << ")";
-    return why.str();
-  }
-  for (VertexId u = 0; u < g.NumVertices(); ++u) {
-    std::span<const VertexId> a = csr->Neighbors(u);
-    std::span<const VertexId> b = g.Neighbors(u);
-    if (a.size() != b.size()) {
-      why << "CSR degree(" << u << ")=" << a.size() << " != " << b.size();
-      return why.str();
-    }
-    for (size_t i = 0; i < a.size(); ++i) {
-      if (a[i] != b[i]) {
-        why << "CSR neighbors(" << u << ")[" << i << "]=" << a[i]
-            << " != adjacency " << b[i] << " (order drift)";
-        return why.str();
-      }
-    }
-  }
-  return "";
-}
-
-// Replays the schedule through two fresh trackers — maintained-CSR
-// scans (default) and dynamic-adjacency scans (csr=kNone) — in
-// lockstep, cross-checking every snapshot against from-scratch
-// recomputation, the CSR mirror against the adjacency, and the two
-// trackers' anchors against each other. Returns "" when all
+// Replays the schedule through a fresh tracker, cross-checking every
+// snapshot against from-scratch recomputation. Returns "" when all
 // transitions agree, else a description of the first mismatch.
 std::string CheckSchedule(const Graph& g0,
                           const std::vector<EdgeDelta>& schedule,
                           uint32_t k, uint32_t l) {
-  IncAvtTracker tracker(k, l);  // default: IncAvtCsrMode::kMaintained
-  IncAvtOptions nocsr_options;
-  nocsr_options.csr = IncAvtCsrMode::kNone;
-  IncAvtTracker nocsr_tracker(k, l, IncAvtMode::kRestricted, nocsr_options);
+  IncAvtTracker tracker(k, l);
   tracker.ProcessFirst(g0);
-  nocsr_tracker.ProcessFirst(g0);
   Graph g = g0;
   for (size_t t = 0; t < schedule.size(); ++t) {
     schedule[t].Apply(g);
     AvtSnapshotResult snap = tracker.ProcessDelta(schedule[t]);
-    AvtSnapshotResult nocsr_snap = nocsr_tracker.ProcessDelta(schedule[t]);
     std::ostringstream why;
-
-    // Maintained CSR vs dynamic adjacency, and CSR-scan anchors vs
-    // adjacency-scan anchors.
-    std::string csr_drift =
-        CompareCsrToAdjacency(tracker.maintainer().csr(), g);
-    if (!csr_drift.empty()) {
-      why << "t=" << (t + 1) << ": " << csr_drift;
-      return why.str();
-    }
-    if (snap.anchors != nocsr_snap.anchors) {
-      why << "t=" << (t + 1)
-          << ": maintained-CSR anchors diverged from csr=none";
-      return why.str();
-    }
 
     // Maintained core numbers vs a fresh decomposition.
     CoreDecomposition cores = DecomposeCores(g);
@@ -322,7 +260,7 @@ TEST(DifferentialFuzz, IncAvtMatchesFromScratchRecomputation) {
 // zero-materialization ingestion path, coalesce-window 1 == no
 // decorator) must produce bit-identical anchors and follower counts to
 // the materialized WindowSnapshots replay of the SAME file, across
-// {lazy, eager} x csr {none, maintained} x threads {1, 8}.
+// {lazy, eager} x threads {1, 8}.
 TEST(DifferentialFuzz, StreamedFileReplayMatchesMaterializedMatrix) {
   Rng rng(808);
   TemporalGenOptions options;
@@ -343,34 +281,29 @@ TEST(DifferentialFuzz, StreamedFileReplayMatchesMaterializedMatrix) {
   const uint32_t k = 3;
   const uint32_t l = 4;
   for (bool lazy : {true, false}) {
-    for (IncAvtCsrMode mode :
-         {IncAvtCsrMode::kNone, IncAvtCsrMode::kMaintained}) {
-      for (uint32_t threads : {1u, 8u}) {
-        IncAvtOptions options_inc;
-        options_inc.lazy = lazy;
-        options_inc.csr = mode;
-        options_inc.num_threads = threads;
-        auto run_config = [&](std::unique_ptr<DeltaSource> source) {
-          AvtEngine engine(
-              std::make_unique<IncAvtTracker>(
-                  k, l, IncAvtMode::kRestricted, options_inc),
-              std::move(source));
-          std::vector<std::pair<std::vector<VertexId>, uint32_t>> track;
-          engine.SetObserver([&](const AvtSnapshotResult& snap) {
-            track.emplace_back(snap.anchors, snap.num_followers);
-          });
-          EXPECT_TRUE(engine.Drain().ok());
-          return track;
-        };
-        auto materialized =
-            run_config(std::make_unique<SequenceSource>(&sequence));
-        auto opened = StreamingEdgeFileSource::Open(path, T, window);
-        ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-        auto streamed = run_config(std::move(opened).value());
-        EXPECT_EQ(materialized, streamed)
-            << "lazy=" << lazy << " csr=" << static_cast<int>(mode)
-            << " threads=" << threads;
-      }
+    for (uint32_t threads : {1u, 8u}) {
+      IncAvtOptions options_inc;
+      options_inc.lazy = lazy;
+      options_inc.num_threads = threads;
+      auto run_config = [&](std::unique_ptr<DeltaSource> source) {
+        AvtEngine engine(
+            std::make_unique<IncAvtTracker>(
+                k, l, IncAvtMode::kRestricted, options_inc),
+            std::move(source));
+        std::vector<std::pair<std::vector<VertexId>, uint32_t>> track;
+        engine.SetObserver([&](const AvtSnapshotResult& snap) {
+          track.emplace_back(snap.anchors, snap.num_followers);
+        });
+        EXPECT_TRUE(engine.Drain().ok());
+        return track;
+      };
+      auto materialized =
+          run_config(std::make_unique<SequenceSource>(&sequence));
+      auto opened = StreamingEdgeFileSource::Open(path, T, window);
+      ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+      auto streamed = run_config(std::move(opened).value());
+      EXPECT_EQ(materialized, streamed)
+          << "lazy=" << lazy << " threads=" << threads;
     }
   }
   std::remove(path.c_str());
@@ -382,7 +315,7 @@ TEST(DifferentialFuzz, StreamedFileReplayMatchesMaterializedMatrix) {
 // acceptance bar is the strongest one this suite has: anchors and
 // follower counts BIT-IDENTICAL across all three representations —
 // binlog, text streamer, materialized snapshots — for every
-// {lazy, eager} x csr {none, maintained} x batch {1, 16} configuration.
+// {lazy, eager} x batch {1, 16} configuration.
 TEST(DifferentialFuzz, BinlogReplayMatchesTextAndMaterializedMatrix) {
   Rng rng(909);
   TemporalGenOptions options;
@@ -406,40 +339,35 @@ TEST(DifferentialFuzz, BinlogReplayMatchesTextAndMaterializedMatrix) {
   const uint32_t k = 3;
   const uint32_t l = 4;
   for (bool lazy : {true, false}) {
-    for (IncAvtCsrMode mode :
-         {IncAvtCsrMode::kNone, IncAvtCsrMode::kMaintained}) {
-      for (size_t batch : {size_t{1}, size_t{16}}) {
-        IncAvtOptions options_inc;
-        options_inc.lazy = lazy;
-        options_inc.csr = mode;
-        options_inc.batch_size = batch;
-        auto run_config = [&](std::unique_ptr<DeltaSource> source) {
-          AvtEngine engine(
-              std::make_unique<IncAvtTracker>(
-                  k, l, IncAvtMode::kRestricted, options_inc),
-              std::move(source));
-          std::vector<std::pair<std::vector<VertexId>, uint32_t>> track;
-          engine.SetObserver([&](const AvtSnapshotResult& snap) {
-            track.emplace_back(snap.anchors, snap.num_followers);
-          });
-          EXPECT_TRUE(engine.Drain().ok());
-          return track;
-        };
-        auto materialized =
-            run_config(std::make_unique<SequenceSource>(&sequence));
-        auto text_source = StreamingEdgeFileSource::Open(text_path, T, window);
-        ASSERT_TRUE(text_source.ok()) << text_source.status().ToString();
-        auto streamed = run_config(std::move(text_source).value());
-        auto bin_source = MmapEdgeLogSource::Open(binlog_path);
-        ASSERT_TRUE(bin_source.ok()) << bin_source.status().ToString();
-        auto binlogged = run_config(std::move(bin_source).value());
-        const std::string config = "lazy=" + std::to_string(lazy) +
-                                   " csr=" + std::to_string(int(mode)) +
-                                   " batch=" + std::to_string(batch);
-        EXPECT_EQ(streamed, materialized) << config;
-        EXPECT_EQ(binlogged, streamed) << config;
-        EXPECT_EQ(binlogged, materialized) << config;
-      }
+    for (size_t batch : {size_t{1}, size_t{16}}) {
+      IncAvtOptions options_inc;
+      options_inc.lazy = lazy;
+      options_inc.batch_size = batch;
+      auto run_config = [&](std::unique_ptr<DeltaSource> source) {
+        AvtEngine engine(
+            std::make_unique<IncAvtTracker>(
+                k, l, IncAvtMode::kRestricted, options_inc),
+            std::move(source));
+        std::vector<std::pair<std::vector<VertexId>, uint32_t>> track;
+        engine.SetObserver([&](const AvtSnapshotResult& snap) {
+          track.emplace_back(snap.anchors, snap.num_followers);
+        });
+        EXPECT_TRUE(engine.Drain().ok());
+        return track;
+      };
+      auto materialized =
+          run_config(std::make_unique<SequenceSource>(&sequence));
+      auto text_source = StreamingEdgeFileSource::Open(text_path, T, window);
+      ASSERT_TRUE(text_source.ok()) << text_source.status().ToString();
+      auto streamed = run_config(std::move(text_source).value());
+      auto bin_source = MmapEdgeLogSource::Open(binlog_path);
+      ASSERT_TRUE(bin_source.ok()) << bin_source.status().ToString();
+      auto binlogged = run_config(std::move(bin_source).value());
+      const std::string config = "lazy=" + std::to_string(lazy) +
+                                 " batch=" + std::to_string(batch);
+      EXPECT_EQ(streamed, materialized) << config;
+      EXPECT_EQ(binlogged, streamed) << config;
+      EXPECT_EQ(binlogged, materialized) << config;
     }
   }
   std::remove(text_path.c_str());
@@ -473,8 +401,8 @@ class ScheduleSource : public DeltaSource {
 // BIT-IDENTICAL — anchors, followers, maintained coreness — to a
 // mirror tracker fed DiffGraphs(G_boundary_prev, G_boundary) one
 // transaction at a time (the DeltaBatcher last-op-wins guarantee:
-// redundant merged ops are maintenance no-ops), across {lazy, eager} x
-// csr {none, maintained}; the maintained coreness at every boundary
+// redundant merged ops are maintenance no-ops), lazy and eager; the
+// maintained coreness at every boundary
 // must also equal a fresh from-scratch decomposition of the
 // materialized boundary graph. batch_size 1 must be VERBATIM per-delta
 // delivery: bit-identical to a direct ProcessDelta loop with no engine
@@ -502,10 +430,9 @@ TEST(DifferentialFuzz, BatchedReplayMatchesPerDeltaBoundaries) {
     std::vector<uint32_t> followers;
     std::vector<std::vector<uint32_t>> coreness;
   };
-  auto run = [&](bool lazy, IncAvtCsrMode mode, size_t batch) {
+  auto run = [&](bool lazy, size_t batch) {
     IncAvtOptions options;
     options.lazy = lazy;
-    options.csr = mode;
     options.batch_size = batch;
     auto tracker = std::make_unique<IncAvtTracker>(
         k, l, IncAvtMode::kRestricted, options);
@@ -527,135 +454,64 @@ TEST(DifferentialFuzz, BatchedReplayMatchesPerDeltaBoundaries) {
   };
 
   for (bool lazy : {true, false}) {
-    for (IncAvtCsrMode mode :
-         {IncAvtCsrMode::kNone, IncAvtCsrMode::kMaintained}) {
-      // Per-delta reference (engine, batch 1) vs a direct ProcessDelta
-      // loop: batch 1 must be verbatim passthrough, not a merge of one.
-      BatchTrace reference = run(lazy, mode, 1);
-      ASSERT_EQ(reference.anchors.size(), transitions + 1);
-      {
-        IncAvtOptions options;
-        options.lazy = lazy;
-        options.csr = mode;
-        IncAvtTracker direct(k, l, IncAvtMode::kRestricted, options);
-        AvtSnapshotResult snap = direct.ProcessFirst(g0);
-        for (size_t t = 0;; ++t) {
-          EXPECT_EQ(snap.anchors, reference.anchors[t])
-              << "lazy=" << lazy << " csr=" << static_cast<int>(mode)
-              << " t=" << t;
-          EXPECT_EQ(snap.num_followers, reference.followers[t]);
-          if (t == transitions) break;
-          snap = direct.ProcessDelta(schedule[t]);
-        }
-      }
-
-      for (size_t batch : {3u, 16u}) {
-        BatchTrace batched = run(lazy, mode, batch);
-        const size_t expected =
-            1 + (transitions + batch - 1) / batch;  // G_0 + ceil(T/B)
-        ASSERT_EQ(batched.anchors.size(), expected)
-            << "lazy=" << lazy << " csr=" << static_cast<int>(mode)
-            << " batch=" << batch;
-
-        // Net-delta mirror: one DiffGraphs transaction per boundary.
-        IncAvtOptions mirror_options;
-        mirror_options.lazy = lazy;
-        mirror_options.csr = mode;
-        IncAvtTracker mirror(k, l, IncAvtMode::kRestricted,
-                             mirror_options);
-        const Graph* prev = &g0;
-        AvtSnapshotResult msnap = mirror.ProcessFirst(g0);
-        for (size_t i = 0; i < batched.anchors.size(); ++i) {
-          const size_t boundary = std::min(i * batch, transitions);
-          if (i > 0) {
-            const Graph& cur = states[boundary - 1];
-            msnap = mirror.ProcessDelta(DiffGraphs(*prev, cur));
-            prev = &cur;
-          }
-          EXPECT_EQ(batched.anchors[i], msnap.anchors)
-              << "lazy=" << lazy << " csr=" << static_cast<int>(mode)
-              << " batch=" << batch << " boundary=" << boundary;
-          EXPECT_EQ(batched.followers[i], msnap.num_followers)
-              << "lazy=" << lazy << " csr=" << static_cast<int>(mode)
-              << " batch=" << batch << " boundary=" << boundary;
-          std::vector<uint32_t> mirror_cores(g0.NumVertices());
-          for (VertexId v = 0; v < g0.NumVertices(); ++v) {
-            mirror_cores[v] = mirror.maintainer().order().CoreOf(v);
-          }
-          EXPECT_EQ(batched.coreness[i], mirror_cores)
-              << "lazy=" << lazy << " csr=" << static_cast<int>(mode)
-              << " batch=" << batch << " boundary=" << boundary;
-          // Maintained coreness at the boundary vs a fresh
-          // decomposition of the materialized boundary snapshot.
-          if (boundary > 0) {
-            CoreDecomposition fresh = DecomposeCores(states[boundary - 1]);
-            EXPECT_EQ(batched.coreness[i], fresh.core)
-                << "batch=" << batch << " boundary=" << boundary;
-          }
-        }
+    // Per-delta reference (engine, batch 1) vs a direct ProcessDelta
+    // loop: batch 1 must be verbatim passthrough, not a merge of one.
+    BatchTrace reference = run(lazy, 1);
+    ASSERT_EQ(reference.anchors.size(), transitions + 1);
+    {
+      IncAvtOptions options;
+      options.lazy = lazy;
+      IncAvtTracker direct(k, l, IncAvtMode::kRestricted, options);
+      AvtSnapshotResult snap = direct.ProcessFirst(g0);
+      for (size_t t = 0;; ++t) {
+        EXPECT_EQ(snap.anchors, reference.anchors[t])
+            << "lazy=" << lazy << " t=" << t;
+        EXPECT_EQ(snap.num_followers, reference.followers[t]);
+        if (t == transitions) break;
+        snap = direct.ProcessDelta(schedule[t]);
       }
     }
-  }
-}
 
-// PR-8 memo-policy matrix: every retention policy (memoize-all /
-// top-value-only / LRU under a tight byte budget / none) must produce
-// BIT-IDENTICAL anchors and follower counts, lazy and eager, at every
-// transition of a random churn schedule. Eviction may only ever cost
-// recomputation — a policy that changes a result has broken the
-// certified-bound contract (a stale or missing entry must degrade to a
-// fresh query, never to a wrong settle). Runs IncAvtMode::kMaintainedFull
-// so the memo sees real slot-candidate pressure (kRestricted memoizes
-// no slot entries), with gentle per-transition churn so entries survive
-// long enough for retention to matter.
-TEST(DifferentialFuzz, MemoPolicyMatrixIsBitIdentical) {
-  const size_t transitions = 2 * TransitionsPerConfig();
-  Rng rng(811);
-  Graph g0 = ChungLuPowerLaw(200, 6.0, 2.2, 50, rng);
-  Graph working = g0;
-  std::vector<EdgeDelta> schedule;
-  schedule.reserve(transitions);
-  for (size_t t = 0; t < transitions; ++t) {
-    schedule.push_back(RandomDelta(working, 4, rng));
-  }
+    for (size_t batch : {3u, 16u}) {
+      BatchTrace batched = run(lazy, batch);
+      const size_t expected =
+          1 + (transitions + batch - 1) / batch;  // G_0 + ceil(T/B)
+      ASSERT_EQ(batched.anchors.size(), expected)
+          << "lazy=" << lazy << " batch=" << batch;
 
-  const uint32_t k = 3, l = 4;
-  struct PolicyConfig {
-    MemoPolicy policy;
-    size_t budget;
-  };
-  const PolicyConfig policies[] = {
-      {MemoPolicy::kMemoizeAll, 0},
-      {MemoPolicy::kTopValueOnly, 0},
-      {MemoPolicy::kLru, 4 * 1024},  // tight: forces real eviction
-      {MemoPolicy::kNone, 0},
-  };
-  auto run = [&](MemoPolicy policy, size_t budget, bool lazy) {
-    IncAvtOptions options;
-    options.lazy = lazy;
-    options.memo_policy = policy;
-    options.memo_budget_bytes = budget;
-    IncAvtTracker tracker(k, l, IncAvtMode::kMaintainedFull, options);
-    std::vector<std::pair<std::vector<VertexId>, uint32_t>> track;
-    AvtSnapshotResult snap = tracker.ProcessFirst(g0);
-    track.emplace_back(snap.anchors, snap.num_followers);
-    for (const EdgeDelta& delta : schedule) {
-      snap = tracker.ProcessDelta(delta);
-      track.emplace_back(snap.anchors, snap.num_followers);
-    }
-    return track;
-  };
-
-  const auto baseline = run(MemoPolicy::kMemoizeAll, 0, /*lazy=*/true);
-  for (const PolicyConfig& config : policies) {
-    for (bool lazy : {true, false}) {
-      if (config.policy == MemoPolicy::kMemoizeAll && lazy) continue;
-      const auto track = run(config.policy, config.budget, lazy);
-      ASSERT_EQ(track.size(), baseline.size());
-      for (size_t t = 0; t < track.size(); ++t) {
-        ASSERT_EQ(track[t], baseline[t])
-            << "policy=" << MemoPolicyName(config.policy)
-            << " lazy=" << lazy << " t=" << t;
+      // Net-delta mirror: one DiffGraphs transaction per boundary.
+      IncAvtOptions mirror_options;
+      mirror_options.lazy = lazy;
+      IncAvtTracker mirror(k, l, IncAvtMode::kRestricted, mirror_options);
+      const Graph* prev = &g0;
+      AvtSnapshotResult msnap = mirror.ProcessFirst(g0);
+      for (size_t i = 0; i < batched.anchors.size(); ++i) {
+        const size_t boundary = std::min(i * batch, transitions);
+        if (i > 0) {
+          const Graph& cur = states[boundary - 1];
+          msnap = mirror.ProcessDelta(DiffGraphs(*prev, cur));
+          prev = &cur;
+        }
+        EXPECT_EQ(batched.anchors[i], msnap.anchors)
+            << "lazy=" << lazy << " batch=" << batch
+            << " boundary=" << boundary;
+        EXPECT_EQ(batched.followers[i], msnap.num_followers)
+            << "lazy=" << lazy << " batch=" << batch
+            << " boundary=" << boundary;
+        std::vector<uint32_t> mirror_cores(g0.NumVertices());
+        for (VertexId v = 0; v < g0.NumVertices(); ++v) {
+          mirror_cores[v] = mirror.maintainer().order().CoreOf(v);
+        }
+        EXPECT_EQ(batched.coreness[i], mirror_cores)
+            << "lazy=" << lazy << " batch=" << batch
+            << " boundary=" << boundary;
+        // Maintained coreness at the boundary vs a fresh
+        // decomposition of the materialized boundary snapshot.
+        if (boundary > 0) {
+          CoreDecomposition fresh = DecomposeCores(states[boundary - 1]);
+          EXPECT_EQ(batched.coreness[i], fresh.core)
+              << "batch=" << batch << " boundary=" << boundary;
+        }
       }
     }
   }
@@ -725,8 +581,6 @@ TEST(DifferentialFuzz, KillPointRecoveryIsBitIdentical) {
 
     IncAvtOptions options;
     options.lazy = rng.Uniform(2) == 0;
-    options.csr = rng.Uniform(2) == 0 ? IncAvtCsrMode::kNone
-                                      : IncAvtCsrMode::kMaintained;
     options.batch_size = kBatches[rng.Uniform(3)];
     const uint32_t k = 3, l = 3;
     auto make_tracker = [&options, k, l]() {
@@ -736,7 +590,6 @@ TEST(DifferentialFuzz, KillPointRecoveryIsBitIdentical) {
     auto describe = [&](size_t kill) {
       std::ostringstream out;
       out << "round=" << round << " lazy=" << options.lazy
-          << " csr=" << static_cast<int>(options.csr)
           << " batch=" << options.batch_size << " kill=" << kill;
       return out.str();
     };

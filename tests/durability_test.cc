@@ -1,8 +1,7 @@
 // Crash-safety tests: WAL/checkpoint framing survives truncation and
 // bit flips with a clean Status (never a crash), and AvtEngine::Recover
 // reproduces the uninterrupted run BIT-IDENTICALLY at every kill point,
-// across tracker families, lazy/eager local search, csr backings, and
-// batch widths — the durability layer's whole contract
+// across tracker families, lazy/eager local search and batch widths — the durability layer's whole contract
 // (docs/DURABILITY.md).
 
 #include <gtest/gtest.h>
@@ -145,7 +144,6 @@ struct TrackerConfig {
   std::string label;
   bool is_static = false;  // StaticAvtTracker (blob-checkpoint path)
   bool lazy = true;
-  IncAvtCsrMode csr = IncAvtCsrMode::kMaintained;
   size_t batch = 1;
 };
 
@@ -157,30 +155,23 @@ std::unique_ptr<AvtTracker> BuildTracker(const TrackerConfig& config,
   }
   IncAvtOptions options;
   options.lazy = config.lazy;
-  options.csr = config.csr;
   options.batch_size = config.batch;
   return std::make_unique<IncAvtTracker>(k, l, IncAvtMode::kRestricted,
                                          options);
 }
 
 std::vector<TrackerConfig> RecoveryMatrix() {
-  // {lazy, eager} x csr {none, maintained} x batch {1, 3, 16}, plus the
-  // static (blob-checkpointing) family.
+  // {lazy, eager} x batch {1, 3, 16}, plus the static
+  // (blob-checkpointing) family.
   std::vector<TrackerConfig> matrix;
   for (bool lazy : {true, false}) {
-    for (IncAvtCsrMode csr :
-         {IncAvtCsrMode::kNone, IncAvtCsrMode::kMaintained}) {
-      for (size_t batch : {size_t{1}, size_t{3}, size_t{16}}) {
-        TrackerConfig config;
-        config.label = std::string("incavt/") + (lazy ? "lazy" : "eager") +
-                       (csr == IncAvtCsrMode::kNone ? "/csr-none"
-                                                    : "/csr-maintained") +
-                       "/batch" + std::to_string(batch);
-        config.lazy = lazy;
-        config.csr = csr;
-        config.batch = batch;
-        matrix.push_back(config);
-      }
+    for (size_t batch : {size_t{1}, size_t{3}, size_t{16}}) {
+      TrackerConfig config;
+      config.label = std::string("incavt/") + (lazy ? "lazy" : "eager") +
+                     "/batch" + std::to_string(batch);
+      config.lazy = lazy;
+      config.batch = batch;
+      matrix.push_back(config);
     }
   }
   TrackerConfig greedy;
@@ -538,8 +529,8 @@ TEST(TrackerState, StaticTrackerRejectsDamagedBlobs) {
 }
 
 TEST(TrackerState, IncrementalTrackerDeclinesBlobs) {
-  // IncAVT's memo is history-dependent; it must decline blob
-  // checkpoints so recovery takes the full-replay path.
+  // IncAVT's maintained K-order is history-dependent; it must decline
+  // blob checkpoints so recovery takes the full-replay path.
   IncAvtTracker tracker(3, 3);
   std::string blob;
   EXPECT_FALSE(tracker.SaveCheckpointState(&blob));
@@ -665,8 +656,7 @@ TEST(Recovery, BitIdenticalAtEveryKillPointAcrossConfigs) {
 TEST(Recovery, SurvivesKillDuringRecoveredRunToo) {
   // Crash, recover, crash again mid-resume, recover again: the final
   // state must still be bit-identical (recovery is idempotent).
-  const TrackerConfig config{/*label=*/"incavt/default", false, true,
-                             IncAvtCsrMode::kMaintained, 1};
+  const TrackerConfig config{/*label=*/"incavt/default", false, true, 1};
   SnapshotSequence sequence = SmallWorkload(42);
 
   AvtEngine reference(BuildTracker(config, 3, 3),
@@ -706,8 +696,7 @@ TEST(Recovery, WalTornTailAtEveryByteStillBitIdentical) {
   // With only the initial checkpoint (claiming zero records), ANY
   // truncation of the WAL is crash-normal: the intact prefix replays
   // and the source re-supplies the lost suffix — final state identical.
-  const TrackerConfig config{/*label=*/"incavt/batch3", false, true,
-                             IncAvtCsrMode::kMaintained, 3};
+  const TrackerConfig config{/*label=*/"incavt/batch3", false, true, 3};
   SnapshotSequence sequence = SmallWorkload(43, 5, 80);
 
   AvtEngine reference(BuildTracker(config, 3, 3),
@@ -760,8 +749,7 @@ TEST(Recovery, WalBitFlipsSurfaceAsStatusOrIdenticalNeverCrash) {
   // the intact prefix, and the re-supplied source makes the final state
   // identical anyway. Both are acceptable; crashing or silently
   // diverging is not.
-  const TrackerConfig config{/*label=*/"incavt/default", false, true,
-                             IncAvtCsrMode::kMaintained, 1};
+  const TrackerConfig config{/*label=*/"incavt/default", false, true, 1};
   SnapshotSequence sequence = SmallWorkload(44, 4, 60);
 
   AvtEngine reference(BuildTracker(config, 3, 3),
@@ -819,8 +807,7 @@ TEST(Recovery, TruncationBelowCheckpointClaimIsCorruption) {
   // below that claim is NOT crash-normal (the checkpoint was written
   // after those records were flushed) — it must refuse, not replay a
   // shorter history.
-  const TrackerConfig config{/*label=*/"incavt/default", false, true,
-                             IncAvtCsrMode::kMaintained, 1};
+  const TrackerConfig config{/*label=*/"incavt/default", false, true, 1};
   SnapshotSequence sequence = SmallWorkload(45, 5, 60);
 
   TempDir dir("claim");
@@ -879,8 +866,7 @@ TEST(Recovery, RejectsFingerprintMismatch) {
   EXPECT_EQ(wrong_tracker.status().code(), StatusCode::kInvalidArgument);
 
   // Different batch width (PreferredBatchSize is fingerprinted).
-  TrackerConfig batched{/*label=*/"incavt/batch3", false, true,
-                        IncAvtCsrMode::kMaintained, 3};
+  TrackerConfig batched{/*label=*/"incavt/batch3", false, true, 3};
   auto wrong_batch = AvtEngine::Recover(
       BuildTracker(batched, 3, 3),
       std::make_unique<SequenceSource>(&sequence), EngineOptions{},

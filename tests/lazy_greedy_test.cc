@@ -93,16 +93,17 @@ TEST(LazyGreedy, UnprunedPoolStillMatches) {
 }
 
 TEST(LazyIncAvt, MatchesEagerWithFullPool) {
-  // kMaintainedFull keeps the global candidate pool, which is the one
-  // mode where per-(slot, candidate) memo entries survive across
-  // snapshots — exactly the path where a stale bound could silently
-  // change a commit if base/bound invalidation ever decoupled.
+  // kMaintainedFull keeps the global candidate pool, so the swap
+  // reference's shared bounds and the per-slot probes of its dirty
+  // vertices cover many more candidates than the churn-restricted pool
+  // does: a wrong dirty mark or slot count would change a commit here
+  // first.
   for (uint64_t seed = 0; seed < 5; ++seed) {
     Rng rng(9500 + seed);
     Graph g0 = ChungLuPowerLaw(120, 6.0, 2.2, 40, rng);
     ChurnOptions churn;
     churn.num_snapshots = 7;
-    churn.min_churn = 5;  // low churn: maximal memo survival
+    churn.min_churn = 5;
     churn.max_churn = 12;
     SnapshotSequence sequence = MakeChurnSnapshots(g0, churn, rng);
     IncAvtOptions eager;
@@ -120,13 +121,18 @@ TEST(LazyIncAvt, MatchesEagerWithFullPool) {
       EXPECT_EQ(a.num_followers, b.num_followers)
           << "seed " << seed << " t=" << t;
     });
+    // The swap reference really ran, so the case is not vacuous.
+    EXPECT_GT(lazy_tracker.trial_engine()->serial_oracle().stats()
+                  .swap_references,
+              0u)
+        << "seed " << seed;
   }
 }
 
 TEST(LazyIncAvt, MatchesEagerAcrossChurn) {
-  // Evolving sequences: the lazy swap loop (bound-gated, warm-start
-  // cache) must track the eager local search anchor-for-anchor on every
-  // snapshot.
+  // Evolving sequences: the lazy swap loop (bound-gated, one shared
+  // swap reference) must track the eager local search anchor-for-anchor
+  // on every snapshot.
   for (uint64_t seed = 0; seed < 8; ++seed) {
     Rng rng(9000 + seed);
     Graph g0 = ChungLuPowerLaw(140, 6.0, 2.2, 40, rng);

@@ -112,17 +112,15 @@ FinalState Capture(const AvtEngine& engine) {
 struct TrackerConfig {
   std::string label;
   bool lazy;
-  IncAvtCsrMode csr;
   uint32_t threads;
 };
 
 TEST(AuditedRuns, BitIdenticalAcrossTrackerMatrix) {
   const std::vector<TrackerConfig> matrix = {
-      {"lazy-none-1", true, IncAvtCsrMode::kNone, 1},
-      {"lazy-maintained-1", true, IncAvtCsrMode::kMaintained, 1},
-      {"lazy-maintained-8", true, IncAvtCsrMode::kMaintained, 8},
-      {"eager-none-1", false, IncAvtCsrMode::kNone, 1},
-      {"eager-maintained-8", false, IncAvtCsrMode::kMaintained, 8},
+      {"lazy-1", true, 1},
+      {"lazy-8", true, 8},
+      {"eager-1", false, 1},
+      {"eager-8", false, 8},
   };
   Graph initial = TestGraph();
   ChurnOptions churn;
@@ -134,7 +132,6 @@ TEST(AuditedRuns, BitIdenticalAcrossTrackerMatrix) {
     auto make_tracker = [&config]() {
       IncAvtOptions options;
       options.lazy = config.lazy;
-      options.csr = config.csr;
       options.num_threads = config.threads;
       return std::make_unique<IncAvtTracker>(3, 3, IncAvtMode::kRestricted,
                                              options);

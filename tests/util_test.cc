@@ -4,13 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <map>
 #include <numeric>
 #include <set>
 
 #include "util/epoch.h"
 #include "util/flags.h"
-#include "util/flat_map.h"
 #include "util/random.h"
 #include "util/stats.h"
 #include "util/status.h"
@@ -170,188 +168,6 @@ TEST(EpochArray, MutableResetsStaleRecordsAndGrowKeepsLiveOnes) {
   EXPECT_EQ(arr.Get(1).flags, 0);
 }
 
-TEST(FlatKeyMap, PutFindEraseRoundTrip) {
-  FlatKeyMap<uint32_t> map;
-  EXPECT_TRUE(map.empty());
-  EXPECT_EQ(map.Find(7), nullptr);
-  map.Put(7, 70);
-  map.Put(8, 80);
-  ASSERT_NE(map.Find(7), nullptr);
-  EXPECT_EQ(*map.Find(7), 70u);
-  map.Put(7, 71);  // overwrite, size unchanged
-  EXPECT_EQ(*map.Find(7), 71u);
-  EXPECT_EQ(map.size(), 2u);
-  EXPECT_TRUE(map.Erase(7));
-  EXPECT_FALSE(map.Erase(7));
-  EXPECT_EQ(map.Find(7), nullptr);
-  EXPECT_EQ(*map.Find(8), 80u);
-  EXPECT_EQ(map.size(), 1u);
-}
-
-TEST(FlatKeyMap, ClearIsLogicalAndReusable) {
-  FlatKeyMap<uint64_t> map;
-  for (uint64_t key = 0; key < 100; ++key) map.Put(key, key * 3);
-  map.Clear();
-  EXPECT_EQ(map.size(), 0u);
-  for (uint64_t key = 0; key < 100; ++key) EXPECT_EQ(map.Find(key), nullptr);
-  map.Put(5, 42);
-  ASSERT_NE(map.Find(5), nullptr);
-  EXPECT_EQ(*map.Find(5), 42u);
-}
-
-TEST(FlatKeyMap, ProbesThroughTombstones) {
-  // Fill, erase a stretch, then re-find: tombstones must not stop the
-  // probe before live entries placed behind them.
-  FlatKeyMap<uint32_t> map;
-  for (uint64_t key = 0; key < 40; ++key) map.Put(key, 1);
-  for (uint64_t key = 0; key < 40; key += 2) map.Erase(key);
-  for (uint64_t key = 1; key < 40; key += 2) {
-    ASSERT_NE(map.Find(key), nullptr) << key;
-  }
-  // Re-insert into tombstoned slots.
-  for (uint64_t key = 0; key < 40; key += 2) map.Put(key, 2);
-  for (uint64_t key = 0; key < 40; ++key) {
-    ASSERT_NE(map.Find(key), nullptr) << key;
-    EXPECT_EQ(*map.Find(key), key % 2 == 0 ? 2u : 1u);
-  }
-}
-
-TEST(FlatKeyMap, ReserveEliminatesRehashAndGrowthStillWorks) {
-  FlatKeyMap<uint64_t> map(1 << 12);
-  const size_t reserved = map.capacity();
-  for (uint64_t key = 0; key < (1 << 12); ++key) map.Put(key * 977, key);
-  EXPECT_EQ(map.capacity(), reserved);  // no rehash within the reserve
-  for (uint64_t key = 0; key < (1 << 12); ++key) {
-    ASSERT_NE(map.Find(key * 977), nullptr);
-    EXPECT_EQ(*map.Find(key * 977), key);
-  }
-  // Outrun the reserve: the map doubles and keeps every entry.
-  for (uint64_t key = 1 << 12; key < (1 << 13); ++key) map.Put(key * 977, key);
-  EXPECT_GT(map.capacity(), reserved);
-  for (uint64_t key = 0; key < (1 << 13); ++key) {
-    ASSERT_NE(map.Find(key * 977), nullptr);
-  }
-}
-
-TEST(FlatKeyMap, MatchesReferenceMapUnderChurn) {
-  FlatKeyMap<uint64_t> map;
-  std::map<uint64_t, uint64_t> reference;
-  Rng rng(4242);
-  for (int op = 0; op < 20000; ++op) {
-    const uint64_t key = rng.Uniform(512) | (rng.Uniform(4) << 32);
-    switch (rng.Uniform(4)) {
-      case 0:
-      case 1: {
-        const uint64_t value = rng.Uniform(1000000);
-        map.Put(key, value);
-        reference[key] = value;
-        break;
-      }
-      case 2: {
-        EXPECT_EQ(map.Erase(key), reference.erase(key) > 0);
-        break;
-      }
-      default: {
-        auto it = reference.find(key);
-        const uint64_t* found = map.Find(key);
-        if (it == reference.end()) {
-          EXPECT_EQ(found, nullptr);
-        } else {
-          ASSERT_NE(found, nullptr);
-          EXPECT_EQ(*found, it->second);
-        }
-        break;
-      }
-    }
-    if (op % 2500 == 0) {
-      map.Clear();
-      reference.clear();
-    }
-    EXPECT_EQ(map.size(), reference.size());
-  }
-}
-
-// The PR-8 tombstone-growth fix: an erase-heavy workload (the
-// incremental tracker's invalidation walk is exactly this — Put/Erase
-// churn with a small live set) used to double capacity every time
-// tombstones pushed total load past 3/4, growing the table without
-// bound while size_ stayed tiny. With the fix the table compacts in
-// place instead, so capacity stays within a small constant of what the
-// live entries need.
-TEST(FlatKeyMap, EraseHeavyChurnKeepsCapacityBounded) {
-  FlatKeyMap<uint64_t> map;
-  constexpr size_t kLive = 1000;
-  // Working set: kLive keys resident at all times; each cycle replaces
-  // one key with a fresh one (Put + Erase), 100k cycles.
-  for (uint64_t key = 0; key < kLive; ++key) map.Put(key, key);
-  const size_t capacity_for_live = map.capacity();
-  size_t max_capacity = map.capacity();
-  for (uint64_t cycle = 0; cycle < 100000; ++cycle) {
-    const uint64_t fresh = kLive + cycle;
-    map.Put(fresh, fresh);
-    EXPECT_TRUE(map.Erase(cycle));
-    max_capacity = std::max(max_capacity, map.capacity());
-  }
-  EXPECT_EQ(map.size(), kLive);
-  // The unfixed map reached ~128k slots here (doubling on every
-  // tombstone-filled trigger); the fixed one stays within 4x of the
-  // capacity the live set itself warrants.
-  EXPECT_LE(max_capacity, 4 * capacity_for_live);
-  for (uint64_t key = 100000; key < 100000 + kLive; ++key) {
-    ASSERT_NE(map.Find(key), nullptr) << key;
-  }
-}
-
-TEST(FlatKeyMap, CompactionPreservesEntriesAndStillDoublesWhenLive) {
-  FlatKeyMap<uint64_t> map;
-  // Fill to just under the trigger, erase most, then churn past it:
-  // the trigger must compact (same capacity), not double.
-  for (uint64_t key = 0; key < 40; ++key) map.Put(key, key);
-  const size_t before = map.capacity();
-  for (uint64_t key = 0; key < 32; ++key) map.Erase(key);
-  for (uint64_t key = 100; key < 110; ++key) map.Put(key, key);
-  EXPECT_EQ(map.capacity(), before);
-  for (uint64_t key = 32; key < 40; ++key) {
-    ASSERT_NE(map.Find(key), nullptr);
-    EXPECT_EQ(*map.Find(key), key);
-  }
-  // Genuine live growth still doubles.
-  for (uint64_t key = 1000; key < 1100; ++key) map.Put(key, key);
-  EXPECT_GT(map.capacity(), before);
-  EXPECT_EQ(map.size(), 8 + 10 + 100);
-}
-
-TEST(FlatKeyMap, CapacityCapCompactsInsteadOfGrowing) {
-  FlatKeyMap<uint64_t> map;
-  map.SetMaxCapacity(64);
-  EXPECT_EQ(map.max_capacity(), 64u);
-  // Keep live load low (<= 16 of 64) while churning far past the point
-  // the uncapped map would have doubled: capacity must pin at the cap.
-  for (uint64_t cycle = 0; cycle < 5000; ++cycle) {
-    map.Put(cycle, cycle);
-    if (cycle >= 16) {
-      EXPECT_TRUE(map.Erase(cycle - 16));
-    }
-    ASSERT_EQ(map.capacity(), 64u) << "cycle " << cycle;
-  }
-  EXPECT_EQ(map.size(), 16u);
-  EXPECT_EQ(map.capacity_bytes(), 64 * FlatKeyMap<uint64_t>::slot_bytes());
-}
-
-TEST(FlatKeyMap, AccountingReportsUsedAndBytes) {
-  FlatKeyMap<uint32_t> map;
-  EXPECT_EQ(map.capacity_bytes(),
-            map.capacity() * FlatKeyMap<uint32_t>::slot_bytes());
-  map.Put(1, 10);
-  map.Put(2, 20);
-  EXPECT_EQ(map.used(), 2u);
-  map.Erase(1);
-  EXPECT_EQ(map.size(), 1u);
-  EXPECT_EQ(map.used(), 2u);  // the tombstone still occupies its slot
-  map.Clear();
-  EXPECT_EQ(map.used(), 0u);
-}
-
 TEST(Flags, ParsesAllForms) {
   const char* argv[] = {"prog",     "--alpha=3", "--beta", "7",
                         "--gamma",  "--delta=x", "pos1"};
@@ -362,6 +178,8 @@ TEST(Flags, ParsesAllForms) {
   EXPECT_EQ(flags.GetString("delta", ""), "x");
   ASSERT_EQ(flags.positional().size(), 1u);
   EXPECT_EQ(flags.positional()[0], "pos1");
+  EXPECT_EQ(flags.Names(),
+            (std::vector<std::string>{"alpha", "beta", "delta", "gamma"}));
 }
 
 TEST(Flags, DefaultsOnMissingOrMalformed) {

@@ -1,5 +1,6 @@
 #include "cli_commands.h"
 
+#include <algorithm>
 #include <memory>
 #include <thread>
 
@@ -112,75 +113,6 @@ bool ParseThreads(const Flags& flags, FILE* err, uint32_t* num_threads) {
     value = hardware;
   }
   *num_threads = static_cast<uint32_t>(value);
-  return true;
-}
-
-// Parses --csr (default maintained): the incremental tracker's
-// cascade-scan backing. Other algorithms ignore it; results are
-// identical across backings either way.
-bool ParseCsrMode(const Flags& flags, FILE* err, IncAvtCsrMode* mode) {
-  *mode = IncAvtCsrMode::kMaintained;
-  if (!flags.Has("csr")) return true;
-  const std::string value = flags.GetString("csr", "");
-  if (value == "maintained") {
-    *mode = IncAvtCsrMode::kMaintained;
-  } else if (value == "rebuild") {
-    *mode = IncAvtCsrMode::kRebuildPerDelta;
-  } else if (value == "none") {
-    *mode = IncAvtCsrMode::kNone;
-  } else {
-    std::fprintf(err,
-                 "error: unknown --csr '%s' (maintained, rebuild, none)\n",
-                 value.c_str());
-    return false;
-  }
-  return true;
-}
-
-// Parses --memo-policy (default all) and --memo-budget (bytes): the
-// incremental tracker's cross-snapshot memo retention (core/avt.h).
-// Anchors are bit-identical under every policy, so the knob is purely a
-// memory/recomputation trade; --memo-budget only means something under
-// lru and is rejected elsewhere rather than silently ignored.
-bool ParseMemoPolicy(const Flags& flags, FILE* err, MemoPolicy* policy,
-                     size_t* budget_bytes) {
-  *policy = MemoPolicy::kMemoizeAll;
-  *budget_bytes = 0;
-  if (flags.Has("memo-policy")) {
-    const std::string value = flags.GetString("memo-policy", "");
-    if (value == "all") {
-      *policy = MemoPolicy::kMemoizeAll;
-    } else if (value == "top") {
-      *policy = MemoPolicy::kTopValueOnly;
-    } else if (value == "lru") {
-      *policy = MemoPolicy::kLru;
-    } else if (value == "none") {
-      *policy = MemoPolicy::kNone;
-    } else {
-      std::fprintf(err,
-                   "error: unknown --memo-policy '%s' (all, top, lru, "
-                   "none)\n",
-                   value.c_str());
-      return false;
-    }
-  }
-  if (flags.Has("memo-budget")) {
-    if (*policy != MemoPolicy::kLru) {
-      std::fprintf(err,
-                   "error: --memo-budget needs --memo-policy=lru (the "
-                   "other policies are not byte-budgeted)\n");
-      return false;
-    }
-    const int64_t value = flags.GetInt("memo-budget", -1);
-    if (value <= 0) {
-      std::fprintf(err,
-                   "error: --memo-budget must be a positive byte count "
-                   "(got '%s')\n",
-                   flags.GetString("memo-budget", "").c_str());
-      return false;
-    }
-    *budget_bytes = static_cast<size_t>(value);
-  }
   return true;
 }
 
@@ -347,11 +279,6 @@ int RunAnchorsCommand(const Flags& flags, FILE* out, FILE* err) {
 int RunTrackCommand(const Flags& flags, FILE* out, FILE* err) {
   uint32_t num_threads;
   if (!ParseThreads(flags, err, &num_threads)) return 2;
-  IncAvtCsrMode csr_mode;
-  if (!ParseCsrMode(flags, err, &csr_mode)) return 2;
-  MemoPolicy memo_policy;
-  size_t memo_budget;
-  if (!ParseMemoPolicy(flags, err, &memo_policy, &memo_budget)) return 2;
   const uint32_t k = static_cast<uint32_t>(flags.GetInt("k", 3));
   const uint32_t l = static_cast<uint32_t>(flags.GetInt("l", 5));
   const size_t T = static_cast<size_t>(flags.GetInt("t", 10));
@@ -390,8 +317,7 @@ int RunTrackCommand(const Flags& flags, FILE* out, FILE* err) {
     return 2;
   }
 
-  AvtRunResult run = RunAvt(sequence, algorithm, k, l, num_threads, csr_mode,
-                            /*batch_size=*/1, memo_policy, memo_budget);
+  AvtRunResult run = RunAvt(sequence, algorithm, k, l, num_threads);
   TablePrinter table(
       {"t", "followers", "anchored_core", "candidates", "millis"});
   for (const AvtSnapshotResult& snap : run.snapshots) {
@@ -408,29 +334,12 @@ int RunTrackCommand(const Flags& flags, FILE* out, FILE* err) {
   std::fprintf(out, "workload smoothness: %.4f of (vertex, transition) "
                     "pairs keep their core number\n",
                history.Smoothness());
-  const RunSummary summary = SummarizeRun(run);
-  if (summary.memo_hits + summary.memo_misses + summary.memo_evictions > 0) {
-    std::fprintf(out,
-                 "memo policy=%s: %llu hits / %llu misses, %llu evictions, "
-                 "peak %llu KiB\n",
-                 MemoPolicyName(memo_policy),
-                 static_cast<unsigned long long>(summary.memo_hits),
-                 static_cast<unsigned long long>(summary.memo_misses),
-                 static_cast<unsigned long long>(summary.memo_evictions),
-                 static_cast<unsigned long long>(summary.memo_peak_bytes /
-                                                 1024));
-  }
   return 0;
 }
 
 int RunStreamCommand(const Flags& flags, FILE* out, FILE* err) {
   uint32_t num_threads;
   if (!ParseThreads(flags, err, &num_threads)) return 2;
-  IncAvtCsrMode csr_mode;
-  if (!ParseCsrMode(flags, err, &csr_mode)) return 2;
-  MemoPolicy memo_policy;
-  size_t memo_budget;
-  if (!ParseMemoPolicy(flags, err, &memo_policy, &memo_budget)) return 2;
   const uint32_t k = static_cast<uint32_t>(flags.GetInt("k", 3));
   const uint32_t l = static_cast<uint32_t>(flags.GetInt("l", 5));
   const size_t T = static_cast<size_t>(flags.GetInt("t", 10));
@@ -729,13 +638,9 @@ int RunStreamCommand(const Flags& flags, FILE* out, FILE* err) {
     source = std::move(poisoned);
   }
 
-  // Memo policy stays OUT of the durability fingerprint below for the
-  // same reason threads/csr do: outputs are bit-identical under every
-  // policy, so resuming a checkpointed run under a different one is
-  // sound.
   auto make_tracker = [&]() {
-    return MakeTracker(algorithm, k, l, num_threads, csr_mode,
-                       static_cast<size_t>(batch), memo_policy, memo_budget);
+    return MakeTracker(algorithm, k, l, num_threads,
+                       static_cast<size_t>(batch));
   };
   std::unique_ptr<AvtTracker> tracker = make_tracker();
 
@@ -755,8 +660,8 @@ int RunStreamCommand(const Flags& flags, FILE* out, FILE* err) {
     // The fingerprint already covers the tracker/source names and the
     // batch width; fold in every flag that shapes the STREAM itself so
     // a resume under different parameters is rejected, not diverging.
-    // Thread count and csr backing stay out on purpose: outputs are
-    // bit-identical across them, so resuming under either is sound.
+    // Thread count stays out on purpose: outputs are bit-identical at
+    // every thread count, so resuming under another is sound.
     DurabilityOptions durability;
     durability.dir = checkpoint_dir;
     durability.checkpoint_every = static_cast<size_t>(checkpoint_every);
@@ -966,12 +871,10 @@ std::string UsageText() {
       "  anchors  anchored k-core query        (<edge-list> --k --l "
       "[--algo] [--threads])\n"
       "  track    AVT over an evolving graph   (--dataset|--temporal --t "
-      "--k --l [--algo] [--threads] [--csr] [--memo-policy] "
-      "[--memo-budget])\n"
+      "--k --l [--algo] [--threads])\n"
       "  stream   AVT over a delta stream      "
       "(--source=file|binlog|gen|sequence "
-      "--k --l [--coalesce-window N] [--batch N] [--memo-policy] "
-      "[--memo-budget]\n"
+      "--k --l [--algo] [--threads] [--coalesce-window N] [--batch N]\n"
       "           file: --temporal --t --window "
       "[--meta-tmin --meta-tmax --meta-vertices]; binlog: --binlog;\n"
       "           gen: --n --churn-min/max --seed; sequence: --dataset\n"
@@ -1005,22 +908,13 @@ std::string UsageText() {
       "already known (wrong values are rejected, not mis-windowed).\n"
       "--batch N (>= 1, default 1) sets incavt's delta-transaction width:\n"
       "the engine merges N consecutive deltas per tracker transaction, so\n"
-      "the tracker pays one invalidation walk per N deltas and reports\n"
+      "the tracker pays one candidate-pool build per N deltas and reports\n"
       "every N-th snapshot — each bit-identical to the per-delta replay at\n"
       "that boundary. Other algorithms ignore it.\n"
       "--threads N (>= 1) sizes the parallel trial engine of greedy and\n"
       "incavt; results are bit-identical at every thread count (values\n"
       "above the hardware concurrency are clamped with a warning). Other\n"
       "algorithms run serial regardless.\n"
-      "--csr maintained|rebuild|none picks incavt's cascade-scan backing\n"
-      "(default maintained: a delta-maintained CSR patched per edge).\n"
-      "Results are bit-identical across backings; only speed changes.\n"
-      "--memo-policy all|top|lru|none bounds incavt's cross-snapshot\n"
-      "trial memo (default all: memoize everything, byte-accounted).\n"
-      "top keeps one best entry per slot, lru evicts cold entries under\n"
-      "--memo-budget BYTES (lru only; default 1 MiB), none disables the\n"
-      "memo. Anchors are bit-identical under every policy — eviction\n"
-      "only costs recomputation (docs/PERFORMANCE.md).\n"
       "--checkpoint-dir D arms crash safety: every committed transaction\n"
       "is appended to D/wal.log and checkpoints are written every\n"
       "--checkpoint-every N transactions (0 = initial checkpoint only).\n"
@@ -1049,6 +943,48 @@ std::string UsageText() {
       "(quarantined deltas / audit recovery), 1 other failure.\n";
 }
 
+namespace {
+
+// One subcommand and every flag it reads. RunCli rejects any other flag
+// up front (exit 2), so a typo or a retired flag is never silently
+// ignored.
+struct CommandSpec {
+  const char* name;
+  int (*run)(const Flags& flags, FILE* out, FILE* err);
+  std::vector<std::string> flags;
+};
+
+const std::vector<CommandSpec>& Commands() {
+  static const std::vector<CommandSpec> commands = {
+      {"gen", RunGenCommand,
+       {"alpha", "avg-degree", "beta", "communities", "max-degree", "model",
+        "n", "out", "p-intra", "seed"}},
+      {"stats", RunStatsCommand, {}},
+      {"core", RunCoreCommand, {"k", "list"}},
+      {"anchors", RunAnchorsCommand, {"algo", "k", "l", "threads"}},
+      {"track", RunTrackCommand,
+       {"algo", "dataset", "k", "l", "scale", "seed", "t", "temporal",
+        "threads", "window"}},
+      {"stream", RunStreamCommand,
+       {"algo", "alpha", "audit-every", "audit-sample", "audit-seed",
+        "avg-degree", "batch", "binlog", "breaker", "breaker-cooldown",
+        "breaker-threshold", "breaker-window", "checkpoint-dir",
+        "checkpoint-every", "churn-max", "churn-min", "coalesce-window",
+        "corrupt-state-after", "dataset", "fault-corrupt-after",
+        "fault-rate", "fault-seed", "fsync", "k", "l", "max-degree",
+        "max-retries", "max-universe", "meta-tmax", "meta-tmin",
+        "meta-vertices", "n", "poison-rate", "poison-seed",
+        "quarantine-dir", "resume", "scale", "seed", "source", "t",
+        "temporal", "threads", "window"}},
+      {"quarantine", RunQuarantineCommand, {}},
+      {"convert", RunConvertCommand,
+       {"index-every", "out-prefix", "t", "window"}},
+  };
+  return commands;
+}
+
+}  // namespace
+
 int RunCli(int argc, char** argv, FILE* out, FILE* err) {
   if (argc < 2) {
     std::fprintf(err, "%s", UsageText().c_str());
@@ -1056,14 +992,18 @@ int RunCli(int argc, char** argv, FILE* out, FILE* err) {
   }
   std::string command = argv[1];
   Flags flags = Flags::Parse(argc - 1, argv + 1);
-  if (command == "gen") return RunGenCommand(flags, out, err);
-  if (command == "stats") return RunStatsCommand(flags, out, err);
-  if (command == "core") return RunCoreCommand(flags, out, err);
-  if (command == "anchors") return RunAnchorsCommand(flags, out, err);
-  if (command == "track") return RunTrackCommand(flags, out, err);
-  if (command == "stream") return RunStreamCommand(flags, out, err);
-  if (command == "quarantine") return RunQuarantineCommand(flags, out, err);
-  if (command == "convert") return RunConvertCommand(flags, out, err);
+  for (const CommandSpec& spec : Commands()) {
+    if (command != spec.name) continue;
+    for (const std::string& name : flags.Names()) {
+      if (std::find(spec.flags.begin(), spec.flags.end(), name) ==
+          spec.flags.end()) {
+        std::fprintf(err, "error: unknown flag --%s for '%s'\n",
+                     name.c_str(), spec.name);
+        return 2;
+      }
+    }
+    return spec.run(flags, out, err);
+  }
   if (command == "help" || command == "--help") {
     std::fprintf(out, "%s", UsageText().c_str());
     return 0;
