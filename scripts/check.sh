@@ -5,7 +5,8 @@
 #   scripts/check.sh             # Release, all labels
 #   scripts/check.sh --werror    # additionally promote warnings to errors
 #   scripts/check.sh --asan      # sanitizer tier: unit tests + reduced
-#                                # differential fuzz under ASan/UBSan
+#                                # differential fuzz + maintainer soak
+#                                # under ASan/UBSan
 #   scripts/check.sh --tsan      # ThreadSanitizer tier: the parallel
 #                                # trial engine's determinism battery,
 #                                # the cold-start suite (shared worker-0
@@ -37,6 +38,11 @@ case "$mode" in
     # the sanitizers permanently.
     AVT_FUZZ_TRANSITIONS=60 ctest --test-dir "$build_dir" \
       -R '^differential_fuzz_test$' --output-on-failure "$@"
+    # Every maintainer cascade writes the packed scratch records and the
+    # Theorem-3 neighbor counters; the soak's per-operation recount
+    # checks are small enough to run in full.
+    ctest --test-dir "$build_dir" -R '^maintenance_soak_test$' \
+      --output-on-failure "$@"
     ;;
   --tsan)
     build_dir=build-tsan

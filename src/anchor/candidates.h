@@ -9,8 +9,13 @@
 //
 // Everything here is templated over the adjacency view (Graph or
 // CsrView — both iterate neighbors in the same order), so the one-shot
-// solvers filter over their frozen snapshot and the incremental tracker
-// filters its churn-restricted pool over the maintained graph.
+// solvers filter over their frozen snapshot. IsAnchorCandidate scans
+// x's neighbors; the incremental tracker does not: its CoreMaintainer
+// keeps per-vertex counts of neighbors at core k-1 and at core >= k and
+// answers the same test in O(1) (CoreMaintainer::IsCandidate — below
+// k-1 "any neighbor at k-1", at k-1 "deg+ exceeds the neighbors at
+// >= k"). The scan here stays the reference that verdict is checked
+// against.
 
 #ifndef AVT_ANCHOR_CANDIDATES_H_
 #define AVT_ANCHOR_CANDIDATES_H_

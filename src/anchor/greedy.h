@@ -38,10 +38,11 @@
 // tests/parallel_determinism_test.cc).
 //
 // Solve(graph) snapshots the graph into a CsrView once per solve and
-// routes the K-order build plus all cascade scans through contiguous
-// spans, then runs the shared pick loop (SolveOver). Callers that
-// already hold the K-order and a TrialEngine — IncAvtTracker's first
-// snapshot, which maintains both anyway — call SolveOver directly and
+// routes the K-order build, the candidate filter and all cascade scans
+// through contiguous spans, then runs the shared pick loop (PickFrom).
+// Callers that already hold the K-order, a TrialEngine and the pool —
+// IncAvtTracker's first snapshot, whose maintainer reads the Theorem-3
+// pool off its neighbor counters in O(n) — call PickFrom directly and
 // build nothing.
 
 #ifndef AVT_ANCHOR_GREEDY_H_
@@ -52,7 +53,6 @@
 
 namespace avt {
 
-class KOrder;
 class TrialEngine;
 
 /// Tuning knobs for GreedySolver.
@@ -77,16 +77,15 @@ class GreedySolver : public AnchorSolver {
 
   SolverResult Solve(const Graph& graph, uint32_t k, uint32_t l) override;
 
-  /// The pick loop over prebuilt state: `order` is the K-order of the
-  /// graph that `adj` iterates (the Graph itself or a CsrView of it —
-  /// instantiated for both), and `engine` is bound to that same graph
-  /// and order. The engine's worker count
-  /// stands in for options.num_threads, and the final follower count
-  /// runs on its serial oracle, so the solve allocates no oracle
-  /// scratch. Anchors, followers and work counters equal Solve(graph).
-  template <typename Adjacency>
-  SolverResult SolveOver(const Adjacency& adj, const KOrder& order,
-                         TrialEngine& engine, uint32_t k, uint32_t l);
+  /// The pick loop over prebuilt state: `pool` is the candidate pool,
+  /// ascending id, of the graph and K-order `engine` is bound to. The
+  /// engine's worker count stands in for options.num_threads, and the
+  /// final follower count runs on its serial oracle, so the solve
+  /// allocates no oracle scratch. Given the Theorem-3 pool
+  /// (CollectAnchorCandidates, or CoreMaintainer::CollectCandidates),
+  /// anchors, followers and work counters equal Solve(graph).
+  SolverResult PickFrom(const std::vector<VertexId>& pool,
+                        TrialEngine& engine, uint32_t k, uint32_t l);
 
   std::string name() const override {
     if (!options_.prune_candidates) return "Greedy-nopruning";

@@ -45,7 +45,7 @@ AvtSnapshotResult IncAvtTracker::ProcessFirst(const Graph& g0) {
   // Algorithm 6 lines 1-2: build the K-order of G_1 and solve it with the
   // Greedy algorithm (lazy pick loop unless the tracker is eager — both
   // produce identical anchors).
-  maintainer_.Reset(g0);
+  maintainer_.Reset(g0, k_);
   // One engine for the tracker's lifetime: its worker 0 is the serial
   // oracle, so greedy, the local searches and the incumbent queries all
   // share max(1, num_threads) oracles. The maintainer's graph and order
@@ -59,12 +59,14 @@ AvtSnapshotResult IncAvtTracker::ProcessFirst(const Graph& g0) {
     engine_->ResizeScratch();
   }
   // The greedy solve runs over the maintainer's K-order and the
-  // tracker's engine — no second CSR, K-order or oracle set.
+  // tracker's engine — no second CSR, K-order or oracle set — and its
+  // Theorem-3 pool comes off the maintainer's neighbor counters in
+  // O(n) rather than an O(m) neighbor scan.
   GreedyOptions greedy_options;
   greedy_options.lazy = options_.lazy;
   GreedySolver greedy(greedy_options);
-  SolverResult first = greedy.SolveOver(
-      maintainer_.graph(), maintainer_.order(), *engine_, k_, l_);
+  SolverResult first =
+      greedy.PickFrom(maintainer_.CollectCandidates(), *engine_, k_, l_);
   anchors_ = first.anchors;
 
   pool_state_.assign(g0.NumVertices(), kUnseen);
@@ -330,11 +332,13 @@ AvtSnapshotResult IncAvtTracker::ProcessDelta(const EdgeDelta& delta) {
   // takes impacted vertices and their neighbors, outside C_k, passing
   // Theorem 3 (Algorithm 6 line 12); the ablation modes widen or empty
   // the pool to isolate the restriction's contribution. Sorted by id so
-  // the scan order (and thus tie-breaks) is deterministic. pool_state_
-  // memoizes each vertex's Theorem-3 verdict for the delta — a vertex
-  // adjacent to many impacted vertices is filtered exactly once — and
-  // is reset afterwards from pool_seen_, so the delta costs O(pool
-  // region), not O(n). is_anchor_ is kept current by every commit.
+  // the scan order (and thus tie-breaks) is deterministic. The
+  // Theorem-3 verdict is O(1) per vertex off the maintainer's neighbor
+  // counters (CoreMaintainer::IsCandidate). pool_state_ marks each
+  // vertex seen for the delta — a vertex adjacent to many impacted
+  // vertices is filtered exactly once — and is reset afterwards from
+  // pool_seen_, so the delta costs O(pool region), not O(n).
+  // is_anchor_ is kept current by every commit.
   AVT_DCHECK(std::all_of(anchors_.begin(), anchors_.end(),
                          [&](VertexId a) { return is_anchor_[a] != 0; }));
   pool_.clear();
@@ -342,8 +346,9 @@ AvtSnapshotResult IncAvtTracker::ProcessDelta(const EdgeDelta& delta) {
     if (pool_state_[v] != kUnseen || is_anchor_[v]) return;
     pool_state_[v] = kRejected;
     pool_seen_.push_back(v);
-    if (order.CoreOf(v) >= k_) return;
-    if (!IsAnchorCandidate(g, order, v, k_)) return;
+    const bool candidate = maintainer_.IsCandidate(v);
+    AVT_DCHECK(candidate == IsAnchorCandidate(g, order, v, k_));
+    if (!candidate) return;
     pool_state_[v] = kPooled;
     pool_.push_back(v);
   };

@@ -5,19 +5,33 @@
 
 namespace avt {
 
-void CoreMaintainer::Reset(const Graph& graph) {
+void CoreMaintainer::Reset(const Graph& graph, uint32_t k) {
   graph_ = graph;
   order_.Build(graph_);
   stats_.Reset();
   const size_t n = graph_.NumVertices();
-  deg_minus_.Resize(n);
-  in_heap_.Resize(n);
-  candidate_.Resize(n);
-  eliminated_.Resize(n);
-  support_.Resize(n);
-  cd_.Resize(n);
-  dropped_.Resize(n);
+  scratch_.Resize(n);
   affected_mark_.Resize(n);
+  counter_k_ = k;
+  if (k == 0) {
+    std::vector<NeighborCounts>().swap(nbr_counts_);
+    return;
+  }
+  // One pass over the adjacency of the vertices outside the k-core,
+  // reading a 1-byte class per vertex instead of the 16-byte K-order
+  // records: the random reads of the neighbor scan then hit a 16x
+  // smaller array.
+  std::vector<uint8_t> cls(n);
+  for (VertexId v = 0; v < n; ++v) cls[v] = ClassOf(order_.CoreOf(v));
+  nbr_counts_.assign(n, NeighborCounts{});
+  for (VertexId x = 0; x < n; ++x) {
+    if (cls[x] == kInCore) continue;
+    NeighborCounts& counts = nbr_counts_[x];
+    for (VertexId y : graph_.Neighbors(x)) {
+      counts.shell += cls[y] == kShell;
+      counts.core += cls[y] == kInCore;
+    }
+  }
 }
 
 void CoreMaintainer::EnsureVertices(VertexId count) {
@@ -27,24 +41,35 @@ void CoreMaintainer::EnsureVertices(VertexId count) {
     order_.AddVertex();
   }
   const size_t n = graph_.NumVertices();
-  deg_minus_.Grow(n);
-  in_heap_.Grow(n);
-  candidate_.Grow(n);
-  eliminated_.Grow(n);
-  support_.Grow(n);
-  cd_.Grow(n);
-  dropped_.Grow(n);
+  scratch_.Grow(n);
   affected_mark_.Grow(n);
+  if (counter_k_ > 0) nbr_counts_.resize(n);
 }
 
 size_t CoreMaintainer::MemoryFootprint() const {
   return graph_.MemoryFootprint() + order_.MemoryFootprint() +
-         deg_minus_.MemoryFootprint() + in_heap_.MemoryFootprint() +
-         candidate_.MemoryFootprint() +
-         eliminated_.MemoryFootprint() + support_.MemoryFootprint() +
-         cd_.MemoryFootprint() + dropped_.MemoryFootprint() +
-         affected_mark_.MemoryFootprint() +
+         nbr_counts_.capacity() * sizeof(NeighborCounts) +
+         scratch_.MemoryFootprint() + affected_mark_.MemoryFootprint() +
          affected_list_.capacity() * sizeof(VertexId);
+}
+
+void CoreMaintainer::RecountNeighbors(VertexId v) {
+  NeighborCounts counts;
+  for (VertexId y : graph_.Neighbors(v)) {
+    const uint8_t cls = ClassOf(order_.CoreOf(y));
+    counts.shell += cls == kShell;
+    counts.core += cls == kInCore;
+  }
+  nbr_counts_[v] = counts;
+}
+
+std::vector<VertexId> CoreMaintainer::CollectCandidates() const {
+  std::vector<VertexId> out;
+  if (counter_k_ == 0) return out;
+  for (VertexId x = 0; x < graph_.NumVertices(); ++x) {
+    if (IsCandidate(x)) out.push_back(x);
+  }
+  return out;
 }
 
 void CoreMaintainer::MarkAffected(VertexId v) {
@@ -58,6 +83,8 @@ void CoreMaintainer::MarkAffected(VertexId v) {
 bool CoreMaintainer::InsertEdge(VertexId u, VertexId v) {
   if (!graph_.AddEdge(u, v)) return false;
   ++stats_.edges_inserted;
+  CountNeighbor(u, order_.CoreOf(v), 1);
+  CountNeighbor(v, order_.CoreOf(u), 1);
 
   // Lemma 1: the endpoint earlier in K-order gains a later neighbor.
   VertexId root = order_.Precedes(u, v) ? u : v;
@@ -75,11 +102,7 @@ bool CoreMaintainer::InsertEdge(VertexId u, VertexId v) {
 
 void CoreMaintainer::RunInsertCascade(VertexId root, uint32_t level) {
   ++stats_.cascades;
-  deg_minus_.Clear();
-  in_heap_.Clear();
-  candidate_.Clear();
-  eliminated_.Clear();
-  support_.Clear();
+  scratch_.Clear();
 
   // Forward pass in K-order position over level `level`, visiting only
   // affected vertices (root + vertices whose candidate degree turned
@@ -90,7 +113,7 @@ void CoreMaintainer::RunInsertCascade(VertexId root, uint32_t level) {
                       std::greater<HeapEntry>>
       heap;
   heap.emplace(order_.TagOf(root), root);
-  in_heap_.Set(root, 1);
+  scratch_.Mutable(root).flags |= kInHeap;
 
   std::vector<VertexId> visited;
   std::vector<VertexId> candidates_in_order;
@@ -100,18 +123,20 @@ void CoreMaintainer::RunInsertCascade(VertexId root, uint32_t level) {
     visited.push_back(w);
     MarkAffected(w);
     ++stats_.visited;
-    uint32_t upper = order_.DegPlus(w) + deg_minus_.Get(w);
+    CascadeSlot& slot = scratch_.Mutable(w);
+    uint32_t upper = order_.DegPlus(w) + slot.count;
     if (upper <= level) continue;  // cannot reach level+1: final (no
                                    // later pushes can target it).
-    candidate_.Set(w, 1);
+    slot.flags |= kCandidate;
     candidates_in_order.push_back(w);
     for (VertexId x : graph_.Neighbors(w)) {
       if (order_.CoreOf(x) != level) continue;
       if (!order_.Precedes(w, x)) continue;
-      if (candidate_.Get(x)) continue;
-      deg_minus_.Add(x, 1);
-      if (!in_heap_.Get(x)) {
-        in_heap_.Set(x, 1);
+      CascadeSlot& next = scratch_.Mutable(x);
+      if (next.flags & kCandidate) continue;
+      ++next.count;  // deg-
+      if (!(next.flags & kInHeap)) {
+        next.flags |= kInHeap;
         heap.emplace(order_.TagOf(x), x);
       }
     }
@@ -123,26 +148,24 @@ void CoreMaintainer::RunInsertCascade(VertexId root, uint32_t level) {
   for (VertexId w : candidates_in_order) {
     uint32_t support = 0;
     for (VertexId x : graph_.Neighbors(w)) {
-      if (order_.CoreOf(x) > level || candidate_.Get(x)) ++support;
+      if (order_.CoreOf(x) > level || HasFlag(x, kCandidate)) ++support;
     }
-    support_.Set(w, support);
+    scratch_.Mutable(w).support = support;
     if (support <= level) review.push(w);
   }
   std::vector<VertexId> eliminated_in_order;
   while (!review.empty()) {
     VertexId w = review.front();
     review.pop();
-    if (eliminated_.Get(w)) continue;
-    if (support_.Get(w) > level) continue;  // revived support? impossible,
-                                            // but keep the check cheap.
-    eliminated_.Set(w, 1);
-    candidate_.Set(w, 0);
+    CascadeSlot& slot = scratch_.Mutable(w);
+    if (slot.flags & kEliminated) continue;
+    if (slot.support > level) continue;  // revived support? impossible,
+                                         // but keep the check cheap.
+    slot.flags = (slot.flags | kEliminated) & ~kCandidate;
     eliminated_in_order.push_back(w);
     for (VertexId x : graph_.Neighbors(w)) {
-      if (candidate_.Get(x) && !eliminated_.Get(x)) {
-        support_.Add(x, static_cast<uint32_t>(-1));
-        if (support_.Get(x) <= level) review.push(x);
-      }
+      if (!HasFlag(x, kCandidate)) continue;  // eliminated clears it
+      if (--scratch_.Mutable(x).support <= level) review.push(x);
     }
   }
 
@@ -150,11 +173,18 @@ void CoreMaintainer::RunInsertCascade(VertexId root, uint32_t level) {
   // their original relative order (push front in reverse pop order).
   std::vector<VertexId> promoted;
   for (VertexId w : candidates_in_order) {
-    if (!eliminated_.Get(w)) promoted.push_back(w);
+    if (!HasFlag(w, kEliminated)) promoted.push_back(w);
   }
+  const bool reclass = ChangesClass(level, level + 1);
   for (auto it = promoted.rbegin(); it != promoted.rend(); ++it) {
     order_.MoveToLevelFront(*it, level + 1);
     ++stats_.promotions;
+    if (reclass) {
+      for (VertexId x : graph_.Neighbors(*it)) {
+        CountNeighbor(x, level, -1);
+        CountNeighbor(x, level + 1, 1);
+      }
+    }
   }
   // Failed candidates move to the back of their level in elimination
   // order (restores deg+ <= core; see class comment).
@@ -168,6 +198,7 @@ void CoreMaintainer::RunInsertCascade(VertexId root, uint32_t level) {
   for (VertexId w : visited) {
     order_.RecomputeDegPlus(graph_, w);
   }
+  stats_.degplus_recounts += visited.size();
 }
 
 bool CoreMaintainer::RemoveEdge(VertexId u, VertexId v) {
@@ -177,6 +208,8 @@ bool CoreMaintainer::RemoveEdge(VertexId u, VertexId v) {
   // able to abort the process. The graph mutates first; the index is
   // touched only once the removal actually happened.
   if (!graph_.RemoveEdge(u, v)) return false;
+  CountNeighbor(u, order_.CoreOf(v), -1);
+  CountNeighbor(v, order_.CoreOf(u), -1);
   // Fix deg+ of the earlier endpoint now that its later neighbor is
   // gone (Lemma 1, mirrored).
   VertexId earlier = order_.Precedes(u, v) ? u : v;
@@ -199,73 +232,87 @@ bool CoreMaintainer::RemoveEdge(VertexId u, VertexId v) {
 
 void CoreMaintainer::RunRemoveCascade(const std::vector<VertexId>& seeds,
                                       uint32_t level) {
-  cd_.Clear();
-  dropped_.Clear();
+  scratch_.Clear();
 
   // cd(w): number of neighbors currently supporting w at `level`, i.e.
   // with effective core >= level, where already-dropped vertices count as
   // level-1. Computed lazily on first touch.
-  auto effective_core = [this](VertexId x, uint32_t lvl) -> uint32_t {
-    uint32_t c = order_.CoreOf(x);
-    return dropped_.Get(x) ? lvl - 1 : c;
-  };
   auto touch = [&](VertexId w) {
-    if (cd_.Contains(w)) return;
+    CascadeSlot& slot = scratch_.Mutable(w);
+    if (slot.flags & kCdSet) return;
     uint32_t count = 0;
     for (VertexId x : graph_.Neighbors(w)) {
-      if (effective_core(x, level) >= level) ++count;
+      if (order_.CoreOf(x) >= level && !HasFlag(x, kDropped)) ++count;
     }
-    cd_.Set(w, count);
+    slot.count = count;
+    slot.flags |= kCdSet;
   };
 
   std::queue<VertexId> review;
   for (VertexId s : seeds) {
     touch(s);
     ++stats_.visited;
-    if (cd_.Get(s) < level) review.push(s);
+    if (scratch_.Get(s).count < level) review.push(s);
   }
 
   std::vector<VertexId> dropped_in_order;
   while (!review.empty()) {
     VertexId w = review.front();
     review.pop();
-    if (dropped_.Get(w)) continue;
-    if (cd_.Get(w) >= level) continue;
-    dropped_.Set(w, 1);
+    CascadeSlot& slot = scratch_.Mutable(w);
+    if (slot.flags & kDropped) continue;
+    if (slot.count >= level) continue;
+    slot.flags |= kDropped;
     dropped_in_order.push_back(w);
     MarkAffected(w);
     for (VertexId x : graph_.Neighbors(w)) {
-      if (order_.CoreOf(x) != level || dropped_.Get(x)) continue;
-      if (cd_.Contains(x)) {
-        cd_.Add(x, static_cast<uint32_t>(-1));
+      if (order_.CoreOf(x) != level || HasFlag(x, kDropped)) continue;
+      if (HasFlag(x, kCdSet)) {
+        --scratch_.Mutable(x).count;
       } else {
-        touch(x);  // already reflects w's drop via effective_core
+        touch(x);  // already reflects w's drop via the kDropped test
         ++stats_.visited;
       }
-      if (cd_.Get(x) < level) review.push(x);
+      if (scratch_.Get(x).count < level) review.push(x);
     }
   }
   if (dropped_in_order.empty()) return;
   ++stats_.cascades;
 
+  // Exact deg+ before any move: a kept level-`level` neighbor x loses a
+  // dropped w from its later set iff x precedes w, since w lands below
+  // all of level `level`; every other neighbor keeps its side of w.
+  // The same neighbor walk re-classes w in its neighbors' counters when
+  // its drop crosses the k-2 | k-1 | k boundary (dropped neighbors are
+  // still at `level` here, so a drop out of the k-core skips them; they
+  // are recounted below).
+  const bool reclass = ChangesClass(level, level - 1);
+  for (VertexId w : dropped_in_order) {
+    for (VertexId x : graph_.Neighbors(w)) {
+      if (reclass) {
+        CountNeighbor(x, level, -1);
+        CountNeighbor(x, level - 1, 1);
+      }
+      if (order_.CoreOf(x) == level && !HasFlag(x, kDropped) &&
+          order_.Precedes(x, w)) {
+        order_.IncrementDegPlus(x, -1);
+      }
+    }
+  }
   // Dropped vertices join the back of level-1 in drop order (valid: at
   // drop time each had < level supporters counting later-dropped ones).
   for (VertexId w : dropped_in_order) {
     order_.MoveToLevelBack(w, level - 1);
     ++stats_.demotions;
   }
-  // deg+ refresh: the dropped vertices themselves, plus their kept
-  // level-`level` neighbors that preceded them (they may lose the dropped
-  // vertex from their later set). Recomputing all level-`level` neighbors
-  // is simpler and within the same complexity bound.
+  // Only the dropped vertices' own later sets need a recount; those
+  // that just left the k-core also start keeping neighbor counters.
+  const bool left_core = counter_k_ > 0 && level == counter_k_;
   for (VertexId w : dropped_in_order) {
     order_.RecomputeDegPlus(graph_, w);
-    for (VertexId x : graph_.Neighbors(w)) {
-      if (order_.CoreOf(x) == level) {
-        order_.RecomputeDegPlus(graph_, x);
-      }
-    }
+    if (left_core) RecountNeighbors(w);
   }
+  stats_.degplus_recounts += dropped_in_order.size();
 }
 
 std::vector<VertexId> CoreMaintainer::ApplyDelta(const EdgeDelta& delta) {

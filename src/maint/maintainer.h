@@ -25,7 +25,30 @@
 // core can drop, by exactly one level. Starting from the endpoints, a
 // vertex drops when its current-core degree (the paper's max-core degree,
 // Definition 6) falls below K; drops propagate to level-K neighbors.
-// Dropped vertices move to the back of level K-1 in drop order.
+// Dropped vertices move to the back of level K-1 in drop order. deg+
+// stays exact without a neighborhood recount: a dropped vertex w leaves
+// the later set of a kept level-K neighbor x iff x preceded w (w ends
+// up below all of level K), and every other neighbor keeps its relative
+// position to w, so the cascade decrements those x and recounts only
+// the dropped vertices themselves.
+//
+// Theorem-3 neighbor counters. Reset(graph, k) with k > 0 also keeps,
+// per vertex x outside the k-core, the number of neighbors at core k-1
+// (shell) and at core >= k (core) in one 8-byte record. Each edge
+// operation adjusts its endpoints in O(1); a cascade that moves a
+// vertex across the k-2 | k-1 | k class boundary re-classes it in its
+// neighbors' records in O(deg), which the cascade already pays. k-core
+// members keep no live counts (Theorem 3 rejects them without one): a
+// vertex that drops out of the k-core is recounted in O(deg) next to
+// its deg+ recount, so neither the fill nor any update has to visit
+// the dense k-core's adjacency. IsCandidate then decides Theorem 3
+// (anchor/candidates.h) without a neighbor scan:
+//   core(x) >= k:   never a candidate;
+//   core(x) <  k-1: every level-(k-1) vertex follows x in the K-order,
+//                   so x qualifies iff shell(x) > 0;
+//   core(x) == k-1: every neighbor at core >= k follows x and deg+ is
+//                   exact, so x has a later level-(k-1) neighbor iff
+//                   deg+(x) exceeds its count of neighbors at >= k.
 //
 // After every edge operation the index satisfies the full invariant suite
 // of corelib/invariants.h; randomized differential tests in
@@ -52,6 +75,7 @@ struct MaintenanceStats {
   uint64_t demotions = 0;    // vertices whose core fell
   uint64_t visited = 0;      // vertices examined by cascades
   uint64_t cascades = 0;     // operations that triggered a cascade
+  uint64_t degplus_recounts = 0;  // full deg+ neighbor recounts
 
   void Reset() { *this = MaintenanceStats{}; }
 };
@@ -61,12 +85,35 @@ class CoreMaintainer {
  public:
   CoreMaintainer() = default;
 
-  /// Takes a copy of `graph` and builds the index.
-  void Reset(const Graph& graph);
+  /// Takes a copy of `graph` and builds the index. With k > 0 it also
+  /// fills the Theorem-3 neighbor counters for threshold k in one O(m)
+  /// pass (see the file comment); with k = 0 it keeps none.
+  void Reset(const Graph& graph, uint32_t k = 0);
 
   const Graph& graph() const { return graph_; }
   const KOrder& order() const { return order_; }
   uint32_t CoreOf(VertexId v) const { return order_.CoreOf(v); }
+
+  /// Threshold of the neighbor counters (0: none kept).
+  uint32_t counter_k() const { return counter_k_; }
+  /// Neighbors of v at core counter_k()-1 / at core >= counter_k().
+  /// Valid only when counter_k() > 0 and v is outside the k-core.
+  uint32_t ShellNeighbors(VertexId v) const { return nbr_counts_[v].shell; }
+  uint32_t CoreNeighbors(VertexId v) const { return nbr_counts_[v].core; }
+
+  /// Theorem-3 verdict for threshold counter_k() in O(1): equal to
+  /// IsAnchorCandidate(graph(), order(), x, counter_k()). False for
+  /// every vertex when no counters are kept.
+  bool IsCandidate(VertexId x) const {
+    const uint32_t core = order_.CoreOf(x);
+    if (core >= counter_k_) return false;
+    if (core + 1 < counter_k_) return nbr_counts_[x].shell > 0;
+    return order_.DegPlus(x) > nbr_counts_[x].core;
+  }
+
+  /// Every vertex passing IsCandidate, ascending id: the Theorem-3 pool
+  /// of the whole graph in O(n) (CollectAnchorCandidates scans O(m)).
+  std::vector<VertexId> CollectCandidates() const;
 
   /// Retained no-op: the maintainer once patched an optional CSR mirror
   /// of its adjacency, and callers that asked for one still compile.
@@ -77,8 +124,9 @@ class CoreMaintainer {
   /// vertices appended to the graph, the K-order (back of level 0) and
   /// every cascade scratch array — all in lockstep, no rebuild. Streaming delta sources discover vertices
   /// mid-stream; callers grow before ApplyDelta so edge endpoints are
-  /// always in range. Existing state (cores, tags, deg+) is untouched:
-  /// an isolated vertex cannot change any other vertex's core number.
+  /// always in range. Existing state (cores, tags, deg+, counters) is
+  /// untouched: an isolated vertex cannot change any other vertex's core
+  /// number, and its own counters are zero.
   void EnsureVertices(VertexId count);
 
   /// Inserts one edge, updating cores/K-order. Returns false if the edge
@@ -106,26 +154,70 @@ class CoreMaintainer {
   /// core number: exactly the signature of a maintenance regression or
   /// a memory fault. Returns false on an empty universe. Never called
   /// by library code; the integrity audits (core/health.h) exist to
-  /// catch states like the one this creates.
+  /// catch states like the one this creates. The neighbor counters are
+  /// left stale; the recovery rebuild goes through Reset.
   bool InjectIndexFaultForDrill();
 
  private:
+  /// Neighbor counters of one vertex (see the file comment).
+  struct NeighborCounts {
+    uint32_t shell = 0;
+    uint32_t core = 0;
+  };
+  /// Per-vertex cascade scratch, one epoch-stamped record. Insertion
+  /// uses `count` as deg- (candidate neighbors before the vertex) and
+  /// `support` as the elimination support; removal uses `count` as cd
+  /// (current-core degree), valid once kCdSet is set.
+  struct CascadeSlot {
+    uint32_t count = 0;
+    uint32_t support = 0;
+    uint32_t flags = 0;
+  };
+  enum : uint32_t {
+    kInHeap = 1,
+    kCandidate = 2,   // tentatively promoted
+    kEliminated = 4,
+    kDropped = 8,
+    kCdSet = 16,
+  };
+
   void RunInsertCascade(VertexId root, uint32_t level);
   void RunRemoveCascade(const std::vector<VertexId>& seeds, uint32_t level);
+  /// Recounts v's neighbor counters from scratch (v just left the
+  /// k-core).
+  void RecountNeighbors(VertexId v);
   void MarkAffected(VertexId v);
+  bool HasFlag(VertexId v, uint32_t flag) const {
+    return (scratch_.Get(v).flags & flag) != 0;
+  }
+  /// Counter class of a core number for threshold counter_k_.
+  enum : uint8_t { kBelowShell = 0, kShell = 1, kInCore = 2 };
+  uint8_t ClassOf(uint32_t core) const {
+    return core >= counter_k_ ? kInCore
+                              : core + 1 == counter_k_ ? kShell : kBelowShell;
+  }
+  /// Adds `delta` (+1 / -1) to x's counter for a neighbor at `core`;
+  /// a no-op for k-core members and when no counters are kept.
+  void CountNeighbor(VertexId x, uint32_t core, int32_t delta) {
+    if (order_.CoreOf(x) >= counter_k_) return;
+    const uint8_t cls = ClassOf(core);
+    if (cls == kShell) nbr_counts_[x].shell += static_cast<uint32_t>(delta);
+    if (cls == kInCore) nbr_counts_[x].core += static_cast<uint32_t>(delta);
+  }
+  /// True when a move between levels `from` and `to` changes the
+  /// vertex's counter class.
+  bool ChangesClass(uint32_t from, uint32_t to) const {
+    return counter_k_ > 0 && ClassOf(from) != ClassOf(to);
+  }
 
   Graph graph_;
   KOrder order_;
   MaintenanceStats stats_;
+  uint32_t counter_k_ = 0;
+  std::vector<NeighborCounts> nbr_counts_;  // empty when counter_k_ == 0
 
-  // Scratch for cascades (sized to vertex count by Reset()).
-  EpochArray<uint32_t> deg_minus_;
-  EpochArray<uint8_t> in_heap_;
-  EpochArray<uint8_t> candidate_;   // tentatively promoted
-  EpochArray<uint8_t> eliminated_;
-  EpochArray<uint32_t> support_;
-  EpochArray<uint32_t> cd_;         // current-core degree (deletions)
-  EpochArray<uint8_t> dropped_;
+  // Cascade scratch (sized to vertex count by Reset()).
+  EpochArray<CascadeSlot> scratch_;
 
   // Batch-level affected set (valid during ApplyDelta).
   EpochArray<uint8_t> affected_mark_;

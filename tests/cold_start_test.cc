@@ -7,7 +7,8 @@
 // (the rollback rebuild) reproduces the first — and that the memory it
 // saves stays saved: packed oracle scratch per vertex, one oracle per
 // worker, engine footprint linear in the worker count, and a maintainer
-// that holds one adjacency (no mirror).
+// that holds one adjacency (no mirror) and one packed cascade-scratch
+// record per vertex.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "anchor/candidates.h"
 #include "anchor/follower_oracle.h"
 #include "anchor/greedy.h"
 #include "anchor/trial_engine.h"
@@ -81,6 +83,12 @@ TEST(ColdStart, ProcessFirstEqualsStandaloneGreedy) {
         IncAvtTracker tracker(c.k, c.l, IncAvtMode::kRestricted,
                               TrackerOptions(lazy, threads));
         const AvtSnapshotResult first = tracker.ProcessFirst(c.graph);
+        // The greedy pool read off the neighbor counters is the
+        // neighbor-scan pool: the O(1) verdict agrees on all n vertices.
+        const CoreMaintainer& m = tracker.maintainer();
+        EXPECT_EQ(m.CollectCandidates(),
+                  CollectAnchorCandidates(m.graph(), m.order(), c.k))
+            << what;
         EXPECT_EQ(first.anchors, standalone.anchors) << what;
         EXPECT_EQ(first.num_followers, standalone.num_followers()) << what;
         EXPECT_EQ(first.candidates_visited, standalone.candidates_visited)
@@ -144,15 +152,17 @@ TEST(ColdStart, TrackerHoldsOneOraclePerWorker) {
 TEST(ColdStart, MaintainerHoldsOneAdjacency) {
   // The cold-1m shape at 1/50 scale: Chung-Lu, average degree 10,
   // exponent 2.2, maximum degree n/20. The maintainer holds the graph,
-  // the K-order and its cascade scratch and nothing else; a second copy
-  // of the adjacency would add ~68 B/vertex here.
+  // the K-order, the 8-byte neighbor counters and its cascade scratch
+  // (one 16-byte record + the 8-byte affected mark) and nothing else; a
+  // second copy of the adjacency would add ~68 B/vertex here, seven
+  // separate scratch arrays 40.
   constexpr VertexId kN = 20'000;
   Rng rng(96);
   const Graph g0 = ChungLuPowerLaw(kN, 10.0, 2.2, kN / 20, rng);
   IncAvtTracker tracker(5, 4);
   tracker.ProcessFirst(g0);
   const size_t per_vertex = tracker.maintainer().MemoryFootprint() / kN;
-  EXPECT_LE(per_vertex, 160u);
+  EXPECT_LE(per_vertex, 128u);
 }
 
 TEST(ColdStart, EngineFootprintIsLinearInThreads) {

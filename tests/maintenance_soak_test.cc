@@ -1,10 +1,17 @@
 // Long-horizon soak tests: the maintained K-order must stay exactly
 // equivalent to a rebuilt one across hundreds of churn steps, large
 // batches, adversarial patterns (hub collapse, community merge), and the
-// dataset replicas' own delta streams.
+// dataset replicas' own delta streams. Every case runs once per
+// neighbor-counter threshold k in {1, 2, 3, 5}, and after every edge
+// operation the maintained Theorem-3 counters of every vertex outside
+// the k-core must equal a recount and the O(1) candidate verdict must
+// equal the neighbor-scan reference on every vertex.
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "anchor/candidates.h"
 #include "corelib/invariants.h"
 #include "gen/churn.h"
 #include "gen/datasets.h"
@@ -22,19 +29,83 @@ void ExpectEquivalentToRebuild(const CoreMaintainer& maintainer,
   ASSERT_TRUE(report.ok) << context << ": " << report.failure;
 }
 
-TEST(MaintenanceSoak, LongUniformChurn) {
+::testing::AssertionResult CountersMatchRecount(const CoreMaintainer& m) {
+  const uint32_t k = m.counter_k();
+  const Graph& g = m.graph();
+  for (VertexId x = 0; x < g.NumVertices(); ++x) {
+    if (m.IsCandidate(x) != IsAnchorCandidate(g, m.order(), x, k)) {
+      return ::testing::AssertionFailure()
+             << "vertex " << x << " candidate verdict differs from the scan";
+    }
+    if (m.CoreOf(x) >= k) continue;  // k-core members keep no live counts
+    uint32_t shell = 0;
+    uint32_t core = 0;
+    for (VertexId y : g.Neighbors(x)) {
+      if (m.CoreOf(y) >= k) {
+        ++core;
+      } else if (m.CoreOf(y) + 1 == k) {
+        ++shell;
+      }
+    }
+    if (m.ShellNeighbors(x) != shell || m.CoreNeighbors(x) != core) {
+      return ::testing::AssertionFailure()
+             << "vertex " << x << " counters (" << m.ShellNeighbors(x)
+             << ", " << m.CoreNeighbors(x) << "), recount (" << shell
+             << ", " << core << ")";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// One soak run per counter threshold.
+class MaintenanceSoak : public ::testing::TestWithParam<uint32_t> {
+ protected:
+  uint32_t k() const { return GetParam(); }
+
+  bool Insert(CoreMaintainer& m, VertexId u, VertexId v) {
+    const bool inserted = m.InsertEdge(u, v);
+    EXPECT_TRUE(CountersMatchRecount(m))
+        << "after inserting (" << u << ", " << v << ")";
+    return inserted;
+  }
+  bool Remove(CoreMaintainer& m, VertexId u, VertexId v) {
+    const bool removed = m.RemoveEdge(u, v);
+    EXPECT_TRUE(CountersMatchRecount(m))
+        << "after removing (" << u << ", " << v << ")";
+    return removed;
+  }
+  /// ApplyDelta's order (insertions, then deletions), one checked edge
+  /// operation at a time.
+  void Apply(CoreMaintainer& m, const EdgeDelta& delta) {
+    for (const Edge& e : delta.insertions) Insert(m, e.u, e.v);
+    for (const Edge& e : delta.deletions) Remove(m, e.u, e.v);
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(CounterK, MaintenanceSoak,
+                         ::testing::Values(1u, 2u, 3u, 5u),
+                         ::testing::PrintToStringParamName());
+
+TEST_P(MaintenanceSoak, LongUniformChurn) {
   Rng rng(101);
   Graph g = ChungLuPowerLaw(300, 6.0, 2.2, 60, rng);
   CoreMaintainer m;
-  m.Reset(g);
+  m.Reset(g, k());
   for (int step = 0; step < 400; ++step) {
+    // Mid-stream growth: the new vertices join with zero counters and
+    // take part in the rest of the churn.
+    if (step == 200) {
+      m.EnsureVertices(340);
+      ASSERT_TRUE(CountersMatchRecount(m)) << "after growth";
+    }
+    const VertexId n = m.graph().NumVertices();
     if (rng.Bernoulli(0.5) && m.graph().NumEdges() > 0) {
       std::vector<Edge> edges = m.graph().CollectEdges();
       const Edge& e = edges[rng.Uniform(edges.size())];
-      m.RemoveEdge(e.u, e.v);
+      Remove(m, e.u, e.v);
     } else {
-      m.InsertEdge(static_cast<VertexId>(rng.Uniform(300)),
-                   static_cast<VertexId>(rng.Uniform(300)));
+      Insert(m, static_cast<VertexId>(rng.Uniform(n)),
+             static_cast<VertexId>(rng.Uniform(n)));
     }
     if (step % 40 == 39) {
       ExpectEquivalentToRebuild(m, "uniform churn step " +
@@ -42,15 +113,16 @@ TEST(MaintenanceSoak, LongUniformChurn) {
     }
   }
   ExpectEquivalentToRebuild(m, "uniform churn end");
+  EXPECT_EQ(m.graph().NumVertices(), 340u);
 }
 
-TEST(MaintenanceSoak, HubCollapseAndRebirth) {
+TEST_P(MaintenanceSoak, HubCollapseAndRebirth) {
   // Remove every edge of the largest hub, then rebuild it: exercises
   // deep demotion cascades followed by deep promotions.
   Rng rng(103);
   Graph g = BarabasiAlbert(250, 4, rng);
   CoreMaintainer m;
-  m.Reset(g);
+  m.Reset(g, k());
 
   VertexId hub = 0;
   for (VertexId v = 1; v < g.NumVertices(); ++v) {
@@ -59,17 +131,21 @@ TEST(MaintenanceSoak, HubCollapseAndRebirth) {
   std::vector<VertexId> neighbors(m.graph().Neighbors(hub).begin(),
                                   m.graph().Neighbors(hub).end());
   for (VertexId w : neighbors) {
-    ASSERT_TRUE(m.RemoveEdge(hub, w));
+    ASSERT_TRUE(Remove(m, hub, w));
   }
   ExpectEquivalentToRebuild(m, "hub collapsed");
   EXPECT_EQ(m.CoreOf(hub), 0u);
+  // Removal keeps deg+ exact by decrements: only dropped vertices get
+  // a full neighbor recount.
+  EXPECT_GT(m.stats().demotions, 0u);
+  EXPECT_EQ(m.stats().degplus_recounts, m.stats().demotions);
   for (VertexId w : neighbors) {
-    ASSERT_TRUE(m.InsertEdge(hub, w));
+    ASSERT_TRUE(Insert(m, hub, w));
   }
   ExpectEquivalentToRebuild(m, "hub rebuilt");
 }
 
-TEST(MaintenanceSoak, CommunityMergeAndSplit) {
+TEST_P(MaintenanceSoak, CommunityMergeAndSplit) {
   // Two dense blocks joined then cut by a thick bridge.
   Rng rng(107);
   Graph g(120);
@@ -84,47 +160,47 @@ TEST(MaintenanceSoak, CommunityMergeAndSplit) {
     }
   }
   CoreMaintainer m;
-  m.Reset(g);
+  m.Reset(g, k());
 
   std::vector<Edge> bridge;
   for (int j = 0; j < 40; ++j) {
     VertexId u = static_cast<VertexId>(rng.Uniform(60));
     VertexId v = 60 + static_cast<VertexId>(rng.Uniform(60));
-    if (m.InsertEdge(u, v)) bridge.push_back(Edge(u, v));
+    if (Insert(m, u, v)) bridge.push_back(Edge(u, v));
   }
   ExpectEquivalentToRebuild(m, "merged");
   for (const Edge& e : bridge) {
-    ASSERT_TRUE(m.RemoveEdge(e.u, e.v));
+    ASSERT_TRUE(Remove(m, e.u, e.v));
   }
   ExpectEquivalentToRebuild(m, "split");
 }
 
-TEST(MaintenanceSoak, LargeBatchDeltas) {
+TEST_P(MaintenanceSoak, LargeBatchDeltas) {
   Rng rng(109);
   Graph g = ErdosRenyi(400, 1600, rng);
   CoreMaintainer m;
-  m.Reset(g);
+  m.Reset(g, k());
   ChurnOptions options;
   options.num_snapshots = 6;
   options.min_churn = 200;  // paper-scale batches
   options.max_churn = 250;
   SnapshotSequence sequence = MakeChurnSnapshots(g, options, rng);
   for (const EdgeDelta& delta : sequence.deltas()) {
-    m.ApplyDelta(delta);
+    Apply(m, delta);
     ExpectEquivalentToRebuild(m, "large batch");
   }
   EXPECT_TRUE(m.graph() ==
               sequence.Materialize(sequence.NumSnapshots() - 1));
 }
 
-TEST(MaintenanceSoak, DatasetReplicaDeltaStreams) {
+TEST_P(MaintenanceSoak, DatasetReplicaDeltaStreams) {
   for (const char* name : {"eu-core", "CollegeMsg"}) {
     const DatasetInfo& info = DatasetByName(name);
     SnapshotSequence sequence = MakeDatasetSnapshots(info, 0.25, 8, 55);
     CoreMaintainer m;
-    m.Reset(sequence.initial());
+    m.Reset(sequence.initial(), k());
     for (const EdgeDelta& delta : sequence.deltas()) {
-      m.ApplyDelta(delta);
+      Apply(m, delta);
     }
     ExpectEquivalentToRebuild(m, name);
     EXPECT_TRUE(m.graph() ==
@@ -133,21 +209,21 @@ TEST(MaintenanceSoak, DatasetReplicaDeltaStreams) {
   }
 }
 
-TEST(MaintenanceSoak, EmptyToDenseToEmpty) {
+TEST_P(MaintenanceSoak, EmptyToDenseToEmpty) {
   const VertexId n = 60;
   CoreMaintainer m;
-  m.Reset(Graph(n));
+  m.Reset(Graph(n), k());
   Rng rng(113);
   std::vector<Edge> inserted;
   for (int i = 0; i < 600; ++i) {
     VertexId u = static_cast<VertexId>(rng.Uniform(n));
     VertexId v = static_cast<VertexId>(rng.Uniform(n));
-    if (u != v && m.InsertEdge(u, v)) inserted.push_back(Edge(u, v));
+    if (u != v && Insert(m, u, v)) inserted.push_back(Edge(u, v));
   }
   ExpectEquivalentToRebuild(m, "densified");
   rng.Shuffle(inserted);
   for (const Edge& e : inserted) {
-    ASSERT_TRUE(m.RemoveEdge(e.u, e.v));
+    ASSERT_TRUE(Remove(m, e.u, e.v));
   }
   ExpectEquivalentToRebuild(m, "emptied");
   for (VertexId v = 0; v < n; ++v) EXPECT_EQ(m.CoreOf(v), 0u);
@@ -156,17 +232,17 @@ TEST(MaintenanceSoak, EmptyToDenseToEmpty) {
 // Deterministic worst-case-ish pattern: a long path repeatedly closed
 // into a cycle and reopened, shifting core numbers between 1 and 2
 // across the whole component.
-TEST(MaintenanceSoak, PathCycleFlapping) {
+TEST_P(MaintenanceSoak, PathCycleFlapping) {
   const VertexId n = 200;
   Graph g(n);
   for (VertexId v = 0; v + 1 < n; ++v) g.AddEdge(v, v + 1);
   CoreMaintainer m;
-  m.Reset(g);
+  m.Reset(g, k());
   for (int round = 0; round < 20; ++round) {
-    ASSERT_TRUE(m.InsertEdge(n - 1, 0));  // close the cycle: all core 2
+    ASSERT_TRUE(Insert(m, n - 1, 0));  // close the cycle: all core 2
     EXPECT_EQ(m.CoreOf(n / 2), 2u);
     ExpectEquivalentToRebuild(m, "cycle closed");
-    ASSERT_TRUE(m.RemoveEdge(n - 1, 0));  // reopen: all core 1
+    ASSERT_TRUE(Remove(m, n - 1, 0));  // reopen: all core 1
     EXPECT_EQ(m.CoreOf(n / 2), 1u);
     ExpectEquivalentToRebuild(m, "cycle opened");
   }
