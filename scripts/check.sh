@@ -10,7 +10,10 @@
 #   scripts/check.sh --tsan      # ThreadSanitizer tier: the parallel
 #                                # trial engine's determinism battery,
 #                                # the cold-start suite (shared worker-0
-#                                # oracle) + thread-pool units under TSan
+#                                # oracle), the work-proportionality
+#                                # suite (split pool walk + reference
+#                                # pass at two threads) + thread-pool
+#                                # units under TSan
 #
 # Any extra arguments after the mode flag are forwarded to ctest.
 
@@ -50,7 +53,7 @@ case "$mode" in
       -DAVT_SANITIZE=thread -DAVT_BUILD_BENCH=OFF -DAVT_BUILD_EXAMPLES=OFF
     cmake --build "$build_dir" -j "$jobs"
     ctest --test-dir "$build_dir" \
-      -R '^(parallel_determinism_test|cold_start_test|util_test)$' \
+      -R '^(parallel_determinism_test|cold_start_test|work_proportionality_test|util_test)$' \
       --output-on-failure -j "$jobs" "$@"
     ;;
   --werror)

@@ -33,14 +33,6 @@ bool Improves(const WorkerBest& best, uint32_t followers, VertexId vertex) {
   return vertex < best.vertex;
 }
 
-/// Below this many probes per worker the fork-join wakeup plus the
-/// per-worker base-cascade rebuild cost more than the probes they
-/// spread; the serial path computes the identical bounds, so the
-/// cutover changes nothing observable. (BENCH_PR3's IncAVT arm lost
-/// 1.4x at 8 threads precisely because steady-state pools are this
-/// small.)
-constexpr size_t kMinProbesPerWorker = 8;
-
 }  // namespace
 
 TrialEngine::TrialEngine(const Graph* graph, const KOrder* order,
@@ -62,6 +54,29 @@ size_t TrialEngine::MemoryFootprint() const {
                  perm_.capacity() * sizeof(uint32_t);
   for (const auto& oracle : oracles_) bytes += oracle->MemoryFootprint();
   return bytes;
+}
+
+void TrialEngine::SwapMarginals(std::span<const VertexId> pool,
+                                std::span<const uint8_t> is_anchor,
+                                std::span<int32_t> out) {
+  FollowerOracle& reference = *oracles_[0];
+  AVT_DCHECK(reference.HasBase());
+  if (pool_ == nullptr ||
+      pool.size() < static_cast<size_t>(num_threads_) * kMinProbesPerWorker) {
+    for (size_t j = 0; j < pool.size(); ++j) {
+      if (!is_anchor[pool[j]]) out[j] = reference.SwapMarginal(pool[j]);
+    }
+    return;
+  }
+  // Worker 0 probes its own resident reference; the others read it
+  // through SwapMarginal(reference, x). Nobody writes a base record
+  // until the call returns.
+  ParallelFor(pool_.get(), pool.size(), /*grain=*/16,
+              [&](uint32_t w, size_t j) {
+                const VertexId x = pool[j];
+                if (is_anchor[x]) return;
+                out[j] = oracles_[w]->SwapMarginal(reference, x);
+              });
 }
 
 uint64_t TrialEngine::CascadeVisited() const {

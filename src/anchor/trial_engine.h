@@ -1,13 +1,20 @@
-// Deterministic parallel trial evaluation: the one primitive behind both
-// pick loops.
+// Deterministic parallel trial evaluation: the workers and per-worker
+// oracles behind both pick loops.
 //
-// GreedySolver's per-pick argmax and IncAvtTracker's per-slot local
-// search both reduce to the same question: among live candidates x,
-// which trial set base ∪ {x} has the most followers — tie-break smallest
-// id — optionally restricted to counts strictly above an incumbent
-// floor? Every trial is a pure function of the shared read-only
-// (graph, K-order[, CSR]) triple, so trials are embarrassingly parallel;
-// what is NOT trivially parallel is keeping the answer (and the lazy
+// GreedySolver's per-pick argmax, IncAvtTracker's eager slots and both
+// trackers' extend phase reduce to the same question: among live
+// candidates x, which trial set base ∪ {x} has the most followers —
+// tie-break smallest id — optionally restricted to counts strictly above
+// an incumbent floor? That is Evaluate. IncAVT's lazy swap phase asks a
+// different one — every pool vertex's marginal over ONE shared swap
+// reference held by worker 0 — and SwapMarginals splits exactly that
+// pass: each worker probes the reference read-only from its own overlay
+// into an index-addressed slot. IncAVT also borrows the workers
+// (workers()) for its read-only pool walk.
+//
+// Every trial is a pure function of the shared read-only (graph,
+// K-order[, CSR]) triple, so trials are embarrassingly parallel; what
+// is NOT trivially parallel is keeping the answer (and the lazy
 // strategy's work counters) bit-identical to the serial loop. TrialEngine
 // owns that guarantee:
 //
@@ -44,7 +51,8 @@
 //
 // Anchors are bit-identical to the serial path at every thread count,
 // and the work counters are thread-count-invariant — both pinned by
-// tests/parallel_determinism_test.cc.
+// tests/parallel_determinism_test.cc. Per-worker oracle stats (oracle(w))
+// split with the work; only their sums are invariant.
 
 #ifndef AVT_ANCHOR_TRIAL_ENGINE_H_
 #define AVT_ANCHOR_TRIAL_ENGINE_H_
@@ -89,7 +97,24 @@ class TrialEngine {
   TrialEngine(const Graph* graph, const KOrder* order, const CsrView* csr,
               uint32_t num_threads);
 
+  /// Below this many probes per worker a fan-out costs more than the
+  /// probes it spreads (fork-join wakeup, and for Evaluate a base-cascade
+  /// rebuild per worker); the serial path computes identical values, so
+  /// the cutover changes nothing observable. (BENCH_PR3's IncAVT arm
+  /// lost 1.4x at 8 threads precisely because steady-state pools are
+  /// this small.)
+  static constexpr size_t kMinProbesPerWorker = 8;
+
   uint32_t num_threads() const { return num_threads_; }
+
+  /// The engine's fork-join workers (null when num_threads() == 1), for
+  /// callers that split their own read-only passes over the same
+  /// workers — IncAVT's pool walk. Not reentrant with Evaluate or
+  /// SwapMarginals.
+  ThreadPool* workers() const { return pool_.get(); }
+
+  /// Worker w's oracle (w < num_threads()), for per-worker stats.
+  const FollowerOracle& oracle(uint32_t w) const { return *oracles_[w]; }
 
   /// Worker 0's oracle: the serial path and pop-resolver of Evaluate, and
   /// the serial oracle of every caller sharing this engine (the greedy
@@ -115,6 +140,17 @@ class TrialEngine {
   TrialOutcome Evaluate(std::span<const VertexId> live,
                         std::span<const VertexId> base, uint32_t k,
                         const TrialPolicy& policy);
+
+  /// out[j] = serial_oracle().SwapMarginal(pool[j]) for every j with
+  /// !is_anchor[pool[j]]; the other entries are left untouched. The
+  /// serial oracle must hold the swap reference (BuildSwapReference).
+  /// Pools of at least num_threads() * kMinProbesPerWorker vertices are
+  /// split across the workers, each probing the shared reference from
+  /// its own overlay; every value is a pure function of the reference,
+  /// so `out` is identical at every thread count.
+  void SwapMarginals(std::span<const VertexId> pool,
+                     std::span<const uint8_t> is_anchor,
+                     std::span<int32_t> out);
 
   /// Total cascade vertices visited across all worker oracles (the
   /// solver-level cascade_visited metric).

@@ -6,6 +6,7 @@
 #include "anchor/anchored_core.h"
 #include "anchor/candidates.h"
 #include "anchor/greedy.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace avt {
@@ -69,11 +70,15 @@ AvtSnapshotResult IncAvtTracker::ProcessFirst(const Graph& g0) {
       greedy.PickFrom(maintainer_.CollectCandidates(), *engine_, k_, l_);
   anchors_ = first.anchors;
 
-  pool_state_.assign(g0.NumVertices(), kUnseen);
+  walkers_.resize(engine_->num_threads());
+  for (PoolWalker& walker : walkers_) {
+    walker.seen.assign(g0.NumVertices(), 0);
+    walker.touched.clear();
+    walker.pooled.clear();
+  }
   is_anchor_.assign(g0.NumVertices(), 0);
   for (VertexId a : anchors_) is_anchor_[a] = 1;
   pool_.clear();
-  pool_seen_.clear();
 
   snap.anchors = anchors_;
   snap.num_followers = first.num_followers();
@@ -90,53 +95,59 @@ AvtSnapshotResult IncAvtTracker::ProcessFirst(const Graph& g0) {
   return snap;
 }
 
+void IncAvtTracker::CollectLive(const std::vector<VertexId>& pool) {
+  live_.clear();
+  for (VertexId v : pool) {
+    if (!is_anchor_[v]) live_.push_back(v);
+  }
+}
+
 void IncAvtTracker::EagerLocalSearch(const std::vector<VertexId>& pool,
                                      uint32_t& current,
                                      AvtSnapshotResult& snap) {
   // Algorithm 6 lines 9-16 verbatim: per anchor slot, evaluate every
-  // pool vertex with a full follower query and commit strict
-  // improvements.
-  FollowerOracle& oracle = engine_->serial_oracle();
+  // pool vertex with a full follower query and commit the best strict
+  // improvement — (followers desc, id asc), the order of the pool scan.
+  // The engine fans the queries out over its workers.
+  TrialPolicy policy;
+  policy.lazy = false;
+  policy.gate = true;
   std::vector<VertexId> base;
   for (size_t i = 0; i < anchors_.size() && !pool.empty(); ++i) {
     base = anchors_;
     base.erase(base.begin() + static_cast<ptrdiff_t>(i));
-    VertexId best_replacement = kNoVertex;
-    uint32_t best_followers = current;
-    for (VertexId v : pool) {
-      if (is_anchor_[v]) continue;
-      ++snap.candidates_visited;
-      uint32_t followers = oracle.CountFollowers(base, v, k_);
-      if (followers > best_followers) {
-        best_followers = followers;
-        best_replacement = v;
-      }
-    }
-    if (best_replacement != kNoVertex) {
-      is_anchor_[anchors_[i]] = 0;
-      is_anchor_[best_replacement] = 1;
-      anchors_[i] = best_replacement;
-      current = best_followers;
-    }
+    CollectLive(pool);
+    if (live_.empty()) continue;
+    policy.floor = current;
+    TrialOutcome outcome = engine_->Evaluate(live_, base, k_, policy);
+    snap.candidates_visited += outcome.full_queries;
+    snap.bound_probes += outcome.bound_probes;
+    if (outcome.vertex == kNoVertex) continue;  // slot settled
+    is_anchor_[anchors_[i]] = 0;
+    is_anchor_[outcome.vertex] = 1;
+    anchors_[i] = outcome.vertex;
+    current = outcome.followers;
   }
+  ExtendPhase(pool, current, snap);
+}
 
-  // If the budget was never filled (tiny first snapshot), try to extend.
+void IncAvtTracker::ExtendPhase(const std::vector<VertexId>& pool,
+                                uint32_t& current, AvtSnapshotResult& snap) {
+  // If the budget was never filled (tiny first snapshot), extend S with
+  // the argmax trial. Anchoring never hurts the objective by more than
+  // it adds, so there is no incumbent gate; the trial base is S itself.
+  TrialPolicy policy;
+  policy.lazy = options_.lazy;
   while (anchors_.size() < l_ && !pool.empty()) {
-    VertexId best_vertex = kNoVertex;
-    uint32_t best_followers = current;
-    for (VertexId v : pool) {
-      if (is_anchor_[v]) continue;
-      ++snap.candidates_visited;
-      uint32_t followers = oracle.CountFollowers(anchors_, v, k_);
-      if (best_vertex == kNoVertex || followers > best_followers) {
-        best_followers = followers;
-        best_vertex = v;
-      }
-    }
-    if (best_vertex == kNoVertex) break;
-    anchors_.push_back(best_vertex);
-    is_anchor_[best_vertex] = 1;
-    current = best_followers;
+    CollectLive(pool);
+    if (live_.empty()) break;
+    TrialOutcome outcome = engine_->Evaluate(live_, anchors_, k_, policy);
+    snap.candidates_visited += outcome.full_queries;
+    snap.bound_probes += outcome.bound_probes;
+    if (outcome.vertex == kNoVertex) break;
+    anchors_.push_back(outcome.vertex);
+    is_anchor_[outcome.vertex] = 1;
+    current = outcome.followers;
   }
 }
 
@@ -165,34 +176,17 @@ void IncAvtTracker::LazyLocalSearch(const std::vector<VertexId>& pool,
     return oracle.MarginalUpperBound(v);
   };
 
-  // Resolves the heap top to an exact value (one full query per
-  // non-exact pop); returns the accepted exact top.
-  auto resolve_top = [&](std::span<const VertexId> trial_base,
-                         bool stop_at_current) -> LazyEntry {
-    while (!heap.empty()) {
-      LazyEntry top = heap.top();
-      if (stop_at_current && top.value <= current) {
-        return {0, kNoVertex, true};  // nothing can strictly improve
-      }
-      if (top.exact) return top;
-      heap.pop();
-      ++snap.candidates_visited;
-      uint32_t exact = oracle.CountFollowers(trial_base, top.vertex, k_);
-      heap.push({exact, top.vertex, true});
-    }
-    return {0, kNoVertex, true};
-  };
-
-  // Swap phase. Only bounds above the incumbent enter the heap: with
-  // stop_at_current an entry <= current is never resolved or returned,
-  // so dropping it leaves the pop sequence unchanged.
+  // Swap phase. Only bounds above the incumbent enter the heap: an
+  // entry <= current is never resolved or returned, so dropping it
+  // leaves the pop sequence unchanged.
   //
   // All slots share one swap reference (see
   // FollowerOracle::BuildSwapReference): one SwapMarginal per pool
-  // vertex gives slot i's bound as slot_counts_[i] + delta, and only
-  // vertices whose probe read a dirty vertex are probed per slot. A
-  // commit changes S, so the next slot rebuilds the reference when at
-  // least two slots remain to share it.
+  // vertex — split across the engine's workers on large pools — gives
+  // slot i's bound as slot_counts_[i] + delta, and only vertices whose
+  // probe read a dirty vertex are probed per slot, serially. A commit
+  // changes S, so the next slot rebuilds the reference when at least
+  // two slots remain to share it.
   bool reference_live = false;  // swap_marginals_ describe anchors_
   for (size_t i = 0; i < anchors_.size() && !pool.empty(); ++i) {
     base = anchors_;
@@ -202,11 +196,7 @@ void IncAvtTracker::LazyLocalSearch(const std::vector<VertexId>& pool,
     if (!reference_live && anchors_.size() - i >= 2) {
       oracle.BuildSwapReference(anchors_, k_, i, &slot_counts_);
       swap_marginals_.resize(pool.size());
-      for (size_t j = 0; j < pool.size(); ++j) {
-        if (!is_anchor_[pool[j]]) {
-          swap_marginals_[j] = oracle.SwapMarginal(pool[j]);
-        }
-      }
+      engine_->SwapMarginals(pool, is_anchor_, swap_marginals_);
       reference_live = true;
     }
     for (size_t j = 0; j < pool.size(); ++j) {
@@ -223,7 +213,21 @@ void IncAvtTracker::LazyLocalSearch(const std::vector<VertexId>& pool,
       }
       if (bound > current) heap.push({bound, v, false});
     }
-    LazyEntry winner = resolve_top(base, /*stop_at_current=*/true);
+    // Pop-resolve: one full query per non-exact top until the top is
+    // exact or cannot strictly beat the incumbent.
+    LazyEntry winner{0, kNoVertex, true};
+    while (!heap.empty()) {
+      LazyEntry top = heap.top();
+      if (top.value <= current) break;  // nothing can strictly improve
+      if (top.exact) {
+        winner = top;
+        break;
+      }
+      heap.pop();
+      ++snap.candidates_visited;
+      heap.push({oracle.CountFollowers(base, top.vertex, k_), top.vertex,
+                 true});
+    }
     if (winner.vertex == kNoVertex) continue;  // slot settled, no commit
     is_anchor_[anchors_[i]] = 0;
     is_anchor_[winner.vertex] = 1;
@@ -231,79 +235,26 @@ void IncAvtTracker::LazyLocalSearch(const std::vector<VertexId>& pool,
     current = winner.value;
     reference_live = false;
   }
-
-  // Extend phase: the eager loop always commits the argmax (anchoring
-  // never hurts the objective by more than it adds), so no incumbent
-  // gate here. The trial base is S itself.
-  while (anchors_.size() < l_ && !pool.empty()) {
-    heap = std::priority_queue<LazyEntry>();
-    base_ready = false;
-    bool any = false;
-    for (VertexId v : pool) {
-      if (is_anchor_[v]) continue;
-      heap.push({bound_of(anchors_, v), v, false});
-      any = true;
-    }
-    if (!any) break;
-    LazyEntry winner = resolve_top(anchors_, /*stop_at_current=*/false);
-    if (winner.vertex == kNoVertex) break;
-    anchors_.push_back(winner.vertex);
-    is_anchor_[winner.vertex] = 1;
-    current = winner.value;
-  }
+  ExtendPhase(pool, current, snap);
 }
 
-void IncAvtTracker::ParallelLocalSearch(const std::vector<VertexId>& pool,
-                                        uint32_t& current,
-                                        AvtSnapshotResult& snap) {
-  // The serial slot loops (Eager/LazyLocalSearch) fanned out over the
-  // trial engine: each slot's pool evaluation is one Evaluate call —
-  // fixed per-worker shards, per-worker oracles, (followers desc, id
-  // asc) reduction — so the committed anchors are bit-identical to the
-  // serial searches at every thread count.
-  TrialPolicy policy;
-  policy.lazy = options_.lazy;
-  std::vector<VertexId> base;
-  std::vector<VertexId> live;
-  live.reserve(pool.size());
-  auto collect_live = [&] {
-    live.clear();
-    for (VertexId v : pool) {
-      if (!is_anchor_[v]) live.push_back(v);
-    }
+void IncAvtTracker::Walk(PoolWalker& walker, VertexId v, uint32_t begin,
+                         uint32_t end) const {
+  // The filter runs once per walked adjacency entry; keeping its two
+  // call sites in this one function lets it inline.
+  auto consider = [&](VertexId x) {
+    if (walker.seen[x] || is_anchor_[x]) return;
+    walker.seen[x] = 1;
+    walker.touched.push_back(x);
+    const bool candidate = maintainer_.IsCandidate(x);
+    AVT_DCHECK(candidate == IsAnchorCandidate(maintainer_.graph(),
+                                              maintainer_.order(), x, k_));
+    if (candidate) walker.pooled.push_back(x);
   };
-
-  // Swap phase: per anchor slot, the best strict improvement wins.
-  for (size_t i = 0; i < anchors_.size() && !pool.empty(); ++i) {
-    base = anchors_;
-    base.erase(base.begin() + static_cast<ptrdiff_t>(i));
-    collect_live();
-    if (live.empty()) continue;
-    policy.gate = true;
-    policy.floor = current;
-    TrialOutcome outcome = engine_->Evaluate(live, base, k_, policy);
-    snap.candidates_visited += outcome.full_queries;
-    snap.bound_probes += outcome.bound_probes;
-    if (outcome.vertex == kNoVertex) continue;  // slot settled
-    is_anchor_[anchors_[i]] = 0;
-    is_anchor_[outcome.vertex] = 1;
-    anchors_[i] = outcome.vertex;
-    current = outcome.followers;
-  }
-
-  // Extend phase: ungated argmax, like the serial extend loops.
-  while (anchors_.size() < l_ && !pool.empty()) {
-    collect_live();
-    if (live.empty()) break;
-    policy.gate = false;
-    policy.floor = 0;
-    TrialOutcome outcome = engine_->Evaluate(live, anchors_, k_, policy);
-    snap.candidates_visited += outcome.full_queries;
-    snap.bound_probes += outcome.bound_probes;
-    if (outcome.vertex == kNoVertex) break;
-    anchors_.push_back(outcome.vertex);
-    is_anchor_[outcome.vertex] = 1;
-    current = outcome.followers;
+  if (begin == 0) consider(v);
+  for (VertexId x :
+       maintainer_.graph().Neighbors(v).subspan(begin, end - begin)) {
+    consider(x);
   }
 }
 
@@ -311,7 +262,7 @@ void IncAvtTracker::EnsureVertices(VertexId count) {
   if (count <= maintainer_.graph().NumVertices()) return;
   maintainer_.EnsureVertices(count);
   const size_t n = maintainer_.graph().NumVertices();
-  pool_state_.resize(n, kUnseen);
+  for (PoolWalker& walker : walkers_) walker.seen.resize(n, 0);
   is_anchor_.resize(n, 0);
   if (engine_) engine_->ResizeScratch();
 }
@@ -334,50 +285,70 @@ AvtSnapshotResult IncAvtTracker::ProcessDelta(const EdgeDelta& delta) {
   // the pool to isolate the restriction's contribution. Sorted by id so
   // the scan order (and thus tie-breaks) is deterministic. The
   // Theorem-3 verdict is O(1) per vertex off the maintainer's neighbor
-  // counters (CoreMaintainer::IsCandidate). pool_state_ marks each
-  // vertex seen for the delta — a vertex adjacent to many impacted
-  // vertices is filtered exactly once — and is reset afterwards from
-  // pool_seen_, so the delta costs O(pool region), not O(n).
-  // is_anchor_ is kept current by every commit.
+  // counters (CoreMaintainer::IsCandidate). is_anchor_ is kept current
+  // by every commit.
   AVT_DCHECK(std::all_of(anchors_.begin(), anchors_.end(),
                          [&](VertexId a) { return is_anchor_[a] != 0; }));
-  pool_.clear();
-  auto consider = [&](VertexId v) {
-    if (pool_state_[v] != kUnseen || is_anchor_[v]) return;
-    pool_state_[v] = kRejected;
-    pool_seen_.push_back(v);
-    const bool candidate = maintainer_.IsCandidate(v);
-    AVT_DCHECK(candidate == IsAnchorCandidate(g, order, v, k_));
-    if (!candidate) return;
-    pool_state_[v] = kPooled;
-    pool_.push_back(v);
-  };
-  switch (mode_) {
-    case IncAvtMode::kRestricted:
-      for (VertexId v : impacted) {
-        consider(v);
-        for (VertexId w : g.Neighbors(v)) consider(w);
-      }
-      break;
-    case IncAvtMode::kMaintainedFull:
-      for (VertexId v = 0; v < g.NumVertices(); ++v) consider(v);
-      break;
-    case IncAvtMode::kCarryForward:
-      break;  // no replacements; keep S_{t-1}
+  ThreadPool* workers = engine_->workers();
+  if (mode_ == IncAvtMode::kRestricted && workers != nullptr &&
+      impacted.size() >=
+          workers->num_threads() * TrialEngine::kMinProbesPerWorker) {
+    // The walk is read-only over the maintained graph, so the engine's
+    // workers split it: each worker dedupes against its own marks and
+    // collects its own candidates, and the union is restored to the
+    // serial pool by the sort + unique below. A vertex two workers both
+    // reach is filtered twice, which costs a little and changes nothing.
+    // Churn lands on hubs, so a few impacted adjacency lists hold most
+    // of the walk: it is cut into slices of at most kWalkSlice entries
+    // and the slices are work-stolen, so a hub is shared by all workers.
+    slices_.clear();
+    for (VertexId v : impacted) {
+      const uint32_t degree = g.Degree(v);
+      uint32_t begin = 0;
+      do {
+        const uint32_t end = std::min(degree, begin + kWalkSlice);
+        slices_.push_back({v, begin, end});
+        begin = end;
+      } while (begin < degree);
+    }
+    ParallelFor(workers, slices_.size(), /*grain=*/1,
+                [&](uint32_t w, size_t i) {
+                  const WalkSlice& slice = slices_[i];
+                  Walk(walkers_[w], slice.vertex, slice.begin, slice.end);
+                });
+    pool_.clear();
+    for (PoolWalker& walker : walkers_) {
+      pool_.insert(pool_.end(), walker.pooled.begin(), walker.pooled.end());
+      walker.pooled.clear();
+    }
+    workers->Run([&](uint32_t w) { walkers_[w].Reset(); });
+    std::sort(pool_.begin(), pool_.end());
+    pool_.erase(std::unique(pool_.begin(), pool_.end()), pool_.end());
+  } else {
+    PoolWalker& walker = walkers_[0];
+    switch (mode_) {
+      case IncAvtMode::kRestricted:
+        for (VertexId v : impacted) Walk(walker, v, 0, g.Degree(v));
+        break;
+      case IncAvtMode::kMaintainedFull:
+        for (VertexId v = 0; v < g.NumVertices(); ++v) Walk(walker, v, 0, 0);
+        break;
+      case IncAvtMode::kCarryForward:
+        break;  // no replacements; keep S_{t-1}
+    }
+    walker.Reset();
+    pool_.swap(walker.pooled);
+    walker.pooled.clear();
+    std::sort(pool_.begin(), pool_.end());
   }
-  for (VertexId v : pool_seen_) pool_state_[v] = kUnseen;
-  pool_seen_.clear();
-  std::vector<VertexId>& pool = pool_;
-  std::sort(pool.begin(), pool.end());
+  const std::vector<VertexId>& pool = pool_;
 
   // Step 2: seed with S_{t-1}; re-establish the incumbent follower count
   // F(S) on the new snapshot.
   uint32_t current = engine_->serial_oracle().CountFollowers(anchors_, k_);
 
   // Step 4: local search (lines 9-16).
-  if (options_.num_threads > 1) {
-    ParallelLocalSearch(pool, current, snap);
-  } else if (options_.lazy) {
+  if (options_.lazy) {
     LazyLocalSearch(pool, current, snap);
   } else {
     EagerLocalSearch(pool, current, snap);

@@ -30,7 +30,7 @@
 //     queries — the common steady-state outcome. Bounds at or below the
 //     incumbent never enter the swap-phase heap: they could never be
 //     resolved or returned.
-//   * The serial swap phase gets every slot's bounds from one swap
+//   * The swap phase gets every slot's bounds from one swap
 //     reference: the phase-1 cascade of S itself, with the vertices
 //     whose state differs under some slot base S∖{u_i} marked dirty.
 //     One marginal probe per pool vertex then gives its exact bound for
@@ -40,6 +40,14 @@
 //
 //   Both accelerations preserve bit-identical anchors versus the eager
 //   loop (enforced by tests/lazy_greedy_test.cc).
+//
+// Threads (IncAvtOptions::num_threads) never change the search: every
+// thread count runs the same lazy (or eager) loops, and the engine's
+// workers split only read-only passes whose results are pure functions
+// of their inputs — the pool walk of step 3 (merged back by sort +
+// unique) and the reference pass of step 4 (index-addressed marginals
+// of one shared reference). Pools, anchors and work counters are
+// therefore bit-identical at every thread count.
 //
 // The pool is usually tiny relative to the full Theorem-3 candidate set —
 // that is the entire advantage the paper measures in Figures 4/6/8.
@@ -76,11 +84,14 @@ struct IncAvtOptions {
   /// reference (see file comment). Bit-identical anchors to the eager
   /// loop.
   bool lazy = true;
-  /// Trial-engine worker count for the slot-trial local search (and the
-  /// first snapshot's greedy solve); <= 1 runs serial. Parallel slot
-  /// trials keep the bound gating; anchors and work counters stay
-  /// bit-identical to the serial loops at every thread count
-  /// (tests/parallel_determinism_test.cc).
+  /// Trial-engine worker count; <= 1 runs everything serial. Every
+  /// thread count runs the same searches; the workers split the
+  /// read-only passes that dominate a delta: the Theorem-3 pool walk,
+  /// the lazy search's swap-reference pass, the eager search's full
+  /// queries, the extend phase's bounds and the first snapshot's greedy
+  /// solve. Each fan-out has a size cutover below which worker 0 runs
+  /// it alone. Anchors, pools and work counters are bit-identical at
+  /// every thread count (tests/parallel_determinism_test.cc).
   uint32_t num_threads = 1;
   /// Delta-transaction width the tracker requests from the driving
   /// engine (AvtEngine honors it via AvtTracker::PreferredBatchSize).
@@ -141,19 +152,41 @@ class IncAvtTracker : public AvtTracker {
   /// anchors are tracked outside the k-core).
   uint32_t KCoreSize() const;
 
+  /// Per-worker scratch of the pool walk: `seen` marks the vertices
+  /// the worker filtered this delta (reset from `touched`, never by an
+  /// O(n) clear) and `pooled` collects its Theorem-3 candidates. One
+  /// byte per vertex per worker, sized once per universe.
+  struct PoolWalker {
+    std::vector<uint8_t> seen;
+    std::vector<VertexId> touched;
+    std::vector<VertexId> pooled;
+    void Reset() {
+      for (VertexId v : touched) seen[v] = 0;
+      touched.clear();
+    }
+  };
+
+  /// Filters v (when begin == 0) and entries [begin, end) of its
+  /// adjacency once per walker: non-anchor Theorem-3 candidates go to
+  /// walker.pooled. Reads only the maintainer and is_anchor_.
+  void Walk(PoolWalker& walker, VertexId v, uint32_t begin,
+            uint32_t end) const;
+
   /// Local search over `pool` (already sorted), replicating the eager
   /// swap + extend loops with bound gating. Updates
   /// anchors_/is_anchor_/current; returns work counters via snap.
   void LazyLocalSearch(const std::vector<VertexId>& pool, uint32_t& current,
                        AvtSnapshotResult& snap);
+  /// Algorithm 6's loops with one full query per trial, each slot one
+  /// eager TrialEngine::Evaluate.
   void EagerLocalSearch(const std::vector<VertexId>& pool, uint32_t& current,
                         AvtSnapshotResult& snap);
-  /// num_threads > 1: the same slot loops fanned out over the trial
-  /// engine — per-slot sharded evaluation (bound-gated when lazy),
-  /// deterministic (followers desc, id asc) reduction, identical commits
-  /// to the serial searches.
-  void ParallelLocalSearch(const std::vector<VertexId>& pool,
-                           uint32_t& current, AvtSnapshotResult& snap);
+  /// Fills S up to l from the pool (argmax trial per step, no incumbent
+  /// gate) with one TrialEngine::Evaluate per added anchor.
+  void ExtendPhase(const std::vector<VertexId>& pool, uint32_t& current,
+                   AvtSnapshotResult& snap);
+  /// live_ := the pool minus the current anchors.
+  void CollectLive(const std::vector<VertexId>& pool);
 
   uint32_t k_;
   uint32_t l_;
@@ -161,29 +194,38 @@ class IncAvtTracker : public AvtTracker {
   IncAvtOptions options_;
   size_t t_ = 0;
   CoreMaintainer maintainer_;
-  /// The tracker's only oracles: max(1, num_threads) workers bound to the
-  /// maintainer's graph/order (shared read-only). Worker 0 doubles as
-  /// the serial oracle (greedy final count, serial local searches,
-  /// incumbent queries); num_threads > 1 adds the parallel slot-trial
-  /// evaluation. Created by the first ProcessFirst and kept for the
-  /// tracker's lifetime.
+  /// The tracker's only oracles and threads: max(1, num_threads) workers
+  /// bound to the maintainer's graph/order (shared read-only). Worker 0
+  /// is the serial oracle: greedy's final count, the incumbent queries,
+  /// the swap reference, dirty per-slot probes and every pop-resolve.
+  /// With num_threads > 1 the workers also split the pool walk, the
+  /// swap-reference pass and the eager/extend Evaluate calls. Created by
+  /// the first ProcessFirst and kept for the tracker's lifetime.
   std::unique_ptr<TrialEngine> engine_;
   std::vector<VertexId> anchors_;
   /// Per-vertex scratch, sized once per universe so ProcessDelta neither
-  /// allocates nor clears anything n-sized. pool_state_ memoizes the
-  /// Theorem-3 verdict per vertex within one delta — vertices reachable
-  /// from several impacted vertices are filtered once, not per
-  /// appearance — and is reset from pool_seen_. is_anchor_ mirrors
-  /// anchors_ (set by ProcessFirst, updated by every commit) and is read
-  /// by the pool filter and the local searches.
-  enum : uint8_t { kUnseen = 0, kRejected = 1, kPooled = 2 };
-  std::vector<uint8_t> pool_state_;
-  std::vector<VertexId> pool_seen_;  // vertices whose pool_state_ is set
+  /// allocates nor clears anything n-sized: one pool walker per engine
+  /// worker (walkers_[0] alone below the fan-out cutover), and
+  /// is_anchor_, which mirrors anchors_ (set by ProcessFirst, updated by
+  /// every commit) and is read by the pool filter and the local
+  /// searches.
+  std::vector<PoolWalker> walkers_;
   std::vector<uint8_t> is_anchor_;
   std::vector<VertexId> pool_;
-  /// Swap-reference scratch for the serial lazy search: one
-  /// SwapMarginal per pool_ entry and one phase-1 count per slot base.
-  /// Pool- and l-sized, reused across deltas.
+  std::vector<VertexId> live_;  // CollectLive's output
+  /// The split pool walk's work items: [begin, end) of one impacted
+  /// vertex's adjacency (begin == 0 also filters the vertex itself).
+  struct WalkSlice {
+    VertexId vertex;
+    uint32_t begin;
+    uint32_t end;
+  };
+  static constexpr uint32_t kWalkSlice = 512;
+  std::vector<WalkSlice> slices_;
+  /// Swap-reference scratch for the lazy search: one SwapMarginal per
+  /// pool_ entry, index-addressed so the workers that fill it never
+  /// share a slot, and one phase-1 count per slot base. Pool- and
+  /// l-sized, reused across deltas.
   std::vector<int32_t> swap_marginals_;
   std::vector<uint32_t> slot_counts_;
 };

@@ -1,7 +1,6 @@
 #include "maint/maintainer.h"
 
 #include <algorithm>
-#include <queue>
 
 namespace avt {
 
@@ -47,10 +46,12 @@ void CoreMaintainer::EnsureVertices(VertexId count) {
 }
 
 size_t CoreMaintainer::MemoryFootprint() const {
+  auto bytes = [](const auto& v) { return v.capacity() * sizeof(v[0]); };
   return graph_.MemoryFootprint() + order_.MemoryFootprint() +
-         nbr_counts_.capacity() * sizeof(NeighborCounts) +
-         scratch_.MemoryFootprint() + affected_mark_.MemoryFootprint() +
-         affected_list_.capacity() * sizeof(VertexId);
+         bytes(nbr_counts_) + scratch_.MemoryFootprint() +
+         affected_mark_.MemoryFootprint() + bytes(affected_list_) +
+         bytes(heap_) + bytes(visited_) + bytes(candidates_) +
+         bytes(review_) + bytes(moved_) + bytes(promoted_) + bytes(seeds_);
 }
 
 void CoreMaintainer::RecountNeighbors(VertexId v) {
@@ -107,19 +108,25 @@ void CoreMaintainer::RunInsertCascade(VertexId root, uint32_t level) {
   // Forward pass in K-order position over level `level`, visiting only
   // affected vertices (root + vertices whose candidate degree turned
   // positive). Pops are ordered by tag, so every vertex is popped after
-  // all candidates that precede it have been decided.
-  using HeapEntry = std::pair<uint64_t, VertexId>;  // (tag, vertex)
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>,
-                      std::greater<HeapEntry>>
-      heap;
-  heap.emplace(order_.TagOf(root), root);
+  // all candidates that precede it have been decided. Tags are unique
+  // within a level, so the pop order is fixed by the keys alone.
+  std::vector<HeapEntry>& heap = heap_;
+  std::vector<VertexId>& visited = visited_;
+  std::vector<VertexId>& candidates_in_order = candidates_;
+  heap.clear();
+  visited.clear();
+  candidates_in_order.clear();
+  auto push = [&heap](uint64_t tag, VertexId v) {
+    heap.emplace_back(tag, v);
+    std::push_heap(heap.begin(), heap.end(), std::greater<HeapEntry>{});
+  };
+  push(order_.TagOf(root), root);
   scratch_.Mutable(root).flags |= kInHeap;
 
-  std::vector<VertexId> visited;
-  std::vector<VertexId> candidates_in_order;
   while (!heap.empty()) {
-    auto [tag, w] = heap.top();
-    heap.pop();
+    std::pop_heap(heap.begin(), heap.end(), std::greater<HeapEntry>{});
+    const VertexId w = heap.back().second;
+    heap.pop_back();
     visited.push_back(w);
     MarkAffected(w);
     ++stats_.visited;
@@ -137,26 +144,28 @@ void CoreMaintainer::RunInsertCascade(VertexId root, uint32_t level) {
       ++next.count;  // deg-
       if (!(next.flags & kInHeap)) {
         next.flags |= kInHeap;
-        heap.emplace(order_.TagOf(x), x);
+        push(order_.TagOf(x), x);
       }
     }
   }
 
   // Elimination to fixpoint with exact support counts. Support of a
   // candidate = neighbors already above `level` + surviving candidates.
-  std::queue<VertexId> review;
+  // review_ is the FIFO (a head index, not a std::queue).
+  std::vector<VertexId>& review = review_;
+  review.clear();
   for (VertexId w : candidates_in_order) {
     uint32_t support = 0;
     for (VertexId x : graph_.Neighbors(w)) {
       if (order_.CoreOf(x) > level || HasFlag(x, kCandidate)) ++support;
     }
     scratch_.Mutable(w).support = support;
-    if (support <= level) review.push(w);
+    if (support <= level) review.push_back(w);
   }
-  std::vector<VertexId> eliminated_in_order;
-  while (!review.empty()) {
-    VertexId w = review.front();
-    review.pop();
+  std::vector<VertexId>& eliminated_in_order = moved_;
+  eliminated_in_order.clear();
+  for (size_t head = 0; head < review.size(); ++head) {
+    const VertexId w = review[head];
     CascadeSlot& slot = scratch_.Mutable(w);
     if (slot.flags & kEliminated) continue;
     if (slot.support > level) continue;  // revived support? impossible,
@@ -165,13 +174,14 @@ void CoreMaintainer::RunInsertCascade(VertexId root, uint32_t level) {
     eliminated_in_order.push_back(w);
     for (VertexId x : graph_.Neighbors(w)) {
       if (!HasFlag(x, kCandidate)) continue;  // eliminated clears it
-      if (--scratch_.Mutable(x).support <= level) review.push(x);
+      if (--scratch_.Mutable(x).support <= level) review.push_back(x);
     }
   }
 
   // Apply moves. Survivors rise to level+1, entering at the front in
   // their original relative order (push front in reverse pop order).
-  std::vector<VertexId> promoted;
+  std::vector<VertexId>& promoted = promoted_;
+  promoted.clear();
   for (VertexId w : candidates_in_order) {
     if (!HasFlag(w, kEliminated)) promoted.push_back(w);
   }
@@ -223,10 +233,10 @@ bool CoreMaintainer::RemoveEdge(VertexId u, VertexId v) {
   const uint32_t level = std::min(ku, kv);
   if (level == 0) return true;  // an endpoint already at core 0 (only
                                 // possible transiently; nothing to drop).
-  std::vector<VertexId> seeds;
-  if (ku == level) seeds.push_back(u);
-  if (kv == level && v != u) seeds.push_back(v);
-  RunRemoveCascade(seeds, level);
+  seeds_.clear();
+  if (ku == level) seeds_.push_back(u);
+  if (kv == level && v != u) seeds_.push_back(v);
+  RunRemoveCascade(seeds_, level);
   return true;
 }
 
@@ -248,17 +258,18 @@ void CoreMaintainer::RunRemoveCascade(const std::vector<VertexId>& seeds,
     slot.flags |= kCdSet;
   };
 
-  std::queue<VertexId> review;
+  std::vector<VertexId>& review = review_;  // FIFO, head index
+  review.clear();
   for (VertexId s : seeds) {
     touch(s);
     ++stats_.visited;
-    if (scratch_.Get(s).count < level) review.push(s);
+    if (scratch_.Get(s).count < level) review.push_back(s);
   }
 
-  std::vector<VertexId> dropped_in_order;
-  while (!review.empty()) {
-    VertexId w = review.front();
-    review.pop();
+  std::vector<VertexId>& dropped_in_order = moved_;
+  dropped_in_order.clear();
+  for (size_t head = 0; head < review.size(); ++head) {
+    const VertexId w = review[head];
     CascadeSlot& slot = scratch_.Mutable(w);
     if (slot.flags & kDropped) continue;
     if (slot.count >= level) continue;
@@ -273,7 +284,7 @@ void CoreMaintainer::RunRemoveCascade(const std::vector<VertexId>& seeds,
         touch(x);  // already reflects w's drop via the kDropped test
         ++stats_.visited;
       }
-      if (scratch_.Get(x).count < level) review.push(x);
+      if (scratch_.Get(x).count < level) review.push_back(x);
     }
   }
   if (dropped_in_order.empty()) return;

@@ -58,6 +58,7 @@
 #define AVT_MAINT_MAINTAINER_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "corelib/korder.h"
@@ -218,6 +219,19 @@ class CoreMaintainer {
 
   // Cascade scratch (sized to vertex count by Reset()).
   EpochArray<CascadeSlot> scratch_;
+
+  // Cascade work lists, reused across edge operations (cleared, never
+  // shrunk, so a steady stream allocates nothing per cascade). At most
+  // one cascade runs at a time, so the insertion and removal cascades
+  // share the FIFO and the moved list.
+  using HeapEntry = std::pair<uint64_t, VertexId>;  // (tag, vertex)
+  std::vector<HeapEntry> heap_;        // insertion: min-heap on tag
+  std::vector<VertexId> visited_;      // insertion: pop order
+  std::vector<VertexId> candidates_;   // insertion: candidates in pop order
+  std::vector<VertexId> review_;       // elimination / drop FIFO
+  std::vector<VertexId> moved_;        // eliminated / dropped, in order
+  std::vector<VertexId> promoted_;     // insertion survivors
+  std::vector<VertexId> seeds_;        // RemoveEdge's cascade seeds
 
   // Batch-level affected set (valid during ApplyDelta).
   EpochArray<uint8_t> affected_mark_;

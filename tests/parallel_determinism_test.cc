@@ -182,6 +182,9 @@ TEST(ParallelIncAvt, BitIdenticalAcrossThreadCountsAndChurn) {
           EXPECT_EQ(parallel.probes[t], serial.probes[t])
               << "seed " << seed << " lazy=" << lazy << " threads="
               << threads << " t=" << t;
+          EXPECT_EQ(parallel.references[t], serial.references[t])
+              << "seed " << seed << " lazy=" << lazy << " threads="
+              << threads << " t=" << t;
         }
       }
     }
@@ -197,12 +200,13 @@ TEST(ParallelIncAvt, BitIdenticalAcrossThreadCountsAndChurn) {
 }
 
 TEST(ParallelIncAvt, MidSwapCommitRebuildsTheSwapReference) {
-  // The serial lazy search bounds every slot from one swap reference of
-  // the anchor set; a commit at slot 0 of three changes that set with
-  // two slots left, so the reference is rebuilt for slot 1. Streams
-  // that commit there must stay identical lazy vs eager and serial vs
-  // parallel (counters included), and the rebuild must really run:
-  // exactly two references on such a delta, at most one otherwise.
+  // The lazy search bounds every slot from one swap reference of the
+  // anchor set, at every thread count; a commit at slot 0 of three
+  // changes that set with two slots left, so the reference is rebuilt
+  // for slot 1. Streams that commit there must stay identical lazy vs
+  // eager and serial vs parallel (counters and references included),
+  // and the rebuild must really run: exactly two references on such a
+  // delta, at most one otherwise.
   constexpr uint32_t kK = 3;
   constexpr uint32_t kL = 3;
   size_t rebuilds = 0;
@@ -227,6 +231,7 @@ TEST(ParallelIncAvt, MidSwapCommitRebuildsTheSwapReference) {
       EXPECT_EQ(parallel.followers[t], lazy.followers[t]) << what;
       EXPECT_EQ(parallel.candidates[t], lazy.candidates[t]) << what;
       EXPECT_EQ(parallel.probes[t], lazy.probes[t]) << what;
+      EXPECT_EQ(parallel.references[t], lazy.references[t]) << what;
       if (lazy.anchors[t][0] != lazy.anchors[t - 1][0]) {
         EXPECT_EQ(lazy.references[t], 2u) << what;
         ++rebuilds;
@@ -236,6 +241,61 @@ TEST(ParallelIncAvt, MidSwapCommitRebuildsTheSwapReference) {
     }
   }
   EXPECT_GT(rebuilds, 0u) << "no slot-0 commit; the rebuild never ran";
+}
+
+TEST(ParallelIncAvt, LargePoolsFanOutAndStayBitIdentical) {
+  // Every delta's pool is big enough for the engine to split the swap
+  // reference pass (and the impacted set big enough to split the pool
+  // walk) at T = 2 and 8. bound_probes sums one live count per slot, so
+  // bound_probes / l is a lower bound on the pool size; each delta must
+  // clear the fan-out cutover by it, and some probe must really run on
+  // a worker other than 0. The outputs and counters must still be
+  // those of T = 1.
+  constexpr uint32_t kK = 3;
+  constexpr uint32_t kL = 4;
+  Rng rng(4800);
+  Graph g0 = ChungLuPowerLaw(3000, 6.0, 2.2, 60, rng);
+  ChurnOptions churn;
+  churn.num_snapshots = 8;
+  churn.min_churn = 80;
+  churn.max_churn = 120;
+  SnapshotSequence sequence = MakeChurnSnapshots(g0, churn, rng);
+  const TrackTrace serial = RunIncAvt(sequence, kK, kL, true, 1);
+  for (uint32_t threads : {2u, 8u}) {
+    IncAvtOptions options;
+    options.num_threads = threads;
+    IncAvtTracker tracker(kK, kL, IncAvtMode::kRestricted, options);
+    uint64_t off_worker_zero = 0;
+    sequence.ForEachSnapshot([&](size_t t, const Graph& graph,
+                                 const EdgeDelta& delta) {
+      const std::string what =
+          "threads=" + std::to_string(threads) + " t=" + std::to_string(t);
+      if (t == 0) {
+        EXPECT_EQ(tracker.ProcessFirst(graph).anchors, serial.anchors[0]);
+        return;
+      }
+      const TrialEngine& engine = *tracker.trial_engine();
+      uint64_t before = 0;
+      for (uint32_t w = 1; w < threads; ++w) {
+        before += engine.oracle(w).stats().bound_queries;
+      }
+      const AvtSnapshotResult snap = tracker.ProcessDelta(delta);
+      EXPECT_GT(snap.bound_probes,
+                uint64_t{kL} * threads * TrialEngine::kMinProbesPerWorker)
+          << what;
+      uint64_t after = 0;
+      for (uint32_t w = 1; w < threads; ++w) {
+        after += engine.oracle(w).stats().bound_queries;
+      }
+      off_worker_zero += after - before;
+      EXPECT_EQ(snap.anchors, serial.anchors[t]) << what;
+      EXPECT_EQ(snap.num_followers, serial.followers[t]) << what;
+      EXPECT_EQ(snap.candidates_visited, serial.candidates[t]) << what;
+      EXPECT_EQ(snap.bound_probes, serial.probes[t]) << what;
+    });
+    EXPECT_GT(off_worker_zero, 0u)
+        << "threads=" << threads << ": no probe left worker 0";
+  }
 }
 
 TEST(ParallelIncAvt, WiderPoolModeStaysDeterministic) {

@@ -57,12 +57,15 @@ TEST(WorkProportionality, PaddedUniverseDoesIdenticalWorkPerDelta) {
     Graph padded = g0;
     for (VertexId i = 0; i < 8 * g0.NumVertices(); ++i) padded.AddVertex();
 
+    std::vector<DeltaWork> serial;
     for (uint32_t threads : {1u, 2u}) {
       const std::vector<DeltaWork> plain =
           Replay(g0, sequence.deltas(), threads);
       const std::vector<DeltaWork> wide =
           Replay(padded, sequence.deltas(), threads);
       ASSERT_EQ(plain.size(), wide.size());
+      if (threads == 1) serial = plain;
+      ASSERT_EQ(plain.size(), serial.size());
       uint64_t followers = 0;
       for (size_t t = 0; t < plain.size(); ++t) {
         const std::string what = "seed " + std::to_string(seed) +
@@ -72,6 +75,10 @@ TEST(WorkProportionality, PaddedUniverseDoesIdenticalWorkPerDelta) {
         EXPECT_EQ(plain[t].followers, wide[t].followers) << what;
         EXPECT_EQ(plain[t].full_queries, wide[t].full_queries) << what;
         EXPECT_EQ(plain[t].bound_probes, wide[t].bound_probes) << what;
+        // The split pool walk and reference pass change no decision.
+        EXPECT_EQ(plain[t].anchors, serial[t].anchors) << what;
+        EXPECT_EQ(plain[t].full_queries, serial[t].full_queries) << what;
+        EXPECT_EQ(plain[t].bound_probes, serial[t].bound_probes) << what;
         const MaintenanceStats& a = plain[t].maintenance;
         const MaintenanceStats& b = wide[t].maintenance;
         EXPECT_EQ(a.edges_inserted, b.edges_inserted) << what;
@@ -94,10 +101,12 @@ TEST(WorkProportionality, PoolIsRebuiltFromScratchEveryDelta) {
   // replays the churn, the Theorem-3 pool over impacted ∪ N(impacted)
   // minus the anchors is recomputed from it, and on every delta that
   // commits nothing the lazy search must have probed each pool vertex
-  // once per anchor slot. The serial search gets those bounds from one
+  // once per anchor slot. The search gets those bounds from one
   // swap-reference probe per pool vertex plus per-slot probes for the
-  // few dirty ones, so its oracle runs strictly fewer bound queries than
-  // that — and exactly as many on the 8x padded universe.
+  // few dirty ones, so its oracles run strictly fewer bound queries than
+  // that — exactly as many on the 8x padded universe, and as many at
+  // two threads (the pool walk and the reference pass split across the
+  // workers) as at one.
   Rng rng(7200);
   const Graph g0 = ChungLuPowerLaw(1500, 8.0, 2.2, 100, rng);
   ChurnOptions churn;
@@ -109,6 +118,7 @@ TEST(WorkProportionality, PoolIsRebuiltFromScratchEveryDelta) {
   constexpr uint32_t kL = 4;
   Graph padded = g0;
   for (VertexId i = 0; i < 8 * g0.NumVertices(); ++i) padded.AddVertex();
+  std::vector<uint64_t> serial_queries;  // per delta, at one thread
   for (uint32_t threads : {1u, 2u}) {
     IncAvtOptions options;
     options.num_threads = threads;
@@ -120,7 +130,12 @@ TEST(WorkProportionality, PoolIsRebuiltFromScratchEveryDelta) {
     ASSERT_EQ(wide.ProcessFirst(padded).anchors, anchors);
     ASSERT_EQ(anchors.size(), kL);
     auto bound_queries = [](const IncAvtTracker& t) {
-      return t.trial_engine()->serial_oracle().stats().bound_queries;
+      const TrialEngine& engine = *t.trial_engine();
+      uint64_t total = 0;
+      for (uint32_t w = 0; w < engine.num_threads(); ++w) {
+        total += engine.oracle(w).stats().bound_queries;
+      }
+      return total;
     };
     size_t checked = 0;
     size_t shared = 0;
@@ -143,23 +158,25 @@ TEST(WorkProportionality, PoolIsRebuiltFromScratchEveryDelta) {
       const AvtSnapshotResult snap = tracker.ProcessDelta(delta);
       ASSERT_EQ(wide.ProcessDelta(delta).anchors, snap.anchors);
       const uint64_t queries = bound_queries(tracker) - queries_before;
+      const std::string what =
+          "threads=" + std::to_string(threads) + " t=" + std::to_string(snap.t);
+      if (threads == 1) serial_queries.push_back(queries);
+      ASSERT_LT(snap.t - 1, serial_queries.size()) << what;
+      EXPECT_EQ(queries, serial_queries[snap.t - 1]) << what;
       if (snap.anchors == anchors) {
-        EXPECT_EQ(snap.bound_probes, kL * pool)
-            << "threads=" << threads << " t=" << snap.t;
+        EXPECT_EQ(snap.bound_probes, kL * pool) << what;
         ++checked;
-        if (threads == 1 && pool > 0) {
-          EXPECT_LT(queries, kL * pool) << "t=" << snap.t;
+        if (pool > 0) {
+          EXPECT_LT(queries, kL * pool) << what;
           EXPECT_EQ(bound_queries(wide) - wide_queries_before, queries)
-              << "t=" << snap.t;
+              << what;
           ++shared;
         }
       }
       anchors = snap.anchors;
     }
     EXPECT_GT(checked, 0u) << "every delta committed; nothing pinned";
-    if (threads == 1) {
-      EXPECT_GT(shared, 0u) << "no shared-bound delta";
-    }
+    EXPECT_GT(shared, 0u) << "no shared-bound delta";
   }
 }
 
