@@ -11,9 +11,8 @@
 #                                # trial engine's determinism battery,
 #                                # the cold-start suite (shared worker-0
 #                                # oracle), the work-proportionality
-#                                # suite (split pool walk + reference
-#                                # pass at two threads) + thread-pool
-#                                # units under TSan
+#                                # suite (one vs two threads) +
+#                                # thread-pool units under TSan
 #
 # Any extra arguments after the mode flag are forwarded to ctest.
 

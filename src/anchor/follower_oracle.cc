@@ -205,13 +205,13 @@ void FollowerOracle::BuildBase(std::span<const VertexId> anchors,
 }
 
 template <bool kCheckDirty, typename Adjacency>
-int32_t FollowerOracle::MarginalUpperBoundImpl(
-    const Adjacency& adj, const EpochArray<CascadeState>& base, uint32_t k,
-    VertexId x) {
+int32_t FollowerOracle::MarginalUpperBoundImpl(const Adjacency& adj,
+                                               VertexId x) {
+  const uint32_t k = base_k_;
   overlay_.Clear();  // probe reset: one epoch bump, no O(n) work
   heap_.clear();
 
-  const uint8_t x_flags = base.Get(x).flags;
+  const uint8_t x_flags = base_.Get(x).flags;
   if (kCheckDirty && (x_flags & kDirty)) return kDirtyMarginal;
   if (x_flags & kAnchor) return 0;  // trial set == base set
   if (x_flags & kCandidate) {
@@ -237,7 +237,7 @@ int32_t FollowerOracle::MarginalUpperBoundImpl(
   constexpr uint8_t kSettled = kAnchor | kCandidate;
   for (VertexId w : adj.Neighbors(x)) {
     if (order_->CoreOf(w) >= k || !order_->Precedes(x, w)) continue;
-    const uint8_t w_flags = base.Get(w).flags;
+    const uint8_t w_flags = base_.Get(w).flags;
     if (kCheckDirty && (w_flags & kDirty)) return kDirtyMarginal;
     if (w_flags & kSettled) continue;
     CascadeState& o = overlay_.Mutable(w);
@@ -256,7 +256,7 @@ int32_t FollowerOracle::MarginalUpperBoundImpl(
     std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
     heap_.pop_back();
     ++stats_.visited;
-    const CascadeState b = base.Get(w);
+    const CascadeState b = base_.Get(w);
     CascadeState& o = overlay_.Mutable(w);
     uint64_t upper = static_cast<uint64_t>(order_->DegPlus(w)) + b.bump +
                      o.bump + b.deg_minus + o.deg_minus;
@@ -267,7 +267,7 @@ int32_t FollowerOracle::MarginalUpperBoundImpl(
       if (order_->CoreOf(z) >= k || z == x || !order_->Precedes(w, z)) {
         continue;
       }
-      const uint8_t z_flags = base.Get(z).flags;
+      const uint8_t z_flags = base_.Get(z).flags;
       if (kCheckDirty && (z_flags & kDirty)) return kDirtyMarginal;
       if (z_flags & kSettled) continue;
       CascadeState& oz = overlay_.Mutable(z);
@@ -286,8 +286,7 @@ uint32_t FollowerOracle::MarginalUpperBound(VertexId x) {
   return WithAdjacency([&](const auto& adj) {
     return static_cast<uint32_t>(
         static_cast<int64_t>(base_count_) +
-        MarginalUpperBoundImpl</*kCheckDirty=*/false>(adj, base_, base_k_,
-                                                      x));
+        MarginalUpperBoundImpl</*kCheckDirty=*/false>(adj, x));
   });
 }
 
@@ -323,15 +322,12 @@ void FollowerOracle::BuildSwapReference(std::span<const VertexId> anchors,
   });
 }
 
-int32_t FollowerOracle::SwapMarginal(const FollowerOracle& reference,
-                                     VertexId x) {
-  AVT_DCHECK(reference.base_valid_);
-  AVT_DCHECK(reference.graph_ == graph_ && reference.order_ == order_);
+int32_t FollowerOracle::SwapMarginal(VertexId x) {
+  AVT_DCHECK(base_valid_);
   ++stats_.bound_queries;
-  if (reference.base_k_ == 0) return 0;
+  if (base_k_ == 0) return 0;
   return WithAdjacency([&](const auto& adj) {
-    return MarginalUpperBoundImpl</*kCheckDirty=*/true>(
-        adj, reference.base_, reference.base_k_, x);
+    return MarginalUpperBoundImpl</*kCheckDirty=*/true>(adj, x);
   });
 }
 

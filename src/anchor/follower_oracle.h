@@ -181,15 +181,7 @@ class FollowerOracle {
   /// candidate, 0 if a base anchor, otherwise the count x's marginal
   /// cascade adds; kDirtyMarginal as soon as the probe reads a kDirty
   /// vertex. Counts as one bound query.
-  int32_t SwapMarginal(VertexId x) { return SwapMarginal(*this, x); }
-
-  /// The same probe against `reference`'s resident swap reference: it
-  /// reads reference's base records (never writes them) and writes only
-  /// this oracle's overlay, heap and stats, so several oracles bound to
-  /// the same graph and K-order may probe one reference concurrently
-  /// while the reference is not rebuilt. The result equals
-  /// reference.SwapMarginal(x).
-  int32_t SwapMarginal(const FollowerOracle& reference, VertexId x);
+  int32_t SwapMarginal(VertexId x);
 
   const OracleStats& stats() const { return stats_; }
   void ResetStats() { stats_.Reset(); }
@@ -246,14 +238,11 @@ class FollowerOracle {
                       std::vector<VertexId>* candidates_out);
 
   /// The marginal probe body shared by MarginalUpperBound and
-  /// SwapMarginal: x's phase-1 delta over the base cascade `base` at
-  /// threshold k (this oracle's resident base, or another oracle's swap
-  /// reference). With kCheckDirty it returns kDirtyMarginal on the first
-  /// kDirty base record it reads.
+  /// SwapMarginal: x's phase-1 delta over the resident base. With
+  /// kCheckDirty it returns kDirtyMarginal on the first kDirty base
+  /// record it reads.
   template <bool kCheckDirty, typename Adjacency>
-  int32_t MarginalUpperBoundImpl(const Adjacency& adj,
-                                 const EpochArray<CascadeState>& base,
-                                 uint32_t k, VertexId x);
+  int32_t MarginalUpperBoundImpl(const Adjacency& adj, VertexId x);
 
   /// Single definition of the backing precedence (frozen snapshot, then
   /// the graph): every query entry point dispatches through this so the

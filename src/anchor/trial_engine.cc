@@ -56,29 +56,6 @@ size_t TrialEngine::MemoryFootprint() const {
   return bytes;
 }
 
-void TrialEngine::SwapMarginals(std::span<const VertexId> pool,
-                                std::span<const uint8_t> is_anchor,
-                                std::span<int32_t> out) {
-  FollowerOracle& reference = *oracles_[0];
-  AVT_DCHECK(reference.HasBase());
-  if (pool_ == nullptr ||
-      pool.size() < static_cast<size_t>(num_threads_) * kMinProbesPerWorker) {
-    for (size_t j = 0; j < pool.size(); ++j) {
-      if (!is_anchor[pool[j]]) out[j] = reference.SwapMarginal(pool[j]);
-    }
-    return;
-  }
-  // Worker 0 probes its own resident reference; the others read it
-  // through SwapMarginal(reference, x). Nobody writes a base record
-  // until the call returns.
-  ParallelFor(pool_.get(), pool.size(), /*grain=*/16,
-              [&](uint32_t w, size_t j) {
-                const VertexId x = pool[j];
-                if (is_anchor[x]) return;
-                out[j] = oracles_[w]->SwapMarginal(reference, x);
-              });
-}
-
 uint64_t TrialEngine::CascadeVisited() const {
   uint64_t total = 0;
   for (const auto& oracle : oracles_) total += oracle->stats().visited;

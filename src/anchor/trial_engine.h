@@ -7,10 +7,8 @@
 // tie-break smallest id — optionally restricted to counts strictly above
 // an incumbent floor? That is Evaluate. IncAVT's lazy swap phase asks a
 // different one — every pool vertex's marginal over ONE shared swap
-// reference held by worker 0 — and SwapMarginals splits exactly that
-// pass: each worker probes the reference read-only from its own overlay
-// into an index-addressed slot. IncAVT also borrows the workers
-// (workers()) for its read-only pool walk.
+// reference — and answers it serially on worker 0's oracle
+// (serial_oracle()).
 //
 // Every trial is a pure function of the shared read-only (graph,
 // K-order[, CSR]) triple, so trials are embarrassingly parallel; what
@@ -97,29 +95,24 @@ class TrialEngine {
   TrialEngine(const Graph* graph, const KOrder* order, const CsrView* csr,
               uint32_t num_threads);
 
-  /// Below this many probes per worker a fan-out costs more than the
-  /// probes it spreads (fork-join wakeup, and for Evaluate a base-cascade
-  /// rebuild per worker); the serial path computes identical values, so
-  /// the cutover changes nothing observable. (BENCH_PR3's IncAVT arm
-  /// lost 1.4x at 8 threads precisely because steady-state pools are
-  /// this small.)
+  /// Below this many probes per worker Evaluate stays on worker 0: the
+  /// fork-join wakeup plus the per-worker base-cascade rebuild cost more
+  /// than the probes they spread; the serial path computes the identical
+  /// bounds, so the cutover changes nothing observable. (BENCH_PR3's
+  /// IncAVT arm lost 1.4x at 8 threads precisely because steady-state
+  /// pools are this small.)
   static constexpr size_t kMinProbesPerWorker = 8;
 
   uint32_t num_threads() const { return num_threads_; }
-
-  /// The engine's fork-join workers (null when num_threads() == 1), for
-  /// callers that split their own read-only passes over the same
-  /// workers — IncAVT's pool walk. Not reentrant with Evaluate or
-  /// SwapMarginals.
-  ThreadPool* workers() const { return pool_.get(); }
 
   /// Worker w's oracle (w < num_threads()), for per-worker stats.
   const FollowerOracle& oracle(uint32_t w) const { return *oracles_[w]; }
 
   /// Worker 0's oracle: the serial path and pop-resolver of Evaluate, and
   /// the serial oracle of every caller sharing this engine (the greedy
-  /// final follower count, IncAVT's serial local search and incumbent
-  /// queries) — so a caller never needs an oracle of its own. Use it
+  /// final follower count, IncAVT's swap-reference pass, pop-resolves
+  /// and incumbent queries) — so a caller never needs an oracle of its
+  /// own. Use it
   /// between Evaluate calls only.
   FollowerOracle& serial_oracle() { return *oracles_[0]; }
   const FollowerOracle& serial_oracle() const { return *oracles_[0]; }
@@ -140,17 +133,6 @@ class TrialEngine {
   TrialOutcome Evaluate(std::span<const VertexId> live,
                         std::span<const VertexId> base, uint32_t k,
                         const TrialPolicy& policy);
-
-  /// out[j] = serial_oracle().SwapMarginal(pool[j]) for every j with
-  /// !is_anchor[pool[j]]; the other entries are left untouched. The
-  /// serial oracle must hold the swap reference (BuildSwapReference).
-  /// Pools of at least num_threads() * kMinProbesPerWorker vertices are
-  /// split across the workers, each probing the shared reference from
-  /// its own overlay; every value is a pure function of the reference,
-  /// so `out` is identical at every thread count.
-  void SwapMarginals(std::span<const VertexId> pool,
-                     std::span<const uint8_t> is_anchor,
-                     std::span<int32_t> out);
 
   /// Total cascade vertices visited across all worker oracles (the
   /// solver-level cascade_visited metric).

@@ -6,7 +6,6 @@
 #include "anchor/anchored_core.h"
 #include "anchor/candidates.h"
 #include "anchor/greedy.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace avt {
@@ -70,15 +69,11 @@ AvtSnapshotResult IncAvtTracker::ProcessFirst(const Graph& g0) {
       greedy.PickFrom(maintainer_.CollectCandidates(), *engine_, k_, l_);
   anchors_ = first.anchors;
 
-  walkers_.resize(engine_->num_threads());
-  for (PoolWalker& walker : walkers_) {
-    walker.seen.assign(g0.NumVertices(), 0);
-    walker.touched.clear();
-    walker.pooled.clear();
-  }
+  pool_state_.assign(g0.NumVertices(), kUnseen);
   is_anchor_.assign(g0.NumVertices(), 0);
   for (VertexId a : anchors_) is_anchor_[a] = 1;
   pool_.clear();
+  pool_seen_.clear();
 
   snap.anchors = anchors_;
   snap.num_followers = first.num_followers();
@@ -182,11 +177,10 @@ void IncAvtTracker::LazyLocalSearch(const std::vector<VertexId>& pool,
   //
   // All slots share one swap reference (see
   // FollowerOracle::BuildSwapReference): one SwapMarginal per pool
-  // vertex — split across the engine's workers on large pools — gives
-  // slot i's bound as slot_counts_[i] + delta, and only vertices whose
-  // probe read a dirty vertex are probed per slot, serially. A commit
-  // changes S, so the next slot rebuilds the reference when at least
-  // two slots remain to share it.
+  // vertex gives slot i's bound as slot_counts_[i] + delta, and only
+  // vertices whose probe read a dirty vertex are probed per slot. A
+  // commit changes S, so the next slot rebuilds the reference when at
+  // least two slots remain to share it.
   bool reference_live = false;  // swap_marginals_ describe anchors_
   for (size_t i = 0; i < anchors_.size() && !pool.empty(); ++i) {
     base = anchors_;
@@ -196,7 +190,11 @@ void IncAvtTracker::LazyLocalSearch(const std::vector<VertexId>& pool,
     if (!reference_live && anchors_.size() - i >= 2) {
       oracle.BuildSwapReference(anchors_, k_, i, &slot_counts_);
       swap_marginals_.resize(pool.size());
-      engine_->SwapMarginals(pool, is_anchor_, swap_marginals_);
+      for (size_t j = 0; j < pool.size(); ++j) {
+        if (!is_anchor_[pool[j]]) {
+          swap_marginals_[j] = oracle.SwapMarginal(pool[j]);
+        }
+      }
       reference_live = true;
     }
     for (size_t j = 0; j < pool.size(); ++j) {
@@ -238,31 +236,11 @@ void IncAvtTracker::LazyLocalSearch(const std::vector<VertexId>& pool,
   ExtendPhase(pool, current, snap);
 }
 
-void IncAvtTracker::Walk(PoolWalker& walker, VertexId v, uint32_t begin,
-                         uint32_t end) const {
-  // The filter runs once per walked adjacency entry; keeping its two
-  // call sites in this one function lets it inline.
-  auto consider = [&](VertexId x) {
-    if (walker.seen[x] || is_anchor_[x]) return;
-    walker.seen[x] = 1;
-    walker.touched.push_back(x);
-    const bool candidate = maintainer_.IsCandidate(x);
-    AVT_DCHECK(candidate == IsAnchorCandidate(maintainer_.graph(),
-                                              maintainer_.order(), x, k_));
-    if (candidate) walker.pooled.push_back(x);
-  };
-  if (begin == 0) consider(v);
-  for (VertexId x :
-       maintainer_.graph().Neighbors(v).subspan(begin, end - begin)) {
-    consider(x);
-  }
-}
-
 void IncAvtTracker::EnsureVertices(VertexId count) {
   if (count <= maintainer_.graph().NumVertices()) return;
   maintainer_.EnsureVertices(count);
   const size_t n = maintainer_.graph().NumVertices();
-  for (PoolWalker& walker : walkers_) walker.seen.resize(n, 0);
+  pool_state_.resize(n, kUnseen);
   is_anchor_.resize(n, 0);
   if (engine_) engine_->ResizeScratch();
 }
@@ -285,63 +263,41 @@ AvtSnapshotResult IncAvtTracker::ProcessDelta(const EdgeDelta& delta) {
   // the pool to isolate the restriction's contribution. Sorted by id so
   // the scan order (and thus tie-breaks) is deterministic. The
   // Theorem-3 verdict is O(1) per vertex off the maintainer's neighbor
-  // counters (CoreMaintainer::IsCandidate). is_anchor_ is kept current
-  // by every commit.
+  // counters (CoreMaintainer::IsCandidate). pool_state_ marks each
+  // vertex seen for the delta — a vertex adjacent to many impacted
+  // vertices is filtered exactly once — and is reset afterwards from
+  // pool_seen_, so the delta costs O(pool region), not O(n).
+  // is_anchor_ is kept current by every commit.
   AVT_DCHECK(std::all_of(anchors_.begin(), anchors_.end(),
                          [&](VertexId a) { return is_anchor_[a] != 0; }));
-  ThreadPool* workers = engine_->workers();
-  if (mode_ == IncAvtMode::kRestricted && workers != nullptr &&
-      impacted.size() >=
-          workers->num_threads() * TrialEngine::kMinProbesPerWorker) {
-    // The walk is read-only over the maintained graph, so the engine's
-    // workers split it: each worker dedupes against its own marks and
-    // collects its own candidates, and the union is restored to the
-    // serial pool by the sort + unique below. A vertex two workers both
-    // reach is filtered twice, which costs a little and changes nothing.
-    // Churn lands on hubs, so a few impacted adjacency lists hold most
-    // of the walk: it is cut into slices of at most kWalkSlice entries
-    // and the slices are work-stolen, so a hub is shared by all workers.
-    slices_.clear();
-    for (VertexId v : impacted) {
-      const uint32_t degree = g.Degree(v);
-      uint32_t begin = 0;
-      do {
-        const uint32_t end = std::min(degree, begin + kWalkSlice);
-        slices_.push_back({v, begin, end});
-        begin = end;
-      } while (begin < degree);
-    }
-    ParallelFor(workers, slices_.size(), /*grain=*/1,
-                [&](uint32_t w, size_t i) {
-                  const WalkSlice& slice = slices_[i];
-                  Walk(walkers_[w], slice.vertex, slice.begin, slice.end);
-                });
-    pool_.clear();
-    for (PoolWalker& walker : walkers_) {
-      pool_.insert(pool_.end(), walker.pooled.begin(), walker.pooled.end());
-      walker.pooled.clear();
-    }
-    workers->Run([&](uint32_t w) { walkers_[w].Reset(); });
-    std::sort(pool_.begin(), pool_.end());
-    pool_.erase(std::unique(pool_.begin(), pool_.end()), pool_.end());
-  } else {
-    PoolWalker& walker = walkers_[0];
-    switch (mode_) {
-      case IncAvtMode::kRestricted:
-        for (VertexId v : impacted) Walk(walker, v, 0, g.Degree(v));
-        break;
-      case IncAvtMode::kMaintainedFull:
-        for (VertexId v = 0; v < g.NumVertices(); ++v) Walk(walker, v, 0, 0);
-        break;
-      case IncAvtMode::kCarryForward:
-        break;  // no replacements; keep S_{t-1}
-    }
-    walker.Reset();
-    pool_.swap(walker.pooled);
-    walker.pooled.clear();
-    std::sort(pool_.begin(), pool_.end());
+  pool_.clear();
+  auto consider = [&](VertexId v) {
+    if (pool_state_[v] != kUnseen || is_anchor_[v]) return;
+    pool_state_[v] = kRejected;
+    pool_seen_.push_back(v);
+    const bool candidate = maintainer_.IsCandidate(v);
+    AVT_DCHECK(candidate == IsAnchorCandidate(g, order, v, k_));
+    if (!candidate) return;
+    pool_state_[v] = kPooled;
+    pool_.push_back(v);
+  };
+  switch (mode_) {
+    case IncAvtMode::kRestricted:
+      for (VertexId v : impacted) {
+        consider(v);
+        for (VertexId w : g.Neighbors(v)) consider(w);
+      }
+      break;
+    case IncAvtMode::kMaintainedFull:
+      for (VertexId v = 0; v < g.NumVertices(); ++v) consider(v);
+      break;
+    case IncAvtMode::kCarryForward:
+      break;  // no replacements; keep S_{t-1}
   }
-  const std::vector<VertexId>& pool = pool_;
+  for (VertexId v : pool_seen_) pool_state_[v] = kUnseen;
+  pool_seen_.clear();
+  std::vector<VertexId>& pool = pool_;
+  std::sort(pool.begin(), pool.end());
 
   // Step 2: seed with S_{t-1}; re-establish the incumbent follower count
   // F(S) on the new snapshot.

@@ -42,12 +42,12 @@
 //   loop (enforced by tests/lazy_greedy_test.cc).
 //
 // Threads (IncAvtOptions::num_threads) never change the search: every
-// thread count runs the same lazy (or eager) loops, and the engine's
-// workers split only read-only passes whose results are pure functions
-// of their inputs — the pool walk of step 3 (merged back by sort +
-// unique) and the reference pass of step 4 (index-addressed marginals
-// of one shared reference). Pools, anchors and work counters are
-// therefore bit-identical at every thread count.
+// thread count runs the same lazy (or eager) loops. The pool walk and
+// the lazy swap phase run on worker 0 alone; the engine's workers split
+// only TrialEngine::Evaluate calls — the eager slots and the extend
+// phase — whose outcomes and counters are thread-count-invariant. Pools,
+// anchors and work counters are therefore bit-identical at every thread
+// count.
 //
 // The pool is usually tiny relative to the full Theorem-3 candidate set —
 // that is the entire advantage the paper measures in Figures 4/6/8.
@@ -85,13 +85,13 @@ struct IncAvtOptions {
   /// loop.
   bool lazy = true;
   /// Trial-engine worker count; <= 1 runs everything serial. Every
-  /// thread count runs the same searches; the workers split the
-  /// read-only passes that dominate a delta: the Theorem-3 pool walk,
-  /// the lazy search's swap-reference pass, the eager search's full
-  /// queries, the extend phase's bounds and the first snapshot's greedy
-  /// solve. Each fan-out has a size cutover below which worker 0 runs
-  /// it alone. Anchors, pools and work counters are bit-identical at
-  /// every thread count (tests/parallel_determinism_test.cc).
+  /// thread count runs the same searches. The workers split the first
+  /// snapshot's greedy solve, the eager search's full queries and the
+  /// extend phase's trials (TrialEngine::Evaluate, serial below its
+  /// kMinProbesPerWorker cutover); the pool walk and the lazy swap phase
+  /// stay on worker 0. Anchors, pools and work counters are
+  /// bit-identical at every thread count
+  /// (tests/parallel_determinism_test.cc).
   uint32_t num_threads = 1;
   /// Delta-transaction width the tracker requests from the driving
   /// engine (AvtEngine honors it via AvtTracker::PreferredBatchSize).
@@ -152,26 +152,6 @@ class IncAvtTracker : public AvtTracker {
   /// anchors are tracked outside the k-core).
   uint32_t KCoreSize() const;
 
-  /// Per-worker scratch of the pool walk: `seen` marks the vertices
-  /// the worker filtered this delta (reset from `touched`, never by an
-  /// O(n) clear) and `pooled` collects its Theorem-3 candidates. One
-  /// byte per vertex per worker, sized once per universe.
-  struct PoolWalker {
-    std::vector<uint8_t> seen;
-    std::vector<VertexId> touched;
-    std::vector<VertexId> pooled;
-    void Reset() {
-      for (VertexId v : touched) seen[v] = 0;
-      touched.clear();
-    }
-  };
-
-  /// Filters v (when begin == 0) and entries [begin, end) of its
-  /// adjacency once per walker: non-anchor Theorem-3 candidates go to
-  /// walker.pooled. Reads only the maintainer and is_anchor_.
-  void Walk(PoolWalker& walker, VertexId v, uint32_t begin,
-            uint32_t end) const;
-
   /// Local search over `pool` (already sorted), replicating the eager
   /// swap + extend loops with bound gating. Updates
   /// anchors_/is_anchor_/current; returns work counters via snap.
@@ -197,34 +177,27 @@ class IncAvtTracker : public AvtTracker {
   /// The tracker's only oracles and threads: max(1, num_threads) workers
   /// bound to the maintainer's graph/order (shared read-only). Worker 0
   /// is the serial oracle: greedy's final count, the incumbent queries,
-  /// the swap reference, dirty per-slot probes and every pop-resolve.
-  /// With num_threads > 1 the workers also split the pool walk, the
-  /// swap-reference pass and the eager/extend Evaluate calls. Created by
-  /// the first ProcessFirst and kept for the tracker's lifetime.
+  /// the swap reference and its marginal pass, dirty per-slot probes and
+  /// every pop-resolve. With num_threads > 1 the workers also split the
+  /// greedy solve and the eager/extend Evaluate calls. Created by the
+  /// first ProcessFirst and kept for the tracker's lifetime.
   std::unique_ptr<TrialEngine> engine_;
   std::vector<VertexId> anchors_;
   /// Per-vertex scratch, sized once per universe so ProcessDelta neither
-  /// allocates nor clears anything n-sized: one pool walker per engine
-  /// worker (walkers_[0] alone below the fan-out cutover), and
-  /// is_anchor_, which mirrors anchors_ (set by ProcessFirst, updated by
-  /// every commit) and is read by the pool filter and the local
-  /// searches.
-  std::vector<PoolWalker> walkers_;
+  /// allocates nor clears anything n-sized. pool_state_ memoizes the
+  /// Theorem-3 verdict per vertex within one delta — vertices reachable
+  /// from several impacted vertices are filtered once, not per
+  /// appearance — and is reset from pool_seen_. is_anchor_ mirrors
+  /// anchors_ (set by ProcessFirst, updated by every commit) and is read
+  /// by the pool filter and the local searches.
+  enum : uint8_t { kUnseen = 0, kRejected = 1, kPooled = 2 };
+  std::vector<uint8_t> pool_state_;
+  std::vector<VertexId> pool_seen_;  // vertices whose pool_state_ is set
   std::vector<uint8_t> is_anchor_;
   std::vector<VertexId> pool_;
   std::vector<VertexId> live_;  // CollectLive's output
-  /// The split pool walk's work items: [begin, end) of one impacted
-  /// vertex's adjacency (begin == 0 also filters the vertex itself).
-  struct WalkSlice {
-    VertexId vertex;
-    uint32_t begin;
-    uint32_t end;
-  };
-  static constexpr uint32_t kWalkSlice = 512;
-  std::vector<WalkSlice> slices_;
   /// Swap-reference scratch for the lazy search: one SwapMarginal per
-  /// pool_ entry, index-addressed so the workers that fill it never
-  /// share a slot, and one phase-1 count per slot base. Pool- and
+  /// pool_ entry and one phase-1 count per slot base. Pool- and
   /// l-sized, reused across deltas.
   std::vector<int32_t> swap_marginals_;
   std::vector<uint32_t> slot_counts_;

@@ -124,6 +124,9 @@ struct TrackTrace {
   std::vector<uint64_t> candidates;
   std::vector<uint64_t> probes;
   std::vector<uint64_t> references;  // serial oracle's swap references
+  // Full queries the deltas (not the first snapshot's greedy solve) ran
+  // on workers other than 0.
+  uint64_t off_worker_zero_queries = 0;
 };
 
 TrackTrace RunIncAvt(const SnapshotSequence& sequence, uint32_t k,
@@ -134,10 +137,20 @@ TrackTrace RunIncAvt(const SnapshotSequence& sequence, uint32_t k,
   IncAvtTracker tracker(k, l, IncAvtMode::kRestricted, options);
   TrackTrace trace;
   uint64_t references = 0;
+  auto off_worker_zero = [&tracker] {
+    const TrialEngine& engine = *tracker.trial_engine();
+    uint64_t queries = 0;
+    for (uint32_t w = 1; w < engine.num_threads(); ++w) {
+      queries += engine.oracle(w).stats().queries;
+    }
+    return queries;
+  };
+  uint64_t first_snapshot_queries = 0;
   sequence.ForEachSnapshot([&](size_t t, const Graph& graph,
                                const EdgeDelta& delta) {
     AvtSnapshotResult snap = t == 0 ? tracker.ProcessFirst(graph)
                                     : tracker.ProcessDelta(delta);
+    if (t == 0) first_snapshot_queries = off_worker_zero();
     trace.anchors.push_back(snap.anchors);
     trace.followers.push_back(snap.num_followers);
     trace.candidates.push_back(snap.candidates_visited);
@@ -147,6 +160,7 @@ TrackTrace RunIncAvt(const SnapshotSequence& sequence, uint32_t k,
     trace.references.push_back(total - references);
     references = total;
   });
+  trace.off_worker_zero_queries = off_worker_zero() - first_snapshot_queries;
   return trace;
 }
 
@@ -244,13 +258,15 @@ TEST(ParallelIncAvt, MidSwapCommitRebuildsTheSwapReference) {
 }
 
 TEST(ParallelIncAvt, LargePoolsFanOutAndStayBitIdentical) {
-  // Every delta's pool is big enough for the engine to split the swap
-  // reference pass (and the impacted set big enough to split the pool
-  // walk) at T = 2 and 8. bound_probes sums one live count per slot, so
-  // bound_probes / l is a lower bound on the pool size; each delta must
-  // clear the fan-out cutover by it, and some probe must really run on
-  // a worker other than 0. The outputs and counters must still be
-  // those of T = 1.
+  // Every delta's pool is big enough at T = 2 and 8 for the eager
+  // search's per-slot Evaluate to split its full queries across the
+  // workers (eager candidates_visited sums one live count per slot, so
+  // candidates_visited / l is a lower bound on the live set): each
+  // delta must clear the fan-out cutover by it, and some full query
+  // must really run on a worker other than 0. The lazy search runs its
+  // swap phase on worker 0 at every T over the same pools. In both
+  // modes the outputs, counters and swap references must be those of
+  // T = 1.
   constexpr uint32_t kK = 3;
   constexpr uint32_t kL = 4;
   Rng rng(4800);
@@ -260,41 +276,31 @@ TEST(ParallelIncAvt, LargePoolsFanOutAndStayBitIdentical) {
   churn.min_churn = 80;
   churn.max_churn = 120;
   SnapshotSequence sequence = MakeChurnSnapshots(g0, churn, rng);
-  const TrackTrace serial = RunIncAvt(sequence, kK, kL, true, 1);
-  for (uint32_t threads : {2u, 8u}) {
-    IncAvtOptions options;
-    options.num_threads = threads;
-    IncAvtTracker tracker(kK, kL, IncAvtMode::kRestricted, options);
-    uint64_t off_worker_zero = 0;
-    sequence.ForEachSnapshot([&](size_t t, const Graph& graph,
-                                 const EdgeDelta& delta) {
-      const std::string what =
-          "threads=" + std::to_string(threads) + " t=" + std::to_string(t);
-      if (t == 0) {
-        EXPECT_EQ(tracker.ProcessFirst(graph).anchors, serial.anchors[0]);
-        return;
+  for (bool lazy : {true, false}) {
+    const TrackTrace serial = RunIncAvt(sequence, kK, kL, lazy, 1);
+    for (uint32_t threads : {2u, 8u}) {
+      const TrackTrace parallel = RunIncAvt(sequence, kK, kL, lazy, threads);
+      ASSERT_EQ(parallel.anchors.size(), serial.anchors.size());
+      for (size_t t = 0; t < serial.anchors.size(); ++t) {
+        const std::string what = "lazy=" + std::to_string(lazy) +
+                                 " threads=" + std::to_string(threads) +
+                                 " t=" + std::to_string(t);
+        EXPECT_EQ(parallel.anchors[t], serial.anchors[t]) << what;
+        EXPECT_EQ(parallel.followers[t], serial.followers[t]) << what;
+        EXPECT_EQ(parallel.candidates[t], serial.candidates[t]) << what;
+        EXPECT_EQ(parallel.probes[t], serial.probes[t]) << what;
+        EXPECT_EQ(parallel.references[t], serial.references[t]) << what;
+        if (!lazy && t > 0) {
+          EXPECT_GT(serial.candidates[t],
+                    uint64_t{kL} * threads * TrialEngine::kMinProbesPerWorker)
+              << what;
+        }
       }
-      const TrialEngine& engine = *tracker.trial_engine();
-      uint64_t before = 0;
-      for (uint32_t w = 1; w < threads; ++w) {
-        before += engine.oracle(w).stats().bound_queries;
+      if (!lazy) {
+        EXPECT_GT(parallel.off_worker_zero_queries, 0u)
+            << "threads=" << threads << ": no full query left worker 0";
       }
-      const AvtSnapshotResult snap = tracker.ProcessDelta(delta);
-      EXPECT_GT(snap.bound_probes,
-                uint64_t{kL} * threads * TrialEngine::kMinProbesPerWorker)
-          << what;
-      uint64_t after = 0;
-      for (uint32_t w = 1; w < threads; ++w) {
-        after += engine.oracle(w).stats().bound_queries;
-      }
-      off_worker_zero += after - before;
-      EXPECT_EQ(snap.anchors, serial.anchors[t]) << what;
-      EXPECT_EQ(snap.num_followers, serial.followers[t]) << what;
-      EXPECT_EQ(snap.candidates_visited, serial.candidates[t]) << what;
-      EXPECT_EQ(snap.bound_probes, serial.probes[t]) << what;
-    });
-    EXPECT_GT(off_worker_zero, 0u)
-        << "threads=" << threads << ": no probe left worker 0";
+    }
   }
 }
 

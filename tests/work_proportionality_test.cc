@@ -75,7 +75,7 @@ TEST(WorkProportionality, PaddedUniverseDoesIdenticalWorkPerDelta) {
         EXPECT_EQ(plain[t].followers, wide[t].followers) << what;
         EXPECT_EQ(plain[t].full_queries, wide[t].full_queries) << what;
         EXPECT_EQ(plain[t].bound_probes, wide[t].bound_probes) << what;
-        // The split pool walk and reference pass change no decision.
+        // A second worker changes no decision and no counter.
         EXPECT_EQ(plain[t].anchors, serial[t].anchors) << what;
         EXPECT_EQ(plain[t].full_queries, serial[t].full_queries) << what;
         EXPECT_EQ(plain[t].bound_probes, serial[t].bound_probes) << what;
@@ -105,8 +105,7 @@ TEST(WorkProportionality, PoolIsRebuiltFromScratchEveryDelta) {
   // swap-reference probe per pool vertex plus per-slot probes for the
   // few dirty ones, so its oracles run strictly fewer bound queries than
   // that — exactly as many on the 8x padded universe, and as many at
-  // two threads (the pool walk and the reference pass split across the
-  // workers) as at one.
+  // two threads as at one.
   Rng rng(7200);
   const Graph g0 = ChungLuPowerLaw(1500, 8.0, 2.2, 100, rng);
   ChurnOptions churn;
