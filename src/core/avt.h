@@ -55,6 +55,12 @@ struct AvtSnapshotResult {
   uint64_t candidates_visited = 0;
   /// Cheap phase-1 bound probes issued by lazy pick/swap loops.
   uint64_t bound_probes = 0;
+  /// IncAVT replacement pool of this delta: its size (anchors excluded)
+  /// and the entries its walk tested — |impacted| + sum of their
+  /// degrees (n for the full-pool ablation). 0 for other trackers and
+  /// for the first snapshot.
+  uint64_t pool_size = 0;
+  uint64_t pool_walked = 0;
   /// Always 0: no tracker keeps a cross-snapshot trial memo any more.
   /// Kept only because the perfbench harness still reads them.
   uint64_t memo_hits = 0;

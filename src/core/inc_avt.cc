@@ -69,11 +69,10 @@ AvtSnapshotResult IncAvtTracker::ProcessFirst(const Graph& g0) {
       greedy.PickFrom(maintainer_.CollectCandidates(), *engine_, k_, l_);
   anchors_ = first.anchors;
 
-  pool_state_.assign(g0.NumVertices(), kUnseen);
+  in_pool_.assign(g0.NumVertices(), 0);
   is_anchor_.assign(g0.NumVertices(), 0);
   for (VertexId a : anchors_) is_anchor_[a] = 1;
   pool_.clear();
-  pool_seen_.clear();
 
   snap.anchors = anchors_;
   snap.num_followers = first.num_followers();
@@ -240,7 +239,7 @@ void IncAvtTracker::EnsureVertices(VertexId count) {
   if (count <= maintainer_.graph().NumVertices()) return;
   maintainer_.EnsureVertices(count);
   const size_t n = maintainer_.graph().NumVertices();
-  pool_state_.resize(n, kUnseen);
+  in_pool_.resize(n, 0);
   is_anchor_.resize(n, 0);
   if (engine_) engine_->ResizeScratch();
 }
@@ -252,7 +251,7 @@ AvtSnapshotResult IncAvtTracker::ProcessDelta(const EdgeDelta& delta) {
 
   // Step 1: bounded K-order maintenance; collect impacted vertices
   // (union of the paper's VI and VR before the core-number filter).
-  std::vector<VertexId> impacted = maintainer_.ApplyDelta(delta);
+  const std::vector<VertexId>& impacted = maintainer_.ApplyDelta(delta);
 
   const Graph& g = maintainer_.graph();
   const KOrder& order = maintainer_.order();
@@ -262,23 +261,21 @@ AvtSnapshotResult IncAvtTracker::ProcessDelta(const EdgeDelta& delta) {
   // Theorem 3 (Algorithm 6 line 12); the ablation modes widen or empty
   // the pool to isolate the restriction's contribution. Sorted by id so
   // the scan order (and thus tie-breaks) is deterministic. The
-  // Theorem-3 verdict is O(1) per vertex off the maintainer's neighbor
-  // counters (CoreMaintainer::IsCandidate). pool_state_ marks each
-  // vertex seen for the delta — a vertex adjacent to many impacted
-  // vertices is filtered exactly once — and is reset afterwards from
-  // pool_seen_, so the delta costs O(pool region), not O(n).
-  // is_anchor_ is kept current by every commit.
+  // Theorem-3 verdict is one read of the maintainer's verdict byte
+  // (CoreMaintainer::IsCandidate), so a walked vertex that fails it —
+  // most of them — costs no K-order, counter or pool-mark load. Only
+  // candidates are checked against in_pool_ (a candidate adjacent to
+  // several impacted vertices is pooled once), and the marks are reset
+  // afterwards from the pool itself, so the delta costs O(pool region),
+  // not O(n). is_anchor_ is kept current by every commit.
   AVT_DCHECK(std::all_of(anchors_.begin(), anchors_.end(),
                          [&](VertexId a) { return is_anchor_[a] != 0; }));
   pool_.clear();
   auto consider = [&](VertexId v) {
-    if (pool_state_[v] != kUnseen || is_anchor_[v]) return;
-    pool_state_[v] = kRejected;
-    pool_seen_.push_back(v);
     const bool candidate = maintainer_.IsCandidate(v);
     AVT_DCHECK(candidate == IsAnchorCandidate(g, order, v, k_));
-    if (!candidate) return;
-    pool_state_[v] = kPooled;
+    if (!candidate || in_pool_[v] || is_anchor_[v]) return;
+    in_pool_[v] = 1;
     pool_.push_back(v);
   };
   switch (mode_) {
@@ -286,18 +283,20 @@ AvtSnapshotResult IncAvtTracker::ProcessDelta(const EdgeDelta& delta) {
       for (VertexId v : impacted) {
         consider(v);
         for (VertexId w : g.Neighbors(v)) consider(w);
+        snap.pool_walked += 1 + g.Degree(v);
       }
       break;
     case IncAvtMode::kMaintainedFull:
       for (VertexId v = 0; v < g.NumVertices(); ++v) consider(v);
+      snap.pool_walked = g.NumVertices();
       break;
     case IncAvtMode::kCarryForward:
       break;  // no replacements; keep S_{t-1}
   }
-  for (VertexId v : pool_seen_) pool_state_[v] = kUnseen;
-  pool_seen_.clear();
+  for (VertexId v : pool_) in_pool_[v] = 0;
   std::vector<VertexId>& pool = pool_;
   std::sort(pool.begin(), pool.end());
+  snap.pool_size = pool.size();
 
   // Step 2: seed with S_{t-1}; re-establish the incumbent follower count
   // F(S) on the new snapshot.

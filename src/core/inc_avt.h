@@ -184,15 +184,14 @@ class IncAvtTracker : public AvtTracker {
   std::unique_ptr<TrialEngine> engine_;
   std::vector<VertexId> anchors_;
   /// Per-vertex scratch, sized once per universe so ProcessDelta neither
-  /// allocates nor clears anything n-sized. pool_state_ memoizes the
-  /// Theorem-3 verdict per vertex within one delta — vertices reachable
-  /// from several impacted vertices are filtered once, not per
-  /// appearance — and is reset from pool_seen_. is_anchor_ mirrors
-  /// anchors_ (set by ProcessFirst, updated by every commit) and is read
-  /// by the pool filter and the local searches.
-  enum : uint8_t { kUnseen = 0, kRejected = 1, kPooled = 2 };
-  std::vector<uint8_t> pool_state_;
-  std::vector<VertexId> pool_seen_;  // vertices whose pool_state_ is set
+  /// allocates nor clears anything n-sized. The pool walk reads the
+  /// maintainer's Theorem-3 verdict byte first; only candidates touch
+  /// in_pool_, which marks the vertices pooled in this delta — a
+  /// candidate reachable from several impacted vertices is pooled once
+  /// — and is reset from pool_ itself. is_anchor_ mirrors anchors_ (set
+  /// by ProcessFirst, updated by every commit) and is read by the pool
+  /// filter and the local searches.
+  std::vector<uint8_t> in_pool_;
   std::vector<uint8_t> is_anchor_;
   std::vector<VertexId> pool_;
   std::vector<VertexId> live_;  // CollectLive's output

@@ -14,15 +14,18 @@ void CoreMaintainer::Reset(const Graph& graph, uint32_t k) {
   counter_k_ = k;
   if (k == 0) {
     std::vector<NeighborCounts>().swap(nbr_counts_);
+    std::vector<uint8_t>().swap(candidate_);
     return;
   }
   // One pass over the adjacency of the vertices outside the k-core,
   // reading a 1-byte class per vertex instead of the 16-byte K-order
   // records: the random reads of the neighbor scan then hit a 16x
-  // smaller array.
+  // smaller array. Each vertex's verdict byte is set as soon as its
+  // counts are; k-core members keep the zero byte.
   std::vector<uint8_t> cls(n);
   for (VertexId v = 0; v < n; ++v) cls[v] = ClassOf(order_.CoreOf(v));
   nbr_counts_.assign(n, NeighborCounts{});
+  candidate_.assign(n, 0);
   for (VertexId x = 0; x < n; ++x) {
     if (cls[x] == kInCore) continue;
     NeighborCounts& counts = nbr_counts_[x];
@@ -30,6 +33,7 @@ void CoreMaintainer::Reset(const Graph& graph, uint32_t k) {
       counts.shell += cls[y] == kShell;
       counts.core += cls[y] == kInCore;
     }
+    candidate_[x] = ComputeCandidate(x);
   }
 }
 
@@ -42,16 +46,20 @@ void CoreMaintainer::EnsureVertices(VertexId count) {
   const size_t n = graph_.NumVertices();
   scratch_.Grow(n);
   affected_mark_.Grow(n);
-  if (counter_k_ > 0) nbr_counts_.resize(n);
+  if (counter_k_ > 0) {
+    nbr_counts_.resize(n);
+    candidate_.resize(n, 0);
+  }
 }
 
 size_t CoreMaintainer::MemoryFootprint() const {
   auto bytes = [](const auto& v) { return v.capacity() * sizeof(v[0]); };
   return graph_.MemoryFootprint() + order_.MemoryFootprint() +
-         bytes(nbr_counts_) + scratch_.MemoryFootprint() +
-         affected_mark_.MemoryFootprint() + bytes(affected_list_) +
-         bytes(heap_) + bytes(visited_) + bytes(candidates_) +
-         bytes(review_) + bytes(moved_) + bytes(promoted_) + bytes(seeds_);
+         bytes(nbr_counts_) + bytes(candidate_) +
+         scratch_.MemoryFootprint() + affected_mark_.MemoryFootprint() +
+         bytes(affected_list_) + bytes(heap_) + bytes(visited_) +
+         bytes(candidates_) + bytes(review_) + bytes(moved_) +
+         bytes(promoted_) + bytes(seeds_);
 }
 
 void CoreMaintainer::RecountNeighbors(VertexId v) {
@@ -66,9 +74,8 @@ void CoreMaintainer::RecountNeighbors(VertexId v) {
 
 std::vector<VertexId> CoreMaintainer::CollectCandidates() const {
   std::vector<VertexId> out;
-  if (counter_k_ == 0) return out;
-  for (VertexId x = 0; x < graph_.NumVertices(); ++x) {
-    if (IsCandidate(x)) out.push_back(x);
+  for (VertexId x = 0; x < candidate_.size(); ++x) {
+    if (candidate_[x]) out.push_back(x);
   }
   return out;
 }
@@ -90,6 +97,7 @@ bool CoreMaintainer::InsertEdge(VertexId u, VertexId v) {
   // Lemma 1: the endpoint earlier in K-order gains a later neighbor.
   VertexId root = order_.Precedes(u, v) ? u : v;
   order_.IncrementDegPlus(root, +1);
+  RefreshCandidate(root);
   MarkAffected(u);
   MarkAffected(v);
 
@@ -204,9 +212,12 @@ void CoreMaintainer::RunInsertCascade(VertexId root, uint32_t level) {
 
   // Refresh deg+ for everything whose later-neighbor set may have
   // changed: exactly the visited vertices (a vertex not visited has no
-  // moved neighbor that crossed from before to after it).
+  // moved neighbor that crossed from before to after it). Every moved
+  // vertex was visited, so this also refreshes the verdict bytes of the
+  // vertices whose core changed.
   for (VertexId w : visited) {
     order_.RecomputeDegPlus(graph_, w);
+    RefreshCandidate(w);
   }
   stats_.degplus_recounts += visited.size();
 }
@@ -224,6 +235,7 @@ bool CoreMaintainer::RemoveEdge(VertexId u, VertexId v) {
   // gone (Lemma 1, mirrored).
   VertexId earlier = order_.Precedes(u, v) ? u : v;
   order_.IncrementDegPlus(earlier, -1);
+  RefreshCandidate(earlier);
   ++stats_.edges_removed;
   MarkAffected(u);
   MarkAffected(v);
@@ -307,6 +319,7 @@ void CoreMaintainer::RunRemoveCascade(const std::vector<VertexId>& seeds,
       if (order_.CoreOf(x) == level && !HasFlag(x, kDropped) &&
           order_.Precedes(x, w)) {
         order_.IncrementDegPlus(x, -1);
+        RefreshCandidate(x);
       }
     }
   }
@@ -318,22 +331,25 @@ void CoreMaintainer::RunRemoveCascade(const std::vector<VertexId>& seeds,
   }
   // Only the dropped vertices' own later sets need a recount; those
   // that just left the k-core also start keeping neighbor counters.
+  // Core, deg+ and counters of w are now final: refresh its verdict.
   const bool left_core = counter_k_ > 0 && level == counter_k_;
   for (VertexId w : dropped_in_order) {
     order_.RecomputeDegPlus(graph_, w);
     if (left_core) RecountNeighbors(w);
+    RefreshCandidate(w);
   }
   stats_.degplus_recounts += dropped_in_order.size();
 }
 
-std::vector<VertexId> CoreMaintainer::ApplyDelta(const EdgeDelta& delta) {
+const std::vector<VertexId>& CoreMaintainer::ApplyDelta(
+    const EdgeDelta& delta) {
   affected_mark_.Clear();
   affected_list_.clear();
   collecting_affected_ = true;
   for (const Edge& e : delta.insertions) InsertEdge(e.u, e.v);
   for (const Edge& e : delta.deletions) RemoveEdge(e.u, e.v);
   collecting_affected_ = false;
-  return std::move(affected_list_);
+  return affected_list_;
 }
 
 bool CoreMaintainer::InjectIndexFaultForDrill() {

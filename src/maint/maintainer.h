@@ -41,14 +41,24 @@
 // members keep no live counts (Theorem 3 rejects them without one): a
 // vertex that drops out of the k-core is recounted in O(deg) next to
 // its deg+ recount, so neither the fill nor any update has to visit
-// the dense k-core's adjacency. IsCandidate then decides Theorem 3
-// (anchor/candidates.h) without a neighbor scan:
+// the dense k-core's adjacency. The counters and deg+ then decide
+// Theorem 3 (anchor/candidates.h) without a neighbor scan:
 //   core(x) >= k:   never a candidate;
 //   core(x) <  k-1: every level-(k-1) vertex follows x in the K-order,
 //                   so x qualifies iff shell(x) > 0;
 //   core(x) == k-1: every neighbor at core >= k follows x and deg+ is
 //                   exact, so x has a later level-(k-1) neighbor iff
 //                   deg+(x) exceeds its count of neighbors at >= k.
+//
+// Theorem-3 verdict byte. The verdict itself is kept too, one byte per
+// vertex, so a query reads a cache-resident byte instead of the vertex's
+// K-order and counter records. The byte is recomputed from the formula
+// above wherever one of its inputs changes for a vertex: its counters
+// (the per-edge and re-class updates, the recount after leaving the
+// k-core), its deg+ (the Lemma-1 endpoint of every edge operation, the
+// removal cascade's kept-neighbor decrement, both cascades' deg+
+// recounts) and its core (every moved vertex is among the recounted
+// ones, so the recount loops refresh it after its move).
 //
 // After every edge operation the index satisfies the full invariant suite
 // of corelib/invariants.h; randomized differential tests in
@@ -87,8 +97,9 @@ class CoreMaintainer {
   CoreMaintainer() = default;
 
   /// Takes a copy of `graph` and builds the index. With k > 0 it also
-  /// fills the Theorem-3 neighbor counters for threshold k in one O(m)
-  /// pass (see the file comment); with k = 0 it keeps none.
+  /// fills the Theorem-3 neighbor counters and verdict bytes for
+  /// threshold k in one O(m) pass (see the file comment); with k = 0 it
+  /// keeps neither.
   void Reset(const Graph& graph, uint32_t k = 0);
 
   const Graph& graph() const { return graph_; }
@@ -102,18 +113,18 @@ class CoreMaintainer {
   uint32_t ShellNeighbors(VertexId v) const { return nbr_counts_[v].shell; }
   uint32_t CoreNeighbors(VertexId v) const { return nbr_counts_[v].core; }
 
-  /// Theorem-3 verdict for threshold counter_k() in O(1): equal to
-  /// IsAnchorCandidate(graph(), order(), x, counter_k()). False for
-  /// every vertex when no counters are kept.
+  /// Theorem-3 verdict for threshold counter_k(): equal to
+  /// IsAnchorCandidate(graph(), order(), x, counter_k()). One read of
+  /// the maintained verdict byte, refreshed by every edge operation and
+  /// cascade step that changes x's core, deg+ or counters (see the file
+  /// comment). False for every vertex when no counters are kept.
   bool IsCandidate(VertexId x) const {
-    const uint32_t core = order_.CoreOf(x);
-    if (core >= counter_k_) return false;
-    if (core + 1 < counter_k_) return nbr_counts_[x].shell > 0;
-    return order_.DegPlus(x) > nbr_counts_[x].core;
+    return counter_k_ > 0 && candidate_[x] != 0;
   }
 
   /// Every vertex passing IsCandidate, ascending id: the Theorem-3 pool
-  /// of the whole graph in O(n) (CollectAnchorCandidates scans O(m)).
+  /// of the whole graph in one pass over the verdict bytes
+  /// (CollectAnchorCandidates scans O(m)).
   std::vector<VertexId> CollectCandidates() const;
 
   /// Retained no-op: the maintainer once patched an optional CSR mirror
@@ -127,7 +138,7 @@ class CoreMaintainer {
   /// mid-stream; callers grow before ApplyDelta so edge endpoints are
   /// always in range. Existing state (cores, tags, deg+, counters) is
   /// untouched: an isolated vertex cannot change any other vertex's core
-  /// number, and its own counters are zero.
+  /// number, and its own counters and verdict byte are zero.
   void EnsureVertices(VertexId count);
 
   /// Inserts one edge, updating cores/K-order. Returns false if the edge
@@ -140,10 +151,12 @@ class CoreMaintainer {
   /// Applies a whole delta (insertions then deletions, matching the
   /// paper's G'_t = G_{t-1} (+) E+ followed by E-). Returns the set of
   /// vertices touched by any cascade (deduplicated): the union the paper
-  /// calls VI and VR before filtering by core number.
-  std::vector<VertexId> ApplyDelta(const EdgeDelta& delta);
+  /// calls VI and VR before filtering by core number. The list is a
+  /// member reused across deltas, valid until the next ApplyDelta.
+  const std::vector<VertexId>& ApplyDelta(const EdgeDelta& delta);
 
-  /// Heap bytes held: graph, K-order and cascade scratch.
+  /// Heap bytes held: graph, K-order, Theorem-3 counters and verdict
+  /// bytes, and cascade scratch.
   size_t MemoryFootprint() const;
 
   const MaintenanceStats& stats() const { return stats_; }
@@ -155,8 +168,9 @@ class CoreMaintainer {
   /// core number: exactly the signature of a maintenance regression or
   /// a memory fault. Returns false on an empty universe. Never called
   /// by library code; the integrity audits (core/health.h) exist to
-  /// catch states like the one this creates. The neighbor counters are
-  /// left stale; the recovery rebuild goes through Reset.
+  /// catch states like the one this creates. The neighbor counters and
+  /// verdict bytes are left stale; the recovery rebuild goes through
+  /// Reset.
   bool InjectIndexFaultForDrill();
 
  private:
@@ -187,6 +201,19 @@ class CoreMaintainer {
   /// Recounts v's neighbor counters from scratch (v just left the
   /// k-core).
   void RecountNeighbors(VertexId v);
+  /// Theorem-3 verdict of x from its core, deg+ and counters (the
+  /// formula in the file comment).
+  bool ComputeCandidate(VertexId x) const {
+    const uint32_t core = order_.CoreOf(x);
+    if (core >= counter_k_) return false;
+    if (core + 1 < counter_k_) return nbr_counts_[x].shell > 0;
+    return order_.DegPlus(x) > nbr_counts_[x].core;
+  }
+  /// Rewrites x's verdict byte after one of its inputs changed; a no-op
+  /// when no counters are kept.
+  void RefreshCandidate(VertexId x) {
+    if (counter_k_ > 0) candidate_[x] = ComputeCandidate(x);
+  }
   void MarkAffected(VertexId v);
   bool HasFlag(VertexId v, uint32_t flag) const {
     return (scratch_.Get(v).flags & flag) != 0;
@@ -197,13 +224,16 @@ class CoreMaintainer {
     return core >= counter_k_ ? kInCore
                               : core + 1 == counter_k_ ? kShell : kBelowShell;
   }
-  /// Adds `delta` (+1 / -1) to x's counter for a neighbor at `core`;
-  /// a no-op for k-core members and when no counters are kept.
+  /// Adds `delta` (+1 / -1) to x's counter for a neighbor at `core`
+  /// and refreshes x's verdict byte; a no-op for k-core members and when
+  /// no counters are kept.
   void CountNeighbor(VertexId x, uint32_t core, int32_t delta) {
     if (order_.CoreOf(x) >= counter_k_) return;
     const uint8_t cls = ClassOf(core);
+    if (cls == kBelowShell) return;
     if (cls == kShell) nbr_counts_[x].shell += static_cast<uint32_t>(delta);
     if (cls == kInCore) nbr_counts_[x].core += static_cast<uint32_t>(delta);
+    candidate_[x] = ComputeCandidate(x);
   }
   /// True when a move between levels `from` and `to` changes the
   /// vertex's counter class.
@@ -216,6 +246,7 @@ class CoreMaintainer {
   MaintenanceStats stats_;
   uint32_t counter_k_ = 0;
   std::vector<NeighborCounts> nbr_counts_;  // empty when counter_k_ == 0
+  std::vector<uint8_t> candidate_;          // verdict bytes; likewise
 
   // Cascade scratch (sized to vertex count by Reset()).
   EpochArray<CascadeSlot> scratch_;

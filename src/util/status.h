@@ -146,11 +146,14 @@ class StatusOr {
 
 /// Fatal invariant check, active in all build types. Algorithm invariants
 /// in this library are cheap relative to the graph work around them.
+/// stdout is flushed before the abort, so block-buffered output printed
+/// ahead of the failure (a bench's per-case lines) is not lost.
 #define AVT_CHECK(cond)                                                    \
   do {                                                                     \
     if (!(cond)) {                                                         \
       std::fprintf(stderr, "AVT_CHECK failed at %s:%d: %s\n", __FILE__,    \
                    __LINE__, #cond);                                       \
+      std::fflush(stdout);                                                 \
       std::abort();                                                        \
     }                                                                      \
   } while (0)
@@ -160,6 +163,7 @@ class StatusOr {
     if (!(cond)) {                                                         \
       std::fprintf(stderr, "AVT_CHECK failed at %s:%d: %s (%s)\n",         \
                    __FILE__, __LINE__, #cond, msg);                        \
+      std::fflush(stdout);                                                 \
       std::abort();                                                        \
     }                                                                      \
   } while (0)

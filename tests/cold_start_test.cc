@@ -152,10 +152,11 @@ TEST(ColdStart, TrackerHoldsOneOraclePerWorker) {
 TEST(ColdStart, MaintainerHoldsOneAdjacency) {
   // The cold-1m shape at 1/50 scale: Chung-Lu, average degree 10,
   // exponent 2.2, maximum degree n/20. The maintainer holds the graph,
-  // the K-order, the 8-byte neighbor counters and its cascade scratch
-  // (one 16-byte record + the 8-byte affected mark) and nothing else; a
-  // second copy of the adjacency would add ~68 B/vertex here, seven
-  // separate scratch arrays 40.
+  // the K-order, the 8-byte neighbor counters, the 1-byte Theorem-3
+  // verdict and its cascade scratch (one 16-byte record + the 8-byte
+  // affected mark) and nothing else (121 B/vertex); a second copy of
+  // the adjacency would add ~68 B/vertex here, seven separate scratch
+  // arrays 40.
   constexpr VertexId kN = 20'000;
   Rng rng(96);
   const Graph g0 = ChungLuPowerLaw(kN, 10.0, 2.2, kN / 20, rng);

@@ -4,8 +4,8 @@
 // dataset replicas' own delta streams. Every case runs once per
 // neighbor-counter threshold k in {1, 2, 3, 5}, and after every edge
 // operation the maintained Theorem-3 counters of every vertex outside
-// the k-core must equal a recount and the O(1) candidate verdict must
-// equal the neighbor-scan reference on every vertex.
+// the k-core must equal a recount and the maintained verdict byte
+// (IsCandidate) must equal the neighbor-scan reference on every vertex.
 
 #include <gtest/gtest.h>
 
@@ -229,6 +229,43 @@ TEST_P(MaintenanceSoak, EmptyToDenseToEmpty) {
   for (VertexId v = 0; v < n; ++v) EXPECT_EQ(m.CoreOf(v), 0u);
 }
 
+// Growth followed by churn on the new ids. At k = 1 a fresh isolated
+// vertex sits at level k-1 with deg+ = 0, so its verdict is decided by
+// the deg+ branch: the first edge to it raises an endpoint's deg+ and
+// the promotion that follows must clear the byte again.
+TEST_P(MaintenanceSoak, GrowthThenChurnOnNewIds) {
+  Rng rng(127);
+  Graph g = ChungLuPowerLaw(120, 5.0, 2.2, 30, rng);
+  CoreMaintainer m;
+  m.Reset(g, k());
+  const VertexId old_n = g.NumVertices();
+  const VertexId n = old_n + 60;
+  m.EnsureVertices(n);
+  ASSERT_TRUE(CountersMatchRecount(m)) << "after growth";
+  auto fresh_id = [&] {
+    return static_cast<VertexId>(old_n + rng.Uniform(n - old_n));
+  };
+  std::vector<Edge> inserted;
+  for (int i = 0; i < 300; ++i) {
+    const VertexId u = fresh_id();
+    const VertexId v = rng.Bernoulli(0.5)
+                           ? fresh_id()
+                           : static_cast<VertexId>(rng.Uniform(n));
+    if (u != v && Insert(m, u, v)) inserted.push_back(Edge(u, v));
+    if (i % 3 == 2 && !inserted.empty()) {
+      const size_t j = rng.Uniform(inserted.size());
+      ASSERT_TRUE(Remove(m, inserted[j].u, inserted[j].v));
+      inserted[j] = inserted.back();
+      inserted.pop_back();
+    }
+  }
+  ExpectEquivalentToRebuild(m, "churn on grown ids");
+  rng.Shuffle(inserted);
+  for (const Edge& e : inserted) ASSERT_TRUE(Remove(m, e.u, e.v));
+  ExpectEquivalentToRebuild(m, "grown ids emptied");
+  for (VertexId v = old_n; v < n; ++v) EXPECT_EQ(m.CoreOf(v), 0u);
+}
+
 // Deterministic worst-case-ish pattern: a long path repeatedly closed
 // into a cycle and reopened, shifting core numbers between 1 and 2
 // across the whole component.
@@ -247,6 +284,42 @@ TEST_P(MaintenanceSoak, PathCycleFlapping) {
     ExpectEquivalentToRebuild(m, "cycle opened");
   }
   EXPECT_GE(m.stats().promotions, 20u * n / 2);
+}
+
+// Reset(g, 0) keeps neither counters nor verdict bytes, also after a
+// Reset that kept them, and IsCandidate is false for every vertex
+// through churn and growth, where every verdict refresh must be a
+// no-op on the empty byte array.
+TEST(MaintenanceSoakWithoutCounters, ResetToZeroHoldsNoVerdicts) {
+  Rng rng(131);
+  const Graph g = ChungLuPowerLaw(300, 6.0, 2.2, 60, rng);
+  const size_t n = g.NumVertices();
+  CoreMaintainer fresh;
+  fresh.Reset(g, 0);
+  CoreMaintainer m;
+  m.Reset(g, 3);
+  // 8-byte counter record + 1 verdict byte per vertex.
+  EXPECT_EQ(m.MemoryFootprint() - fresh.MemoryFootprint(), n * 9);
+  EXPECT_FALSE(m.CollectCandidates().empty());
+  m.Reset(g, 0);
+  EXPECT_EQ(m.counter_k(), 0u);
+  EXPECT_EQ(m.MemoryFootprint(), fresh.MemoryFootprint());
+  EXPECT_TRUE(m.CollectCandidates().empty());
+  m.EnsureVertices(static_cast<VertexId>(n + 40));
+  for (int step = 0; step < 300; ++step) {
+    const VertexId size = m.graph().NumVertices();
+    const VertexId u = static_cast<VertexId>(rng.Uniform(size));
+    const VertexId v = static_cast<VertexId>(rng.Uniform(size));
+    if (rng.Bernoulli(0.5)) {
+      m.InsertEdge(u, v);
+    } else {
+      m.RemoveEdge(u, v);
+    }
+    for (VertexId x = 0; x < size; ++x) {
+      ASSERT_FALSE(m.IsCandidate(x)) << "vertex " << x << " step " << step;
+    }
+  }
+  EXPECT_TRUE(m.CollectCandidates().empty());
 }
 
 }  // namespace

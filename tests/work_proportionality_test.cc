@@ -2,10 +2,11 @@
 // universe. The same churn stream is replayed on a graph and on that
 // graph padded with 8x isolated vertices that no delta ever touches.
 // Every per-delta output and work counter — anchors, followers, full
-// queries, bound probes and the maintainer's cascade counters — must be
-// identical: a per-delta step whose decisions read universe-sized state
-// (a full scan, a stale whole-array reset, a pool that grows with n)
-// would show up here as diverging counters, without any timing.
+// queries, bound probes, pool entries walked and pooled, and the
+// maintainer's cascade counters — must be identical: a per-delta step
+// whose decisions read universe-sized state (a full scan, a stale
+// whole-array reset, a pool that grows with n) would show up here as
+// diverging counters, without any timing.
 
 #include <gtest/gtest.h>
 
@@ -26,6 +27,8 @@ struct DeltaWork {
   uint32_t followers = 0;
   uint64_t full_queries = 0;
   uint64_t bound_probes = 0;
+  uint64_t pool_size = 0;
+  uint64_t pool_walked = 0;
   MaintenanceStats maintenance;
 };
 
@@ -38,7 +41,8 @@ std::vector<DeltaWork> Replay(const Graph& g0,
   std::vector<DeltaWork> work;
   auto record = [&](const AvtSnapshotResult& snap) {
     work.push_back({snap.anchors, snap.num_followers, snap.candidates_visited,
-                    snap.bound_probes, tracker.maintainer().stats()});
+                    snap.bound_probes, snap.pool_size, snap.pool_walked,
+                    tracker.maintainer().stats()});
   };
   record(tracker.ProcessFirst(g0));
   for (const EdgeDelta& delta : deltas) record(tracker.ProcessDelta(delta));
@@ -67,6 +71,8 @@ TEST(WorkProportionality, PaddedUniverseDoesIdenticalWorkPerDelta) {
       if (threads == 1) serial = plain;
       ASSERT_EQ(plain.size(), serial.size());
       uint64_t followers = 0;
+      uint64_t walked = 0;
+      uint64_t pooled = 0;
       for (size_t t = 0; t < plain.size(); ++t) {
         const std::string what = "seed " + std::to_string(seed) +
                                  " threads=" + std::to_string(threads) +
@@ -75,6 +81,11 @@ TEST(WorkProportionality, PaddedUniverseDoesIdenticalWorkPerDelta) {
         EXPECT_EQ(plain[t].followers, wide[t].followers) << what;
         EXPECT_EQ(plain[t].full_queries, wide[t].full_queries) << what;
         EXPECT_EQ(plain[t].bound_probes, wide[t].bound_probes) << what;
+        // The pool walk visits impacted ∪ N(impacted) and pools the same
+        // vertices whatever the number of untouched isolated ids.
+        EXPECT_EQ(plain[t].pool_size, wide[t].pool_size) << what;
+        EXPECT_EQ(plain[t].pool_walked, wide[t].pool_walked) << what;
+        EXPECT_LE(plain[t].pool_size, plain[t].pool_walked) << what;
         // A second worker changes no decision and no counter.
         EXPECT_EQ(plain[t].anchors, serial[t].anchors) << what;
         EXPECT_EQ(plain[t].full_queries, serial[t].full_queries) << what;
@@ -88,8 +99,12 @@ TEST(WorkProportionality, PaddedUniverseDoesIdenticalWorkPerDelta) {
         EXPECT_EQ(a.visited, b.visited) << what;
         EXPECT_EQ(a.cascades, b.cascades) << what;
         followers += plain[t].followers;
+        walked += plain[t].pool_walked;
+        pooled += plain[t].pool_size;
       }
       EXPECT_GT(followers, 0u) << "degenerate workload, seed " << seed;
+      EXPECT_GT(pooled, 0u) << "no pool, seed " << seed;
+      EXPECT_GT(walked, pooled) << "seed " << seed;
     }
   }
 }
