@@ -1,13 +1,12 @@
-// Ablation: Greedy execution strategies (scan vs parallel vs lazy).
+// Ablation: Greedy execution strategies (scan vs lazy).
 //
-// The eager scan is the paper's algorithm verbatim; parallel evaluation
-// distributes the same scan over worker threads; the certified-bound
+// The eager scan is the paper's algorithm verbatim; the certified-bound
 // lazy loop (the library default) replaces most full oracle queries with
-// phase-1 bound probes. All three are bit-identical in output — the
-// table quantifies the work trade (full queries vs bound probes vs wall
-// time), and the harness aborts if any variant ever diverges.
+// phase-1 bound probes. Both are bit-identical in output — the table
+// quantifies the work trade (full queries vs bound probes vs wall time),
+// and the harness aborts if the variants ever diverge.
 //
-//   ./ablation_greedy_exec [--scale=...] [--threads=4] [--l=10]
+//   ./ablation_greedy_exec [--scale=...] [--l=10]
 
 #include <cstdio>
 
@@ -21,9 +20,6 @@ using namespace avt::bench;
 
 int main(int argc, char** argv) {
   BenchConfig config = ParseBenchConfig(argc, argv);
-  Flags flags = Flags::Parse(argc, argv);
-  const uint32_t threads =
-      static_cast<uint32_t>(flags.GetInt("threads", 4));
 
   TablePrinter table({"dataset", "variant", "time_ms", "full_queries",
                       "bound_probes", "followers"});
@@ -38,21 +34,16 @@ int main(int argc, char** argv) {
     };
     GreedyOptions scan;
     scan.lazy = false;
-    GreedyOptions parallel;
-    parallel.lazy = false;
-    parallel.num_threads = threads;
     GreedyOptions lazy;  // library default
 
     std::vector<VertexId> scan_anchors;
     for (const Variant& variant :
-         {Variant{scan, "scan (paper)"},
-          Variant{parallel, "parallel"},
-          Variant{lazy, "lazy (default)"}}) {
+         {Variant{scan, "scan (paper)"}, Variant{lazy, "lazy (default)"}}) {
       GreedySolver solver(variant.options);
       Timer timer;
       SolverResult result = solver.Solve(g, k, config.l);
       double ms = timer.ElapsedMillis();
-      if (!variant.options.lazy && variant.options.num_threads <= 1) {
+      if (!variant.options.lazy) {
         scan_anchors = result.anchors;
       } else {
         AVT_CHECK_MSG(result.anchors == scan_anchors,
@@ -69,9 +60,8 @@ int main(int argc, char** argv) {
   }
   EmitTable("Ablation: Greedy execution strategies", table,
             config.print_csv);
-  std::printf("\nall variants are bit-identical (checked): parallel "
-              "shares the eager scan's argmax and the lazy loop's\n"
-              "certified bounds guarantee the same pick per step — the "
-              "columns show where the work went instead.\n");
+  std::printf("\nboth variants are bit-identical (checked): the lazy "
+              "loop's certified bounds guarantee the scan's pick per\n"
+              "step — the columns show where the work went instead.\n");
   return 0;
 }

@@ -6,8 +6,6 @@
 #   AVT_SANITIZE — ON/address selects AddressSanitizer + UBSan (all
 #                  suites currently pass under it at seed scale; CI runs
 #                  the `unit` label plus a reduced differential fuzz).
-#                  thread selects ThreadSanitizer — the opt-in preset for
-#                  the parallel trial engine (see docs/TESTING.md).
 
 add_library(avt_build_flags INTERFACE)
 
@@ -20,11 +18,7 @@ endif()
 
 if(AVT_SANITIZE)
   string(TOLOWER "${AVT_SANITIZE}" _avt_sanitize_mode)
-  if(_avt_sanitize_mode STREQUAL "thread")
-    target_compile_options(avt_build_flags INTERFACE
-      -fsanitize=thread -fno-omit-frame-pointer -g)
-    target_link_options(avt_build_flags INTERFACE -fsanitize=thread)
-  elseif(_avt_sanitize_mode STREQUAL "on" OR
+  if(_avt_sanitize_mode STREQUAL "on" OR
          _avt_sanitize_mode STREQUAL "true" OR
          _avt_sanitize_mode STREQUAL "1" OR
          _avt_sanitize_mode STREQUAL "address")
@@ -34,7 +28,7 @@ if(AVT_SANITIZE)
       -fsanitize=address,undefined)
   else()
     message(FATAL_ERROR
-      "AVT_SANITIZE must be OFF, ON/address, or thread (got "
+      "AVT_SANITIZE must be OFF or ON/address (got "
       "'${AVT_SANITIZE}')")
   endif()
 endif()

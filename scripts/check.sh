@@ -7,12 +7,6 @@
 #   scripts/check.sh --asan      # sanitizer tier: unit tests + reduced
 #                                # differential fuzz + maintainer soak
 #                                # under ASan/UBSan
-#   scripts/check.sh --tsan      # ThreadSanitizer tier: the parallel
-#                                # trial engine's determinism battery,
-#                                # the cold-start suite (shared worker-0
-#                                # oracle), the work-proportionality
-#                                # suite (one vs two threads) +
-#                                # thread-pool units under TSan
 #
 # Any extra arguments after the mode flag are forwarded to ctest.
 
@@ -20,7 +14,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 mode="${1:-}"
-if [[ "$mode" == "--werror" || "$mode" == "--asan" || "$mode" == "--tsan" ]]; then
+if [[ "$mode" == "--werror" || "$mode" == "--asan" ]]; then
   shift
 else
   mode=""
@@ -45,15 +39,6 @@ case "$mode" in
     # checks are small enough to run in full.
     ctest --test-dir "$build_dir" -R '^maintenance_soak_test$' \
       --output-on-failure "$@"
-    ;;
-  --tsan)
-    build_dir=build-tsan
-    cmake -B "$build_dir" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-      -DAVT_SANITIZE=thread -DAVT_BUILD_BENCH=OFF -DAVT_BUILD_EXAMPLES=OFF
-    cmake --build "$build_dir" -j "$jobs"
-    ctest --test-dir "$build_dir" \
-      -R '^(parallel_determinism_test|cold_start_test|work_proportionality_test|util_test)$' \
-      --output-on-failure -j "$jobs" "$@"
     ;;
   --werror)
     build_dir=build-werror

@@ -10,7 +10,7 @@
 //       fresh core decomposition per candidate.
 //
 // Execution strategies for the pick loop (both route through
-// anchor/trial_engine.h and compose freely with num_threads):
+// anchor/trial_engine.h):
 //   * lazy (DEFAULT) — CELF-style lazy evaluation with *certified* upper
 //     bounds. The anchored-k-core objective is not submodular (the paper
 //     proves inapproximability), so the classic CELF trick of reusing
@@ -23,24 +23,16 @@
 //     dominates every remaining bound. Because bound >= exact always
 //     holds for the same trial set, the accepted pick is provably the
 //     exhaustive argmax under the same tie-break (followers desc, id
-//     asc) — anchors are bit-identical to the serial scan while full
+//     asc) — anchors are bit-identical to the eager scan while full
 //     oracle queries collapse to a handful per pick.
 //   * lazy = false ("scan") — the textbook loop: one full oracle query
 //     per candidate per pick. Kept as the reference for tests and the
-//     perf gate.
-//
-// num_threads > 1 distributes either strategy over a worker pool with
-// one FollowerOracle per worker: lazy shards the candidate heap into
-// fixed per-thread slices, eager fans full queries out with work
-// stealing, and both reduce winners by (followers desc, id asc) — the
-// anchors stay bit-identical to the serial path at every thread count
-// (the determinism argument lives in trial_engine.h; enforced by
-// tests/parallel_determinism_test.cc).
+//     execution-strategy ablation.
 //
 // Solve(graph) snapshots the graph into a CsrView once per solve and
 // routes the K-order build, the candidate filter and all cascade scans
 // through contiguous spans, then runs the shared pick loop (PickFrom).
-// Callers that already hold the K-order, a TrialEngine and the pool —
+// Callers that already hold the K-order, an oracle and the pool —
 // IncAvtTracker's first snapshot, whose maintainer reads the Theorem-3
 // pool off its neighbor counters in O(n) — call PickFrom directly and
 // build nothing.
@@ -53,16 +45,17 @@
 
 namespace avt {
 
-class TrialEngine;
+class FollowerOracle;
 
 /// Tuning knobs for GreedySolver.
 struct GreedyOptions {
   bool prune_candidates = true;
-  /// Trial-engine worker count; <= 1 runs serial. Output is identical at
-  /// every thread count.
+  /// Inert: the solver is single-threaded and never reads this. Kept
+  /// only because perfbench/main.cc still assigns it; it goes with that
+  /// assignment.
   uint32_t num_threads = 1;
   /// Lazy pick loop with certified bounds (see file comment). Identical
-  /// output to the eager scan, much cheaper. Composes with num_threads.
+  /// output to the eager scan, much cheaper.
   bool lazy = true;
 };
 
@@ -78,18 +71,16 @@ class GreedySolver : public AnchorSolver {
   SolverResult Solve(const Graph& graph, uint32_t k, uint32_t l) override;
 
   /// The pick loop over prebuilt state: `pool` is the candidate pool,
-  /// ascending id, of the graph and K-order `engine` is bound to. The
-  /// engine's worker count stands in for options.num_threads, and the
-  /// final follower count runs on its serial oracle, so the solve
+  /// ascending id, of the graph and K-order `oracle` is bound to. Every
+  /// trial and the final follower count run on `oracle`, so the solve
   /// allocates no oracle scratch. Given the Theorem-3 pool
   /// (CollectAnchorCandidates, or CoreMaintainer::CollectCandidates),
   /// anchors, followers and work counters equal Solve(graph).
   SolverResult PickFrom(const std::vector<VertexId>& pool,
-                        TrialEngine& engine, uint32_t k, uint32_t l);
+                        FollowerOracle& oracle, uint32_t k, uint32_t l);
 
   std::string name() const override {
     if (!options_.prune_candidates) return "Greedy-nopruning";
-    if (options_.num_threads > 1) return "Greedy-parallel";
     if (!options_.lazy) return "Greedy-scan";
     return "Greedy";
   }

@@ -123,15 +123,11 @@ Status StaticAvtTracker::RestoreCheckpointState(const std::string& blob) {
 }
 
 std::unique_ptr<AvtTracker> MakeTracker(AvtAlgorithm algorithm, uint32_t k,
-                                        uint32_t l, uint32_t num_threads,
-                                        size_t batch_size) {
+                                        uint32_t l, size_t batch_size) {
   switch (algorithm) {
-    case AvtAlgorithm::kGreedy: {
-      GreedyOptions options;
-      options.num_threads = num_threads;
+    case AvtAlgorithm::kGreedy:
       return std::make_unique<StaticAvtTracker>(
-          std::make_unique<GreedySolver>(options), k, l);
-    }
+          std::make_unique<GreedySolver>(), k, l);
     case AvtAlgorithm::kOlak:
       return std::make_unique<StaticAvtTracker>(
           std::make_unique<OlakSolver>(), k, l);
@@ -143,7 +139,6 @@ std::unique_ptr<AvtTracker> MakeTracker(AvtAlgorithm algorithm, uint32_t k,
           std::make_unique<BruteForceSolver>(), k, l);
     case AvtAlgorithm::kIncAvt: {
       IncAvtOptions options;
-      options.num_threads = num_threads;
       options.batch_size = batch_size;
       return std::make_unique<IncAvtTracker>(k, l, IncAvtMode::kRestricted,
                                              options);
@@ -153,10 +148,9 @@ std::unique_ptr<AvtTracker> MakeTracker(AvtAlgorithm algorithm, uint32_t k,
 }
 
 AvtRunResult RunAvt(const SnapshotSequence& sequence, AvtAlgorithm algorithm,
-                    uint32_t k, uint32_t l, uint32_t num_threads,
-                    size_t batch_size) {
+                    uint32_t k, uint32_t l, size_t batch_size) {
   std::unique_ptr<AvtTracker> tracker =
-      MakeTracker(algorithm, k, l, num_threads, batch_size);
+      MakeTracker(algorithm, k, l, batch_size);
   AVT_CHECK(tracker != nullptr);
   // Every run — bench, CLI, test — rides the streaming engine; the
   // sequence adapter re-emits deltas verbatim, so this is bit-identical

@@ -203,24 +203,19 @@ class StaticAvtTracker : public AvtTracker {
   Graph graph_;  // retained current snapshot
 };
 
-/// Runs one algorithm over a whole snapshot sequence. `num_threads`
-/// sizes the trial engine of the algorithms that have one (Greedy,
-/// IncAVT); the other algorithms ignore it. Output is bit-identical at
-/// every thread count. `batch_size` sets IncAVT's delta-transaction
-/// width (ignored by the re-solve families, whose per-snapshot cost has
-/// no per-delta fixed part): with N > 1 the engine merges N consecutive
-/// deltas per transaction, so the run reports one result per BATCH
-/// BOUNDARY snapshot — each bit-identical to the per-delta replay's
-/// result at that snapshot (tests/differential_fuzz_test.cc pins this).
+/// Runs one algorithm over a whole snapshot sequence. `batch_size` sets
+/// IncAVT's delta-transaction width (ignored by the re-solve families,
+/// whose per-snapshot cost has no per-delta fixed part): with N > 1 the
+/// engine merges N consecutive deltas per transaction, so the run
+/// reports one result per BATCH BOUNDARY snapshot — each bit-identical
+/// to the per-delta replay's result at that snapshot
+/// (tests/differential_fuzz_test.cc pins this).
 AvtRunResult RunAvt(const SnapshotSequence& sequence, AvtAlgorithm algorithm,
-                    uint32_t k, uint32_t l, uint32_t num_threads = 1,
-                    size_t batch_size = 1);
+                    uint32_t k, uint32_t l, size_t batch_size = 1);
 
-/// Factory for trackers (IncAVT included). `num_threads` / `batch_size`
-/// as in RunAvt.
+/// Factory for trackers (IncAVT included). `batch_size` as in RunAvt.
 std::unique_ptr<AvtTracker> MakeTracker(AvtAlgorithm algorithm, uint32_t k,
-                                        uint32_t l, uint32_t num_threads = 1,
-                                        size_t batch_size = 1);
+                                        uint32_t l, size_t batch_size = 1);
 
 }  // namespace avt
 

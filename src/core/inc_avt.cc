@@ -6,6 +6,7 @@
 #include "anchor/anchored_core.h"
 #include "anchor/candidates.h"
 #include "anchor/greedy.h"
+#include "anchor/trial_engine.h"
 #include "util/timer.h"
 
 namespace avt {
@@ -46,27 +47,25 @@ AvtSnapshotResult IncAvtTracker::ProcessFirst(const Graph& g0) {
   // Greedy algorithm (lazy pick loop unless the tracker is eager — both
   // produce identical anchors).
   maintainer_.Reset(g0, k_);
-  // One engine for the tracker's lifetime: its worker 0 is the serial
-  // oracle, so greedy, the local searches and the incumbent queries all
-  // share max(1, num_threads) oracles. The maintainer's graph and order
-  // have stable addresses, so a repeated ProcessFirst (rollback rebuild)
-  // only grows the scratch to the new universe.
-  if (engine_ == nullptr) {
-    engine_ = std::make_unique<TrialEngine>(&maintainer_.graph(),
-                                            &maintainer_.order(), nullptr,
-                                            options_.num_threads);
+  // One oracle for the tracker's lifetime: greedy, the local searches
+  // and the incumbent queries all share it. The maintainer's graph and
+  // order have stable addresses, so a repeated ProcessFirst (rollback
+  // rebuild) only grows the scratch to the new universe.
+  if (oracle_ == nullptr) {
+    oracle_ = std::make_unique<FollowerOracle>(&maintainer_.graph(),
+                                               &maintainer_.order());
   } else {
-    engine_->ResizeScratch();
+    oracle_->ResizeScratch();
   }
   // The greedy solve runs over the maintainer's K-order and the
-  // tracker's engine — no second CSR, K-order or oracle set — and its
+  // tracker's oracle — no second CSR, K-order or oracle — and its
   // Theorem-3 pool comes off the maintainer's neighbor counters in
   // O(n) rather than an O(m) neighbor scan.
   GreedyOptions greedy_options;
   greedy_options.lazy = options_.lazy;
   GreedySolver greedy(greedy_options);
   SolverResult first =
-      greedy.PickFrom(maintainer_.CollectCandidates(), *engine_, k_, l_);
+      greedy.PickFrom(maintainer_.CollectCandidates(), *oracle_, k_, l_);
   anchors_ = first.anchors;
 
   in_pool_.assign(g0.NumVertices(), 0);
@@ -102,7 +101,6 @@ void IncAvtTracker::EagerLocalSearch(const std::vector<VertexId>& pool,
   // Algorithm 6 lines 9-16 verbatim: per anchor slot, evaluate every
   // pool vertex with a full follower query and commit the best strict
   // improvement — (followers desc, id asc), the order of the pool scan.
-  // The engine fans the queries out over its workers.
   TrialPolicy policy;
   policy.lazy = false;
   policy.gate = true;
@@ -113,7 +111,7 @@ void IncAvtTracker::EagerLocalSearch(const std::vector<VertexId>& pool,
     CollectLive(pool);
     if (live_.empty()) continue;
     policy.floor = current;
-    TrialOutcome outcome = engine_->Evaluate(live_, base, k_, policy);
+    TrialOutcome outcome = EvaluateTrials(*oracle_, live_, base, k_, policy);
     snap.candidates_visited += outcome.full_queries;
     snap.bound_probes += outcome.bound_probes;
     if (outcome.vertex == kNoVertex) continue;  // slot settled
@@ -135,7 +133,8 @@ void IncAvtTracker::ExtendPhase(const std::vector<VertexId>& pool,
   while (anchors_.size() < l_ && !pool.empty()) {
     CollectLive(pool);
     if (live_.empty()) break;
-    TrialOutcome outcome = engine_->Evaluate(live_, anchors_, k_, policy);
+    TrialOutcome outcome =
+        EvaluateTrials(*oracle_, live_, anchors_, k_, policy);
     snap.candidates_visited += outcome.full_queries;
     snap.bound_probes += outcome.bound_probes;
     if (outcome.vertex == kNoVertex) break;
@@ -151,7 +150,7 @@ void IncAvtTracker::LazyLocalSearch(const std::vector<VertexId>& pool,
   // Same search as EagerLocalSearch, same committed anchors (see the
   // equivalence argument in greedy.cc's LazyGreedy — identical heap
   // discipline), but each full query is gated by a certified bound.
-  FollowerOracle& oracle = engine_->serial_oracle();
+  FollowerOracle& oracle = *oracle_;
   std::vector<VertexId> base;
   std::priority_queue<LazyEntry> heap;
   bool base_ready = false;  // physical base state == this slot's base?
@@ -241,7 +240,7 @@ void IncAvtTracker::EnsureVertices(VertexId count) {
   const size_t n = maintainer_.graph().NumVertices();
   in_pool_.resize(n, 0);
   is_anchor_.resize(n, 0);
-  if (engine_) engine_->ResizeScratch();
+  if (oracle_) oracle_->ResizeScratch();
 }
 
 AvtSnapshotResult IncAvtTracker::ProcessDelta(const EdgeDelta& delta) {
@@ -300,7 +299,7 @@ AvtSnapshotResult IncAvtTracker::ProcessDelta(const EdgeDelta& delta) {
 
   // Step 2: seed with S_{t-1}; re-establish the incumbent follower count
   // F(S) on the new snapshot.
-  uint32_t current = engine_->serial_oracle().CountFollowers(anchors_, k_);
+  uint32_t current = oracle_->CountFollowers(anchors_, k_);
 
   // Step 4: local search (lines 9-16).
   if (options_.lazy) {

@@ -4,8 +4,8 @@
 //   * CoreMaintainer — graph + K-order kept consistent by the bounded
 //     maintenance of Algorithms 4/5 (no per-snapshot rebuild);
 //   * the previous anchor set S_{t-1}.
-// Nothing else survives a transition: the oracles, the trial engine and
-// the pool filter all scan the maintainer's own graph.
+// Nothing else survives a transition: the oracle and the pool filter
+// both scan the maintainer's own graph.
 //
 // Per transition:
 //   1. Apply E+ / E- through the maintainer, collecting the impacted
@@ -41,24 +41,16 @@
 //   Both accelerations preserve bit-identical anchors versus the eager
 //   loop (enforced by tests/lazy_greedy_test.cc).
 //
-// Threads (IncAvtOptions::num_threads) never change the search: every
-// thread count runs the same lazy (or eager) loops. The pool walk and
-// the lazy swap phase run on worker 0 alone; the engine's workers split
-// only TrialEngine::Evaluate calls — the eager slots and the extend
-// phase — whose outcomes and counters are thread-count-invariant. Pools,
-// anchors and work counters are therefore bit-identical at every thread
-// count.
-//
 // The pool is usually tiny relative to the full Theorem-3 candidate set —
 // that is the entire advantage the paper measures in Figures 4/6/8.
 
 #ifndef AVT_CORE_INC_AVT_H_
 #define AVT_CORE_INC_AVT_H_
 
+#include <memory>
 #include <vector>
 
 #include "anchor/follower_oracle.h"
-#include "anchor/trial_engine.h"
 #include "core/avt.h"
 #include "maint/maintainer.h"
 
@@ -84,14 +76,9 @@ struct IncAvtOptions {
   /// reference (see file comment). Bit-identical anchors to the eager
   /// loop.
   bool lazy = true;
-  /// Trial-engine worker count; <= 1 runs everything serial. Every
-  /// thread count runs the same searches. The workers split the first
-  /// snapshot's greedy solve, the eager search's full queries and the
-  /// extend phase's trials (TrialEngine::Evaluate, serial below its
-  /// kMinProbesPerWorker cutover); the pool walk and the lazy swap phase
-  /// stay on worker 0. Anchors, pools and work counters are
-  /// bit-identical at every thread count
-  /// (tests/parallel_determinism_test.cc).
+  /// Inert: the tracker is single-threaded and never reads this. Kept
+  /// only because perfbench/main.cc still assigns it; it goes with that
+  /// assignment.
   uint32_t num_threads = 1;
   /// Delta-transaction width the tracker requests from the driving
   /// engine (AvtEngine honors it via AvtTracker::PreferredBatchSize).
@@ -117,7 +104,7 @@ class IncAvtTracker : public AvtTracker {
   AvtSnapshotResult ProcessFirst(const Graph& g0) override;
   AvtSnapshotResult ProcessDelta(const EdgeDelta& delta) override;
   /// Streaming growth: new isolated vertices join the maintained graph,
-  /// K-order (back of level 0), the oracle/engine scratch, and this
+  /// K-order (back of level 0), the oracle scratch, and this
   /// tracker's per-vertex state. An isolated vertex cannot change any
   /// query's result.
   void EnsureVertices(VertexId count) override;
@@ -134,8 +121,8 @@ class IncAvtTracker : public AvtTracker {
   }
 
   const CoreMaintainer& maintainer() const { return maintainer_; }
-  /// The tracker's trial engine (null before the first ProcessFirst).
-  const TrialEngine* trial_engine() const { return engine_.get(); }
+  /// The tracker's follower oracle (null before the first ProcessFirst).
+  const FollowerOracle* oracle() const { return oracle_.get(); }
   const std::vector<VertexId>& current_anchors() const { return anchors_; }
 
   /// The maintained graph + K-order index: exactly the redundant state
@@ -158,11 +145,11 @@ class IncAvtTracker : public AvtTracker {
   void LazyLocalSearch(const std::vector<VertexId>& pool, uint32_t& current,
                        AvtSnapshotResult& snap);
   /// Algorithm 6's loops with one full query per trial, each slot one
-  /// eager TrialEngine::Evaluate.
+  /// eager EvaluateTrials.
   void EagerLocalSearch(const std::vector<VertexId>& pool, uint32_t& current,
                         AvtSnapshotResult& snap);
   /// Fills S up to l from the pool (argmax trial per step, no incumbent
-  /// gate) with one TrialEngine::Evaluate per added anchor.
+  /// gate) with one EvaluateTrials per added anchor.
   void ExtendPhase(const std::vector<VertexId>& pool, uint32_t& current,
                    AvtSnapshotResult& snap);
   /// live_ := the pool minus the current anchors.
@@ -174,14 +161,12 @@ class IncAvtTracker : public AvtTracker {
   IncAvtOptions options_;
   size_t t_ = 0;
   CoreMaintainer maintainer_;
-  /// The tracker's only oracles and threads: max(1, num_threads) workers
-  /// bound to the maintainer's graph/order (shared read-only). Worker 0
-  /// is the serial oracle: greedy's final count, the incumbent queries,
-  /// the swap reference and its marginal pass, dirty per-slot probes and
-  /// every pop-resolve. With num_threads > 1 the workers also split the
-  /// greedy solve and the eager/extend Evaluate calls. Created by the
-  /// first ProcessFirst and kept for the tracker's lifetime.
-  std::unique_ptr<TrialEngine> engine_;
+  /// The tracker's only oracle, bound to the maintainer's graph/order:
+  /// the first snapshot's greedy solve, the incumbent queries, the swap
+  /// reference and its marginal pass, every per-slot probe and
+  /// pop-resolve. Created by the first ProcessFirst and kept for the
+  /// tracker's lifetime.
+  std::unique_ptr<FollowerOracle> oracle_;
   std::vector<VertexId> anchors_;
   /// Per-vertex scratch, sized once per universe so ProcessDelta neither
   /// allocates nor clears anything n-sized. The pool walk reads the

@@ -1,6 +1,6 @@
 // Binary temporal edge log: the compact on-disk delta-stream format
-// behind `avt_cli stream --source=binlog`, `avt_cli convert`, and the
-// scalability tier (bench/scalability.cc).
+// behind `avt_cli stream --source=binlog`, `avt_cli convert`, and
+// perfbench's workloads.
 //
 // Every benchmark before PR 10 parsed its stream from text — two
 // passes of istringstream over "u v t" lines per run, O(file) each.

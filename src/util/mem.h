@@ -1,10 +1,9 @@
-// Process-memory introspection for the scalability tier: peak and
-// current resident set size, read from getrusage / /proc/self/statm.
+// Process-memory introspection: peak and current resident set size,
+// read from getrusage / /proc/self/statm.
 //
 // Peak RSS — not wall time — is what decides whether a million-delta
-// run is servable on a given box (see docs/PERFORMANCE.md, scalability
-// section), so RunSummary carries it next to ms/delta and the benches
-// report it per tier. Both readers are best-effort: on platforms
+// run is servable on a given box, so RunSummary carries it next to
+// ms/delta and perfbench reports it per workload. Both readers are best-effort: on platforms
 // without the facility they return 0, and every consumer treats 0 as
 // "unknown" rather than "tiny".
 

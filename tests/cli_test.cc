@@ -9,7 +9,6 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
-#include <thread>
 #include <utility>
 
 namespace avt {
@@ -165,67 +164,6 @@ TEST_F(CliTest, AnchorsAllAlgorithms) {
   }
 }
 
-TEST_F(CliTest, AnchorsRejectsNonPositiveThreads) {
-  std::string graph_path = TempPath("threads.txt");
-  std::string out, err;
-  ASSERT_EQ(Run({"gen", "--model=er", "--n=80", "--avg-degree=4",
-                 "--out=" + graph_path},
-                &out),
-            0);
-  for (const char* bad : {"--threads=0", "--threads=-3", "--threads=zap"}) {
-    EXPECT_EQ(Run({"anchors", graph_path, "--k=3", "--l=2", bad}, &out,
-                  &err),
-              2)
-        << bad;
-    EXPECT_NE(err.find("--threads must be a positive integer"),
-              std::string::npos)
-        << bad;
-  }
-}
-
-TEST_F(CliTest, TrackRejectsNonPositiveThreads) {
-  std::string out, err;
-  EXPECT_EQ(Run({"track", "--dataset=CollegeMsg", "--t=3", "--threads=0"},
-                &out, &err),
-            2);
-  EXPECT_NE(err.find("--threads must be a positive integer"),
-            std::string::npos);
-}
-
-TEST_F(CliTest, ThreadsAboveHardwareClampedWithWarning) {
-  // Oversubscribing a small box only adds fork-join wakeups; the CLI
-  // clamps to the hardware concurrency and says so on stderr. Outputs
-  // are bit-identical at every thread count, so the run still succeeds.
-  if (std::thread::hardware_concurrency() == 0) {
-    GTEST_SKIP() << "hardware concurrency unknown; clamp disabled";
-  }
-  std::string graph_path = TempPath("clamp.txt");
-  std::string out, err;
-  ASSERT_EQ(Run({"gen", "--model=er", "--n=80", "--avg-degree=4",
-                 "--out=" + graph_path},
-                &out),
-            0);
-  EXPECT_EQ(Run({"anchors", graph_path, "--k=3", "--l=2",
-                 "--threads=4096"},
-                &out, &err),
-            0);
-  EXPECT_NE(err.find("exceeds the"), std::string::npos) << err;
-  EXPECT_NE(err.find("clamping to"), std::string::npos) << err;
-}
-
-TEST_F(CliTest, ThreadsAtOrBelowHardwareNotClamped) {
-  std::string graph_path = TempPath("noclamp.txt");
-  std::string out, err;
-  ASSERT_EQ(Run({"gen", "--model=er", "--n=80", "--avg-degree=4",
-                 "--out=" + graph_path},
-                &out),
-            0);
-  EXPECT_EQ(Run({"anchors", graph_path, "--k=3", "--l=2", "--threads=1"},
-                &out, &err),
-            0);
-  EXPECT_EQ(err.find("clamping"), std::string::npos) << err;
-}
-
 TEST_F(CliTest, EveryCommandRejectsFlagsItDoesNotRead) {
   // A flag a subcommand does not read — a typo, or a retired knob —
   // exits 2 before the command runs, instead of being silently ignored.
@@ -243,6 +181,8 @@ TEST_F(CliTest, EveryCommandRejectsFlagsItDoesNotRead) {
       {{"convert", "log.txt"}, "--bogus=1"},
       {track, "--csr=none"},
       {track, "--theads=2"},
+      {track, "--threads=2"},
+      {{"anchors", "g.txt"}, "--threads=2"},
       {track, "--memo-policy=none"},
       {track, "--memo-budget=4096"},
   };
@@ -256,37 +196,6 @@ TEST_F(CliTest, EveryCommandRejectsFlagsItDoesNotRead) {
         << base[0] << ": " << err;
     EXPECT_EQ(out, "") << base[0] << " " << flag;
   }
-}
-
-TEST_F(CliTest, AnchorsThreadedMatchesSerial) {
-  std::string graph_path = TempPath("mt.txt");
-  std::string serial, threaded;
-  ASSERT_EQ(Run({"gen", "--model=chung-lu", "--n=250", "--avg-degree=6",
-                 "--out=" + graph_path},
-                &serial),
-            0);
-  ASSERT_EQ(Run({"anchors", graph_path, "--k=3", "--l=3", "--threads=1"},
-                &serial),
-            0);
-  ASSERT_EQ(Run({"anchors", graph_path, "--k=3", "--l=3", "--threads=3"},
-                &threaded),
-            0);
-  // Identical anchors, followers, and anchored-core size. The algorithm
-  // name ("Greedy" vs "Greedy-parallel") and the work counters (sharded
-  // lazy resolution legitimately issues more full queries) may differ.
-  auto result_lines = [](const std::string& text) {
-    std::string kept;
-    std::istringstream stream(text);
-    for (std::string line; std::getline(stream, line);) {
-      if (line.rfind("anchors", 0) == 0 || line.rfind("followers", 0) == 0 ||
-          line.rfind("|C_", 0) == 0) {
-        kept += line + "\n";
-      }
-    }
-    return kept;
-  };
-  EXPECT_NE(result_lines(serial), "");
-  EXPECT_EQ(result_lines(serial), result_lines(threaded));
 }
 
 TEST_F(CliTest, AnchorsRejectsBadAlgo) {
@@ -410,9 +319,9 @@ TEST_F(CliTest, FlagsUsedByScriptsAndReadmeStillRun) {
        "--out=" + graph},
       {"stats", graph},
       {"core", graph, "--k=3", "--list"},
-      {"anchors", graph, "--k=3", "--l=5", "--threads=2"},
+      {"anchors", graph, "--k=3", "--l=5"},
       {"track", "--dataset=eu-core", "--t=3", "--k=3", "--l=3",
-       "--scale=0.05", "--seed=7", "--threads=2"},
+       "--scale=0.05", "--seed=7"},
       gen_stream,
       with({"--checkpoint-dir=" + ckpt, "--checkpoint-every=2",
             "--fsync=never"}),

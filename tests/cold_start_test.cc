@@ -1,25 +1,22 @@
 // Cold start over shared state: IncAvtTracker::ProcessFirst solves G_0
-// greedily over the maintainer's K-order and the tracker's own trial
-// engine instead of building a second CSR, K-order and oracle set. These
-// tests pin that the shared path is invisible in outputs — anchors,
-// followers and work counters equal a standalone GreedySolver::Solve on
-// every (strategy, threads) combination, and a repeated ProcessFirst
-// (the rollback rebuild) reproduces the first — and that the memory it
-// saves stays saved: packed oracle scratch per vertex, one oracle per
-// worker, engine footprint linear in the worker count, and a maintainer
-// that holds one adjacency (no mirror) and one packed cascade-scratch
-// record per vertex.
+// greedily over the maintainer's K-order and the tracker's own oracle
+// instead of building a second CSR, K-order and oracle. These tests pin
+// that the shared path is invisible in outputs — anchors, followers and
+// work counters equal a standalone GreedySolver::Solve under both
+// strategies, and a repeated ProcessFirst (the rollback rebuild)
+// reproduces the first — and that the memory it saves stays saved:
+// packed oracle scratch per vertex, one oracle per tracker whatever
+// num_threads says, and a maintainer that holds one adjacency (no
+// mirror) and one packed cascade-scratch record per vertex.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "anchor/candidates.h"
 #include "anchor/follower_oracle.h"
 #include "anchor/greedy.h"
-#include "anchor/trial_engine.h"
 #include "core/inc_avt.h"
 #include "gen/churn.h"
 #include "gen/models.h"
@@ -46,10 +43,9 @@ std::vector<Case> Cases() {
   return cases;
 }
 
-IncAvtOptions TrackerOptions(bool lazy, uint32_t threads) {
+IncAvtOptions TrackerOptions(bool lazy) {
   IncAvtOptions options;
   options.lazy = lazy;
-  options.num_threads = threads;
   return options;
 }
 
@@ -70,40 +66,36 @@ TEST(ColdStart, ProcessFirstEqualsStandaloneGreedy) {
     churn.max_churn = 40;
     const EdgeDelta delta = NextChurnDelta(working, churn, churn_rng);
     for (bool lazy : {true, false}) {
-      for (uint32_t threads : {1u, 2u, 4u}) {
-        GreedyOptions greedy_options;
-        greedy_options.lazy = lazy;
-        greedy_options.num_threads = threads;
-        const SolverResult standalone =
-            GreedySolver(greedy_options).Solve(c.graph, c.k, c.l);
-        ASSERT_FALSE(standalone.anchors.empty()) << c.name;
-        const std::string what = std::string(c.name) +
-                                 " lazy=" + std::to_string(lazy) +
-                                 " threads=" + std::to_string(threads);
-        IncAvtTracker tracker(c.k, c.l, IncAvtMode::kRestricted,
-                              TrackerOptions(lazy, threads));
-        const AvtSnapshotResult first = tracker.ProcessFirst(c.graph);
-        // The greedy pool read off the neighbor counters is the
-        // neighbor-scan pool: the O(1) verdict agrees on all n vertices.
-        const CoreMaintainer& m = tracker.maintainer();
-        EXPECT_EQ(m.CollectCandidates(),
-                  CollectAnchorCandidates(m.graph(), m.order(), c.k))
-            << what;
-        EXPECT_EQ(first.anchors, standalone.anchors) << what;
-        EXPECT_EQ(first.num_followers, standalone.num_followers()) << what;
-        EXPECT_EQ(first.candidates_visited, standalone.candidates_visited)
-            << what;
-        EXPECT_EQ(first.bound_probes, standalone.bound_probes) << what;
+      GreedyOptions greedy_options;
+      greedy_options.lazy = lazy;
+      const SolverResult standalone =
+          GreedySolver(greedy_options).Solve(c.graph, c.k, c.l);
+      ASSERT_FALSE(standalone.anchors.empty()) << c.name;
+      const std::string what =
+          std::string(c.name) + " lazy=" + std::to_string(lazy);
+      IncAvtTracker tracker(c.k, c.l, IncAvtMode::kRestricted,
+                            TrackerOptions(lazy));
+      const AvtSnapshotResult first = tracker.ProcessFirst(c.graph);
+      // The greedy pool read off the neighbor counters is the
+      // neighbor-scan pool: the O(1) verdict agrees on all n vertices.
+      const CoreMaintainer& m = tracker.maintainer();
+      EXPECT_EQ(m.CollectCandidates(),
+                CollectAnchorCandidates(m.graph(), m.order(), c.k))
+          << what;
+      EXPECT_EQ(first.anchors, standalone.anchors) << what;
+      EXPECT_EQ(first.num_followers, standalone.num_followers()) << what;
+      EXPECT_EQ(first.candidates_visited, standalone.candidates_visited)
+          << what;
+      EXPECT_EQ(first.bound_probes, standalone.bound_probes) << what;
 
-        // Rollback rebuild: the same tracker, its state moved on by a
-        // delta, re-initialized from G_0 — and the replayed delta must
-        // land where the first replay landed.
-        const AvtSnapshotResult next = tracker.ProcessDelta(delta);
-        ExpectSameSnapshot(tracker.ProcessFirst(c.graph), first,
-                           what + " (second ProcessFirst)");
-        ExpectSameSnapshot(tracker.ProcessDelta(delta), next,
-                           what + " (replayed delta)");
-      }
+      // Rollback rebuild: the same tracker, its state moved on by a
+      // delta, re-initialized from G_0 — and the replayed delta must
+      // land where the first replay landed.
+      const AvtSnapshotResult next = tracker.ProcessDelta(delta);
+      ExpectSameSnapshot(tracker.ProcessFirst(c.graph), first,
+                         what + " (second ProcessFirst)");
+      ExpectSameSnapshot(tracker.ProcessDelta(delta), next,
+                         what + " (replayed delta)");
     }
   }
 }
@@ -125,28 +117,41 @@ TEST(ColdStart, OracleScratchIsPackedPerVertex) {
   EXPECT_LE(per_vertex, 56u);
 }
 
-TEST(ColdStart, TrackerHoldsOneOraclePerWorker) {
+TEST(ColdStart, TrackerHoldsOneOracle) {
   Rng rng(94);
   const Graph g0 = ChungLuPowerLaw(20'000, 8.0, 2.2, 200, rng);
   KOrder order;
   order.Build(g0);
   const size_t one_oracle = FollowerOracle(&g0, &order).MemoryFootprint();
-  for (uint32_t threads : {0u, 1u, 2u, 4u}) {
-    IncAvtTracker tracker(5, 4, IncAvtMode::kRestricted,
-                          TrackerOptions(true, threads));
-    tracker.ProcessFirst(g0);
-    const uint32_t workers = std::max(1u, threads);
-    ASSERT_NE(tracker.trial_engine(), nullptr);
-    EXPECT_EQ(tracker.trial_engine()->num_threads(), workers);
-    // The greedy solve ran on these same oracles: their footprint is
-    // `workers` oracles plus at most one more oracle's worth of grown
-    // hot vectors — a second oracle set would double it.
-    const size_t engine = tracker.trial_engine()->MemoryFootprint();
-    EXPECT_GE(engine, workers * one_oracle) << "threads=" << threads;
-    EXPECT_LT(engine, (workers + 1) * one_oracle) << "threads=" << threads;
-    EXPECT_GT(tracker.maintainer().MemoryFootprint(),
-              tracker.maintainer().order().MemoryFootprint());
-  }
+  IncAvtTracker tracker(5, 4);
+  tracker.ProcessFirst(g0);
+  ASSERT_NE(tracker.oracle(), nullptr);
+  // The greedy solve ran on this same oracle: its footprint is one
+  // oracle plus at most one more oracle's worth of grown hot vectors — a
+  // second oracle would double it.
+  const size_t footprint = tracker.oracle()->MemoryFootprint();
+  EXPECT_GE(footprint, one_oracle);
+  EXPECT_LT(footprint, 2 * one_oracle);
+  EXPECT_GT(tracker.maintainer().MemoryFootprint(),
+            tracker.maintainer().order().MemoryFootprint());
+}
+
+TEST(ColdStart, OneOracleWhateverNumThreads) {
+  // num_threads is inert: a tracker asked for two threads holds the
+  // same single oracle, and reaches the same anchors, as one asked for
+  // one.
+  Rng rng(97);
+  const Graph g0 = ChungLuPowerLaw(20'000, 8.0, 2.2, 200, rng);
+  IncAvtOptions two_threads;
+  two_threads.num_threads = 2;
+  IncAvtTracker one(5, 4);
+  IncAvtTracker two(5, 4, IncAvtMode::kRestricted, two_threads);
+  const AvtSnapshotResult a = one.ProcessFirst(g0);
+  const AvtSnapshotResult b = two.ProcessFirst(g0);
+  ASSERT_FALSE(a.anchors.empty());
+  EXPECT_EQ(b.anchors, a.anchors);
+  EXPECT_EQ(b.num_followers, a.num_followers);
+  EXPECT_EQ(two.oracle()->MemoryFootprint(), one.oracle()->MemoryFootprint());
 }
 
 TEST(ColdStart, MaintainerHoldsOneAdjacency) {
@@ -164,19 +169,6 @@ TEST(ColdStart, MaintainerHoldsOneAdjacency) {
   tracker.ProcessFirst(g0);
   const size_t per_vertex = tracker.maintainer().MemoryFootprint() / kN;
   EXPECT_LE(per_vertex, 128u);
-}
-
-TEST(ColdStart, EngineFootprintIsLinearInThreads) {
-  Rng rng(95);
-  const Graph g = ChungLuPowerLaw(5000, 6.0, 2.2, 80, rng);
-  KOrder order;
-  order.Build(g);
-  const size_t one = TrialEngine(&g, &order, nullptr, 1).MemoryFootprint();
-  for (uint32_t threads : {2u, 3u, 4u}) {
-    EXPECT_EQ(TrialEngine(&g, &order, nullptr, threads).MemoryFootprint(),
-              threads * one)
-        << "threads=" << threads;
-  }
 }
 
 }  // namespace

@@ -259,8 +259,8 @@ TEST(DifferentialFuzz, IncAvtMatchesFromScratchRecomputation) {
 // FILE streamed through AvtEngine (StreamingEdgeFileSource, the
 // zero-materialization ingestion path, coalesce-window 1 == no
 // decorator) must produce bit-identical anchors and follower counts to
-// the materialized WindowSnapshots replay of the SAME file, across
-// {lazy, eager} x threads {1, 8}.
+// the materialized WindowSnapshots replay of the SAME file, under both
+// {lazy, eager} strategies.
 TEST(DifferentialFuzz, StreamedFileReplayMatchesMaterializedMatrix) {
   Rng rng(808);
   TemporalGenOptions options;
@@ -281,30 +281,26 @@ TEST(DifferentialFuzz, StreamedFileReplayMatchesMaterializedMatrix) {
   const uint32_t k = 3;
   const uint32_t l = 4;
   for (bool lazy : {true, false}) {
-    for (uint32_t threads : {1u, 8u}) {
-      IncAvtOptions options_inc;
-      options_inc.lazy = lazy;
-      options_inc.num_threads = threads;
-      auto run_config = [&](std::unique_ptr<DeltaSource> source) {
-        AvtEngine engine(
-            std::make_unique<IncAvtTracker>(
-                k, l, IncAvtMode::kRestricted, options_inc),
-            std::move(source));
-        std::vector<std::pair<std::vector<VertexId>, uint32_t>> track;
-        engine.SetObserver([&](const AvtSnapshotResult& snap) {
-          track.emplace_back(snap.anchors, snap.num_followers);
-        });
-        EXPECT_TRUE(engine.Drain().ok());
-        return track;
-      };
-      auto materialized =
-          run_config(std::make_unique<SequenceSource>(&sequence));
-      auto opened = StreamingEdgeFileSource::Open(path, T, window);
-      ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-      auto streamed = run_config(std::move(opened).value());
-      EXPECT_EQ(materialized, streamed)
-          << "lazy=" << lazy << " threads=" << threads;
-    }
+    IncAvtOptions options_inc;
+    options_inc.lazy = lazy;
+    auto run_config = [&](std::unique_ptr<DeltaSource> source) {
+      AvtEngine engine(
+          std::make_unique<IncAvtTracker>(
+              k, l, IncAvtMode::kRestricted, options_inc),
+          std::move(source));
+      std::vector<std::pair<std::vector<VertexId>, uint32_t>> track;
+      engine.SetObserver([&](const AvtSnapshotResult& snap) {
+        track.emplace_back(snap.anchors, snap.num_followers);
+      });
+      EXPECT_TRUE(engine.Drain().ok());
+      return track;
+    };
+    auto materialized =
+        run_config(std::make_unique<SequenceSource>(&sequence));
+    auto opened = StreamingEdgeFileSource::Open(path, T, window);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    auto streamed = run_config(std::move(opened).value());
+    EXPECT_EQ(materialized, streamed) << "lazy=" << lazy;
   }
   std::remove(path.c_str());
 }

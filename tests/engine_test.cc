@@ -255,8 +255,8 @@ TEST(AvtEngine, GrowsTheUniverseOnDemandBitIdenticallyToPadding) {
 }
 
 TEST(AvtEngine, MaintainedStateStaysValidAcrossGrowth) {
-  // Growth at every thread count: the maintained K-order must satisfy
-  // the full invariant suite after each growing delta.
+  // Growth: the maintained K-order must satisfy the full invariant
+  // suite after each growing delta.
   Rng rng(6);
   Graph small = ChungLuPowerLaw(80, 6.0, 2.2, 25, rng);
   std::vector<EdgeDelta> deltas;
@@ -273,29 +273,22 @@ TEST(AvtEngine, MaintainedStateStaysValidAcrossGrowth) {
     deltas.push_back(delta);
   }
 
-  for (uint32_t threads : {1u, 4u}) {
-    IncAvtOptions options;
-    options.num_threads = threads;
-    auto tracker = std::make_unique<IncAvtTracker>(
-        3, 3, IncAvtMode::kRestricted, options);
-    IncAvtTracker* inc = tracker.get();
-    AvtEngine engine(std::move(tracker),
-                     std::make_unique<VectorSource>(small, deltas));
-    ASSERT_TRUE(engine.Step().value());
-    size_t t = 0;
-    for (;;) {
-      StatusOr<bool> stepped = engine.Step();
-      ASSERT_TRUE(stepped.ok());
-      if (!stepped.value()) break;
-      ++t;
-      InvariantReport report = CheckKOrderInvariants(
-          inc->maintainer().graph(), inc->maintainer().order());
-      ASSERT_TRUE(report.ok)
-          << "threads " << threads << " t=" << t << ": "
-          << report.failure;
-    }
-    EXPECT_TRUE(inc->maintainer().graph() == working);
+  auto tracker = std::make_unique<IncAvtTracker>(3, 3);
+  IncAvtTracker* inc = tracker.get();
+  AvtEngine engine(std::move(tracker),
+                   std::make_unique<VectorSource>(small, deltas));
+  ASSERT_TRUE(engine.Step().value());
+  size_t t = 0;
+  for (;;) {
+    StatusOr<bool> stepped = engine.Step();
+    ASSERT_TRUE(stepped.ok());
+    if (!stepped.value()) break;
+    ++t;
+    InvariantReport report = CheckKOrderInvariants(
+        inc->maintainer().graph(), inc->maintainer().order());
+    ASSERT_TRUE(report.ok) << "t=" << t << ": " << report.failure;
   }
+  EXPECT_TRUE(inc->maintainer().graph() == working);
 }
 
 }  // namespace

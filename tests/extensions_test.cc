@@ -154,21 +154,6 @@ TEST(AsciiChart, ConstantSeriesDoesNotDivideByZero) {
 
 // --- Greedy execution strategies --------------------------------------
 
-TEST(GreedyVariants, ParallelMatchesSerialExactly) {
-  for (uint64_t seed = 0; seed < 3; ++seed) {
-    Rng rng(seed + 11);
-    Graph g = ChungLuPowerLaw(180, 6.0, 2.2, 40, rng);
-    GreedySolver serial;
-    GreedyOptions parallel_options;
-    parallel_options.num_threads = 4;
-    GreedySolver parallel(parallel_options);
-    SolverResult a = serial.Solve(g, 3, 5);
-    SolverResult b = parallel.Solve(g, 3, 5);
-    EXPECT_EQ(a.anchors, b.anchors) << "seed " << seed;
-    EXPECT_EQ(a.num_followers(), b.num_followers()) << "seed " << seed;
-  }
-}
-
 TEST(GreedyVariants, LazyIsExactAndCheaper) {
   // The certified-bound lazy loop (the default) must reproduce the
   // exhaustive scan exactly — anchors, followers, everything — while
@@ -194,12 +179,9 @@ TEST(GreedyVariants, LazyIsExactAndCheaper) {
 TEST(GreedyVariants, NamesDistinguishVariants) {
   GreedyOptions scan;
   scan.lazy = false;
-  GreedyOptions parallel;
-  parallel.num_threads = 8;
   EXPECT_EQ(GreedySolver().name(), "Greedy");
   EXPECT_EQ(GreedySolver(false).name(), "Greedy-nopruning");
   EXPECT_EQ(GreedySolver(scan).name(), "Greedy-scan");
-  EXPECT_EQ(GreedySolver(parallel).name(), "Greedy-parallel");
 }
 
 // --- IncAVT ablation modes --------------------------------------------

@@ -10,6 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "anchor/greedy.h"
 #include "core/inc_avt.h"
 #include "gen/churn.h"
@@ -122,9 +125,7 @@ TEST(LazyIncAvt, MatchesEagerWithFullPool) {
           << "seed " << seed << " t=" << t;
     });
     // The swap reference really ran, so the case is not vacuous.
-    EXPECT_GT(lazy_tracker.trial_engine()->serial_oracle().stats()
-                  .swap_references,
-              0u)
+    EXPECT_GT(lazy_tracker.oracle()->stats().swap_references, 0u)
         << "seed " << seed;
   }
 }
@@ -161,6 +162,59 @@ TEST(LazyIncAvt, MatchesEagerAcrossChurn) {
           << "seed " << seed << " t=" << t;
     });
   }
+}
+
+TEST(LazyIncAvt, MidSwapCommitRebuildsTheSwapReference) {
+  // The lazy search bounds every slot from one swap reference of the
+  // anchor set; a commit at slot 0 of three changes that set with two
+  // slots left, so the reference is rebuilt for slot 1. Streams that
+  // commit there must stay identical lazy vs eager, and the rebuild
+  // must really run: exactly two references on such a delta, at most
+  // one otherwise.
+  constexpr uint32_t kK = 3;
+  constexpr uint32_t kL = 3;
+  size_t rebuilds = 0;
+  for (uint64_t seed = 0; seed < 4; ++seed) {
+    Rng rng(4600 + seed);
+    Graph g0 = ChungLuPowerLaw(300, 6.0, 2.2, 40, rng);
+    ChurnOptions churn;
+    churn.num_snapshots = 10;
+    churn.min_churn = 25;
+    churn.max_churn = 50;
+    SnapshotSequence sequence = MakeChurnSnapshots(g0, churn, rng);
+    IncAvtOptions eager;
+    eager.lazy = false;
+    IncAvtTracker lazy_tracker(kK, kL);
+    IncAvtTracker eager_tracker(kK, kL, IncAvtMode::kRestricted, eager);
+    std::vector<VertexId> previous;
+    uint64_t references = 0;
+    sequence.ForEachSnapshot([&](size_t t, const Graph& graph,
+                                 const EdgeDelta& delta) {
+      const AvtSnapshotResult a = t == 0 ? lazy_tracker.ProcessFirst(graph)
+                                         : lazy_tracker.ProcessDelta(delta);
+      const AvtSnapshotResult b = t == 0
+                                      ? eager_tracker.ProcessFirst(graph)
+                                      : eager_tracker.ProcessDelta(delta);
+      const std::string what =
+          "seed " + std::to_string(seed) + " t=" + std::to_string(t);
+      const uint64_t total = lazy_tracker.oracle()->stats().swap_references;
+      const uint64_t built = total - references;
+      references = total;
+      if (t > 0) {
+        ASSERT_EQ(previous.size(), kL) << what;
+        EXPECT_EQ(b.anchors, a.anchors) << what;
+        EXPECT_EQ(b.num_followers, a.num_followers) << what;
+        if (a.anchors[0] != previous[0]) {
+          EXPECT_EQ(built, 2u) << what;
+          ++rebuilds;
+        } else {
+          EXPECT_LE(built, 1u) << what;
+        }
+      }
+      previous = a.anchors;
+    });
+  }
+  EXPECT_GT(rebuilds, 0u) << "no slot-0 commit; the rebuild never ran";
 }
 
 }  // namespace

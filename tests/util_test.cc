@@ -1,10 +1,8 @@
 // Tests for the utility layer: status, RNG, epoch arrays, flags, tables,
-// summaries, timers, thread pool.
+// summaries, timers.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <numeric>
 #include <set>
 
 #include "util/epoch.h"
@@ -13,7 +11,6 @@
 #include "util/stats.h"
 #include "util/status.h"
 #include "util/table.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace avt {
@@ -228,105 +225,6 @@ TEST(Timer, MeasuresElapsed) {
   for (int i = 0; i < 100000; ++i) sink = sink + i;
   EXPECT_GT(timer.ElapsedNanos(), 0u);
   EXPECT_GE(timer.ElapsedMillis(), 0.0);
-}
-
-TEST(ThreadPool, RunExecutesEveryWorkerExactlyOnce) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.num_threads(), 4u);
-  std::vector<std::atomic<int>> hits(4);
-  pool.Run([&](uint32_t worker) {
-    ASSERT_LT(worker, 4u);
-    ++hits[worker];
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, SingleAndZeroThreadRunInline) {
-  for (uint32_t requested : {0u, 1u}) {
-    ThreadPool pool(requested);
-    EXPECT_EQ(pool.num_threads(), 1u);
-    uint32_t calls = 0;
-    pool.Run([&](uint32_t worker) {
-      EXPECT_EQ(worker, 0u);
-      ++calls;
-    });
-    EXPECT_EQ(calls, 1u);
-  }
-}
-
-TEST(ThreadPool, ReusableAcrossManyRegions) {
-  ThreadPool pool(3);
-  std::atomic<uint64_t> total{0};
-  for (int region = 0; region < 200; ++region) {
-    pool.Run([&](uint32_t) { total.fetch_add(1); });
-  }
-  EXPECT_EQ(total.load(), 600u);
-}
-
-TEST(ThreadPool, BlockBoundsPartitionTheRange) {
-  // Every (n, workers) split must cover [0, n) exactly once in order.
-  for (size_t n : {0u, 1u, 7u, 64u, 1000u}) {
-    for (uint32_t workers : {1u, 2u, 3u, 8u}) {
-      size_t covered = 0;
-      EXPECT_EQ(ThreadPool::BlockBegin(n, workers, 0), 0u);
-      for (uint32_t w = 0; w < workers; ++w) {
-        EXPECT_EQ(ThreadPool::BlockBegin(n, workers, w), covered);
-        EXPECT_GE(ThreadPool::BlockEnd(n, workers, w), covered);
-        covered = ThreadPool::BlockEnd(n, workers, w);
-      }
-      EXPECT_EQ(covered, n);
-    }
-  }
-}
-
-TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<uint32_t>> counts(997);
-  ParallelFor(&pool, counts.size(), /*grain=*/7,
-              [&](uint32_t worker, size_t i) {
-                ASSERT_LT(worker, 4u);
-                ++counts[i];
-              });
-  for (const auto& c : counts) EXPECT_EQ(c.load(), 1u);
-}
-
-TEST(ParallelFor, StealingBalancesSkewedWork) {
-  // Front-loaded cost: worker 0's block is ~1000x the others' work. The
-  // assertion is correctness under stealing (every index once, sum
-  // exact), not a timing claim.
-  ThreadPool pool(4);
-  std::atomic<uint64_t> sum{0};
-  const size_t n = 400;
-  auto cost = [n](size_t i) {
-    uint64_t local = 0;
-    const uint64_t spins = i < n / 4 ? 20000 : 20;
-    for (uint64_t s = 0; s < spins; ++s) local += s % 7;
-    return local;
-  };
-  ParallelFor(&pool, n, /*grain=*/1,
-              [&](uint32_t, size_t i) { sum.fetch_add(i + cost(i)); });
-  uint64_t expected = 0;
-  for (size_t i = 0; i < n; ++i) expected += i + cost(i);
-  EXPECT_EQ(sum.load(), expected);
-}
-
-TEST(ParallelFor, NullPoolRunsSerialInOrder) {
-  std::vector<size_t> order;
-  ParallelFor(nullptr, 10, /*grain=*/3, [&](uint32_t worker, size_t i) {
-    EXPECT_EQ(worker, 0u);
-    order.push_back(i);
-  });
-  std::vector<size_t> expected(10);
-  std::iota(expected.begin(), expected.end(), 0);
-  EXPECT_EQ(order, expected);
-}
-
-TEST(ParallelFor, EmptyAndTinyRanges) {
-  ThreadPool pool(4);
-  ParallelFor(&pool, 0, 1, [&](uint32_t, size_t) { FAIL(); });
-  std::atomic<uint32_t> hits{0};
-  ParallelFor(&pool, 1, 64, [&](uint32_t, size_t) { ++hits; });
-  EXPECT_EQ(hits.load(), 1u);
 }
 
 TEST(AccumulatingTimer, SumsScopes) {

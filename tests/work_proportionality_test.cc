@@ -33,11 +33,8 @@ struct DeltaWork {
 };
 
 std::vector<DeltaWork> Replay(const Graph& g0,
-                              const std::vector<EdgeDelta>& deltas,
-                              uint32_t threads) {
-  IncAvtOptions options;
-  options.num_threads = threads;
-  IncAvtTracker tracker(4, 4, IncAvtMode::kRestricted, options);
+                              const std::vector<EdgeDelta>& deltas) {
+  IncAvtTracker tracker(4, 4);
   std::vector<DeltaWork> work;
   auto record = [&](const AvtSnapshotResult& snap) {
     work.push_back({snap.anchors, snap.num_followers, snap.candidates_visited,
@@ -61,51 +58,39 @@ TEST(WorkProportionality, PaddedUniverseDoesIdenticalWorkPerDelta) {
     Graph padded = g0;
     for (VertexId i = 0; i < 8 * g0.NumVertices(); ++i) padded.AddVertex();
 
-    std::vector<DeltaWork> serial;
-    for (uint32_t threads : {1u, 2u}) {
-      const std::vector<DeltaWork> plain =
-          Replay(g0, sequence.deltas(), threads);
-      const std::vector<DeltaWork> wide =
-          Replay(padded, sequence.deltas(), threads);
-      ASSERT_EQ(plain.size(), wide.size());
-      if (threads == 1) serial = plain;
-      ASSERT_EQ(plain.size(), serial.size());
-      uint64_t followers = 0;
-      uint64_t walked = 0;
-      uint64_t pooled = 0;
-      for (size_t t = 0; t < plain.size(); ++t) {
-        const std::string what = "seed " + std::to_string(seed) +
-                                 " threads=" + std::to_string(threads) +
-                                 " t=" + std::to_string(t);
-        EXPECT_EQ(plain[t].anchors, wide[t].anchors) << what;
-        EXPECT_EQ(plain[t].followers, wide[t].followers) << what;
-        EXPECT_EQ(plain[t].full_queries, wide[t].full_queries) << what;
-        EXPECT_EQ(plain[t].bound_probes, wide[t].bound_probes) << what;
-        // The pool walk visits impacted ∪ N(impacted) and pools the same
-        // vertices whatever the number of untouched isolated ids.
-        EXPECT_EQ(plain[t].pool_size, wide[t].pool_size) << what;
-        EXPECT_EQ(plain[t].pool_walked, wide[t].pool_walked) << what;
-        EXPECT_LE(plain[t].pool_size, plain[t].pool_walked) << what;
-        // A second worker changes no decision and no counter.
-        EXPECT_EQ(plain[t].anchors, serial[t].anchors) << what;
-        EXPECT_EQ(plain[t].full_queries, serial[t].full_queries) << what;
-        EXPECT_EQ(plain[t].bound_probes, serial[t].bound_probes) << what;
-        const MaintenanceStats& a = plain[t].maintenance;
-        const MaintenanceStats& b = wide[t].maintenance;
-        EXPECT_EQ(a.edges_inserted, b.edges_inserted) << what;
-        EXPECT_EQ(a.edges_removed, b.edges_removed) << what;
-        EXPECT_EQ(a.promotions, b.promotions) << what;
-        EXPECT_EQ(a.demotions, b.demotions) << what;
-        EXPECT_EQ(a.visited, b.visited) << what;
-        EXPECT_EQ(a.cascades, b.cascades) << what;
-        followers += plain[t].followers;
-        walked += plain[t].pool_walked;
-        pooled += plain[t].pool_size;
-      }
-      EXPECT_GT(followers, 0u) << "degenerate workload, seed " << seed;
-      EXPECT_GT(pooled, 0u) << "no pool, seed " << seed;
-      EXPECT_GT(walked, pooled) << "seed " << seed;
+    const std::vector<DeltaWork> plain = Replay(g0, sequence.deltas());
+    const std::vector<DeltaWork> wide = Replay(padded, sequence.deltas());
+    ASSERT_EQ(plain.size(), wide.size());
+    uint64_t followers = 0;
+    uint64_t walked = 0;
+    uint64_t pooled = 0;
+    for (size_t t = 0; t < plain.size(); ++t) {
+      const std::string what =
+          "seed " + std::to_string(seed) + " t=" + std::to_string(t);
+      EXPECT_EQ(plain[t].anchors, wide[t].anchors) << what;
+      EXPECT_EQ(plain[t].followers, wide[t].followers) << what;
+      EXPECT_EQ(plain[t].full_queries, wide[t].full_queries) << what;
+      EXPECT_EQ(plain[t].bound_probes, wide[t].bound_probes) << what;
+      // The pool walk visits impacted ∪ N(impacted) and pools the same
+      // vertices whatever the number of untouched isolated ids.
+      EXPECT_EQ(plain[t].pool_size, wide[t].pool_size) << what;
+      EXPECT_EQ(plain[t].pool_walked, wide[t].pool_walked) << what;
+      EXPECT_LE(plain[t].pool_size, plain[t].pool_walked) << what;
+      const MaintenanceStats& a = plain[t].maintenance;
+      const MaintenanceStats& b = wide[t].maintenance;
+      EXPECT_EQ(a.edges_inserted, b.edges_inserted) << what;
+      EXPECT_EQ(a.edges_removed, b.edges_removed) << what;
+      EXPECT_EQ(a.promotions, b.promotions) << what;
+      EXPECT_EQ(a.demotions, b.demotions) << what;
+      EXPECT_EQ(a.visited, b.visited) << what;
+      EXPECT_EQ(a.cascades, b.cascades) << what;
+      followers += plain[t].followers;
+      walked += plain[t].pool_walked;
+      pooled += plain[t].pool_size;
     }
+    EXPECT_GT(followers, 0u) << "degenerate workload, seed " << seed;
+    EXPECT_GT(pooled, 0u) << "no pool, seed " << seed;
+    EXPECT_GT(walked, pooled) << "seed " << seed;
   }
 }
 
@@ -118,9 +103,8 @@ TEST(WorkProportionality, PoolIsRebuiltFromScratchEveryDelta) {
   // commits nothing the lazy search must have probed each pool vertex
   // once per anchor slot. The search gets those bounds from one
   // swap-reference probe per pool vertex plus per-slot probes for the
-  // few dirty ones, so its oracles run strictly fewer bound queries than
-  // that — exactly as many on the 8x padded universe, and as many at
-  // two threads as at one.
+  // few dirty ones, so its oracle runs strictly fewer bound queries than
+  // that — exactly as many on the 8x padded universe.
   Rng rng(7200);
   const Graph g0 = ChungLuPowerLaw(1500, 8.0, 2.2, 100, rng);
   ChurnOptions churn;
@@ -132,66 +116,52 @@ TEST(WorkProportionality, PoolIsRebuiltFromScratchEveryDelta) {
   constexpr uint32_t kL = 4;
   Graph padded = g0;
   for (VertexId i = 0; i < 8 * g0.NumVertices(); ++i) padded.AddVertex();
-  std::vector<uint64_t> serial_queries;  // per delta, at one thread
-  for (uint32_t threads : {1u, 2u}) {
-    IncAvtOptions options;
-    options.num_threads = threads;
-    IncAvtTracker tracker(kK, kL, IncAvtMode::kRestricted, options);
-    IncAvtTracker wide(kK, kL, IncAvtMode::kRestricted, options);
-    CoreMaintainer shadow;
-    shadow.Reset(g0);
-    std::vector<VertexId> anchors = tracker.ProcessFirst(g0).anchors;
-    ASSERT_EQ(wide.ProcessFirst(padded).anchors, anchors);
-    ASSERT_EQ(anchors.size(), kL);
-    auto bound_queries = [](const IncAvtTracker& t) {
-      const TrialEngine& engine = *t.trial_engine();
-      uint64_t total = 0;
-      for (uint32_t w = 0; w < engine.num_threads(); ++w) {
-        total += engine.oracle(w).stats().bound_queries;
-      }
-      return total;
+  IncAvtTracker tracker(kK, kL);
+  IncAvtTracker wide(kK, kL);
+  CoreMaintainer shadow;
+  shadow.Reset(g0);
+  std::vector<VertexId> anchors = tracker.ProcessFirst(g0).anchors;
+  ASSERT_EQ(wide.ProcessFirst(padded).anchors, anchors);
+  ASSERT_EQ(anchors.size(), kL);
+  auto bound_queries = [](const IncAvtTracker& t) {
+    return t.oracle()->stats().bound_queries;
+  };
+  size_t checked = 0;
+  size_t shared = 0;
+  for (const EdgeDelta& delta : sequence.deltas()) {
+    const std::vector<VertexId> impacted = shadow.ApplyDelta(delta);
+    std::vector<uint8_t> seen(shadow.graph().NumVertices(), 0);
+    for (VertexId a : anchors) seen[a] = 1;
+    uint64_t pool = 0;
+    auto consider = [&](VertexId v) {
+      if (seen[v]) return;
+      seen[v] = 1;
+      if (IsAnchorCandidate(shadow.graph(), shadow.order(), v, kK)) ++pool;
     };
-    size_t checked = 0;
-    size_t shared = 0;
-    for (const EdgeDelta& delta : sequence.deltas()) {
-      const std::vector<VertexId> impacted = shadow.ApplyDelta(delta);
-      std::vector<uint8_t> seen(shadow.graph().NumVertices(), 0);
-      for (VertexId a : anchors) seen[a] = 1;
-      uint64_t pool = 0;
-      auto consider = [&](VertexId v) {
-        if (seen[v]) return;
-        seen[v] = 1;
-        if (IsAnchorCandidate(shadow.graph(), shadow.order(), v, kK)) ++pool;
-      };
-      for (VertexId v : impacted) {
-        consider(v);
-        for (VertexId w : shadow.graph().Neighbors(v)) consider(w);
-      }
-      const uint64_t queries_before = bound_queries(tracker);
-      const uint64_t wide_queries_before = bound_queries(wide);
-      const AvtSnapshotResult snap = tracker.ProcessDelta(delta);
-      ASSERT_EQ(wide.ProcessDelta(delta).anchors, snap.anchors);
-      const uint64_t queries = bound_queries(tracker) - queries_before;
-      const std::string what =
-          "threads=" + std::to_string(threads) + " t=" + std::to_string(snap.t);
-      if (threads == 1) serial_queries.push_back(queries);
-      ASSERT_LT(snap.t - 1, serial_queries.size()) << what;
-      EXPECT_EQ(queries, serial_queries[snap.t - 1]) << what;
-      if (snap.anchors == anchors) {
-        EXPECT_EQ(snap.bound_probes, kL * pool) << what;
-        ++checked;
-        if (pool > 0) {
-          EXPECT_LT(queries, kL * pool) << what;
-          EXPECT_EQ(bound_queries(wide) - wide_queries_before, queries)
-              << what;
-          ++shared;
-        }
-      }
-      anchors = snap.anchors;
+    for (VertexId v : impacted) {
+      consider(v);
+      for (VertexId w : shadow.graph().Neighbors(v)) consider(w);
     }
-    EXPECT_GT(checked, 0u) << "every delta committed; nothing pinned";
-    EXPECT_GT(shared, 0u) << "no shared-bound delta";
+    const uint64_t queries_before = bound_queries(tracker);
+    const uint64_t wide_queries_before = bound_queries(wide);
+    const AvtSnapshotResult snap = tracker.ProcessDelta(delta);
+    ASSERT_EQ(wide.ProcessDelta(delta).anchors, snap.anchors);
+    const uint64_t queries = bound_queries(tracker) - queries_before;
+    const std::string what = "t=" + std::to_string(snap.t);
+    if (snap.anchors == anchors) {
+      EXPECT_EQ(snap.bound_probes, kL * pool) << what;
+      ++checked;
+      if (pool > 0) {
+        EXPECT_LT(queries, kL * pool) << what;
+        EXPECT_EQ(bound_queries(wide) - wide_queries_before, queries)
+            << what;
+        ++shared;
+      }
+    }
+    anchors = snap.anchors;
   }
+  EXPECT_GT(checked, 0u) << "every delta committed; nothing pinned";
+  EXPECT_GT(shared, 0u) << "no shared-bound delta";
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <thread>
 
 #include "anchor/anchored_core.h"
 #include "anchor/brute_force.h"
@@ -72,48 +71,12 @@ int LoadPositionalGraph(const Flags& flags, FILE* err, Graph* graph) {
   return 0;
 }
 
-std::unique_ptr<AnchorSolver> MakeSolver(const std::string& name,
-                                         uint32_t num_threads) {
-  if (name == "greedy") {
-    GreedyOptions options;
-    options.num_threads = num_threads;
-    return std::make_unique<GreedySolver>(options);
-  }
+std::unique_ptr<AnchorSolver> MakeSolver(const std::string& name) {
+  if (name == "greedy") return std::make_unique<GreedySolver>();
   if (name == "olak") return std::make_unique<OlakSolver>();
   if (name == "rcm") return std::make_unique<RcmSolver>();
   if (name == "brute") return std::make_unique<BruteForceSolver>();
   return nullptr;
-}
-
-// Parses --threads (default 1: serial). Rejects anything that is not a
-// positive integer — 0 and negative counts are user errors, not values
-// to clamp silently. Values ABOVE the hardware concurrency are clamped
-// (with a stderr warning): oversubscribed fork-join workers only add
-// wakeup latency and context switches, never throughput, and outputs
-// are bit-identical at every thread count anyway. When the hardware
-// concurrency is unknown (hardware_concurrency() == 0) the value passes
-// through untouched.
-bool ParseThreads(const Flags& flags, FILE* err, uint32_t* num_threads) {
-  *num_threads = 1;
-  if (!flags.Has("threads")) return true;
-  int64_t value = flags.GetInt("threads", /*default_value=*/-1);
-  if (value <= 0) {
-    std::fprintf(err,
-                 "error: --threads must be a positive integer (got '%s')\n",
-                 flags.GetString("threads", "").c_str());
-    return false;
-  }
-  const uint32_t hardware = std::thread::hardware_concurrency();
-  if (hardware > 0 && value > static_cast<int64_t>(hardware)) {
-    std::fprintf(err,
-                 "warning: --threads %lld exceeds the %u hardware threads; "
-                 "clamping to %u (outputs are identical at every thread "
-                 "count)\n",
-                 static_cast<long long>(value), hardware, hardware);
-    value = hardware;
-  }
-  *num_threads = static_cast<uint32_t>(value);
-  return true;
 }
 
 bool ParseAlgorithm(const std::string& name, AvtAlgorithm* algorithm) {
@@ -248,14 +211,12 @@ int RunCoreCommand(const Flags& flags, FILE* out, FILE* err) {
 }
 
 int RunAnchorsCommand(const Flags& flags, FILE* out, FILE* err) {
-  uint32_t num_threads;
-  if (!ParseThreads(flags, err, &num_threads)) return 2;
   Graph g;
   if (int rc = LoadPositionalGraph(flags, err, &g)) return rc;
   const uint32_t k = static_cast<uint32_t>(flags.GetInt("k", 3));
   const uint32_t l = static_cast<uint32_t>(flags.GetInt("l", 5));
   const std::string algo = flags.GetString("algo", "greedy");
-  std::unique_ptr<AnchorSolver> solver = MakeSolver(algo, num_threads);
+  std::unique_ptr<AnchorSolver> solver = MakeSolver(algo);
   if (!solver) {
     std::fprintf(err,
                  "error: unknown --algo '%s' (greedy, olak, rcm, brute)\n",
@@ -277,8 +238,6 @@ int RunAnchorsCommand(const Flags& flags, FILE* out, FILE* err) {
 }
 
 int RunTrackCommand(const Flags& flags, FILE* out, FILE* err) {
-  uint32_t num_threads;
-  if (!ParseThreads(flags, err, &num_threads)) return 2;
   const uint32_t k = static_cast<uint32_t>(flags.GetInt("k", 3));
   const uint32_t l = static_cast<uint32_t>(flags.GetInt("l", 5));
   const size_t T = static_cast<size_t>(flags.GetInt("t", 10));
@@ -317,7 +276,7 @@ int RunTrackCommand(const Flags& flags, FILE* out, FILE* err) {
     return 2;
   }
 
-  AvtRunResult run = RunAvt(sequence, algorithm, k, l, num_threads);
+  AvtRunResult run = RunAvt(sequence, algorithm, k, l);
   TablePrinter table(
       {"t", "followers", "anchored_core", "candidates", "millis"});
   for (const AvtSnapshotResult& snap : run.snapshots) {
@@ -338,8 +297,6 @@ int RunTrackCommand(const Flags& flags, FILE* out, FILE* err) {
 }
 
 int RunStreamCommand(const Flags& flags, FILE* out, FILE* err) {
-  uint32_t num_threads;
-  if (!ParseThreads(flags, err, &num_threads)) return 2;
   const uint32_t k = static_cast<uint32_t>(flags.GetInt("k", 3));
   const uint32_t l = static_cast<uint32_t>(flags.GetInt("l", 5));
   const size_t T = static_cast<size_t>(flags.GetInt("t", 10));
@@ -639,8 +596,7 @@ int RunStreamCommand(const Flags& flags, FILE* out, FILE* err) {
   }
 
   auto make_tracker = [&]() {
-    return MakeTracker(algorithm, k, l, num_threads,
-                       static_cast<size_t>(batch));
+    return MakeTracker(algorithm, k, l, static_cast<size_t>(batch));
   };
   std::unique_ptr<AvtTracker> tracker = make_tracker();
 
@@ -660,8 +616,6 @@ int RunStreamCommand(const Flags& flags, FILE* out, FILE* err) {
     // The fingerprint already covers the tracker/source names and the
     // batch width; fold in every flag that shapes the STREAM itself so
     // a resume under different parameters is rejected, not diverging.
-    // Thread count stays out on purpose: outputs are bit-identical at
-    // every thread count, so resuming under another is sound.
     DurabilityOptions durability;
     durability.dir = checkpoint_dir;
     durability.checkpoint_every = static_cast<size_t>(checkpoint_every);
@@ -869,12 +823,12 @@ std::string UsageText() {
       "  core     core decomposition           (<edge-list> [--k "
       "[--list]])\n"
       "  anchors  anchored k-core query        (<edge-list> --k --l "
-      "[--algo] [--threads])\n"
+      "[--algo])\n"
       "  track    AVT over an evolving graph   (--dataset|--temporal --t "
-      "--k --l [--algo] [--threads])\n"
+      "--k --l [--algo])\n"
       "  stream   AVT over a delta stream      "
       "(--source=file|binlog|gen|sequence "
-      "--k --l [--algo] [--threads] [--coalesce-window N] [--batch N]\n"
+      "--k --l [--algo] [--coalesce-window N] [--batch N]\n"
       "           file: --temporal --t --window "
       "[--meta-tmin --meta-tmax --meta-vertices]; binlog: --binlog;\n"
       "           gen: --n --churn-min/max --seed; sequence: --dataset\n"
@@ -911,10 +865,6 @@ std::string UsageText() {
       "the tracker pays one candidate-pool build per N deltas and reports\n"
       "every N-th snapshot — each bit-identical to the per-delta replay at\n"
       "that boundary. Other algorithms ignore it.\n"
-      "--threads N (>= 1) sizes the parallel trial engine of greedy and\n"
-      "incavt; results are bit-identical at every thread count (values\n"
-      "above the hardware concurrency are clamped with a warning). Other\n"
-      "algorithms run serial regardless.\n"
       "--checkpoint-dir D arms crash safety: every committed transaction\n"
       "is appended to D/wal.log and checkpoints are written every\n"
       "--checkpoint-every N transactions (0 = initial checkpoint only).\n"
@@ -961,10 +911,10 @@ const std::vector<CommandSpec>& Commands() {
         "n", "out", "p-intra", "seed"}},
       {"stats", RunStatsCommand, {}},
       {"core", RunCoreCommand, {"k", "list"}},
-      {"anchors", RunAnchorsCommand, {"algo", "k", "l", "threads"}},
+      {"anchors", RunAnchorsCommand, {"algo", "k", "l"}},
       {"track", RunTrackCommand,
        {"algo", "dataset", "k", "l", "scale", "seed", "t", "temporal",
-        "threads", "window"}},
+        "window"}},
       {"stream", RunStreamCommand,
        {"algo", "alpha", "audit-every", "audit-sample", "audit-seed",
         "avg-degree", "batch", "binlog", "breaker", "breaker-cooldown",
@@ -975,7 +925,7 @@ const std::vector<CommandSpec>& Commands() {
         "max-retries", "max-universe", "meta-tmax", "meta-tmin",
         "meta-vertices", "n", "poison-rate", "poison-seed",
         "quarantine-dir", "resume", "scale", "seed", "source", "t",
-        "temporal", "threads", "window"}},
+        "temporal", "window"}},
       {"quarantine", RunQuarantineCommand, {}},
       {"convert", RunConvertCommand,
        {"index-every", "out-prefix", "t", "window"}},
