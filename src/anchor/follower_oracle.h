@@ -78,8 +78,7 @@ struct OracleStats {
 /// The referenced structures must outlive the oracle and stay consistent
 /// (rebuild/maintain them through CoreMaintainer). An optional CsrView
 /// snapshot of the same graph routes all neighbor scans through
-/// contiguous storage; the caller must keep it in sync with the graph
-/// (drop it via set_csr(nullptr) before mutating).
+/// contiguous storage; the graph must not change while it is bound.
 class FollowerOracle {
  public:
   FollowerOracle(const Graph* graph, const KOrder* order,
@@ -95,9 +94,6 @@ class FollowerOracle {
 
   /// Heap bytes held by the per-vertex records and the reused vectors.
   size_t MemoryFootprint() const;
-
-  /// Swaps the contiguous adjacency snapshot (nullptr = scan the graph).
-  void set_csr(const CsrView* csr) { csr_ = csr; }
 
   /// Returns |F_k(anchors)|; optionally materializes the follower set
   /// (K-order position order). Anchors inside the k-core contribute
@@ -141,8 +137,6 @@ class FollowerOracle {
 
   /// Runs and retains phase 1 for `anchors` at threshold k.
   void BuildBase(std::span<const VertexId> anchors, uint32_t k);
-  bool HasBase() const { return base_valid_; }
-  void InvalidateBase() { base_valid_ = false; }
 
   /// Phase-1 candidate count of base_anchors ∪ {x} (== UpperBound for
   /// that trial set), at the cost of x's marginal cascade only.

@@ -23,20 +23,40 @@ struct LazyEntry {
 TrialOutcome EvaluateTrials(FollowerOracle& oracle,
                             std::span<const VertexId> live,
                             std::span<const VertexId> base, uint32_t k,
-                            const TrialPolicy& policy) {
+                            const TrialPolicy& policy,
+                            const TrialBounds& bounds) {
   TrialOutcome outcome;
   if (live.empty()) return outcome;
 
   if (policy.lazy) {
-    // One certified bound per candidate: the marginal probe continues
-    // the resident base cascade over epoch-reset overlays. Then pop the
-    // (value desc, id asc) top; settle with zero further queries if it
-    // cannot beat the floor; accept it if exact; otherwise resolve it
-    // with ONE full query and re-insert.
+    // One certified bound per candidate: the caller's, or a marginal
+    // probe that continues the resident base cascade over epoch-reset
+    // overlays (the base is built at the first probe, so a call whose
+    // bounds are all known builds none). Bounds at or below a gate's
+    // floor are never pushed: they could never be resolved or returned,
+    // so the pop sequence is unchanged. Then pop the (value desc, id
+    // asc) top; settle with zero further queries if it cannot beat the
+    // floor; accept it if exact; otherwise resolve it with ONE full
+    // query and re-insert.
+    AVT_DCHECK(bounds.marginals.empty() ||
+               bounds.marginals.size() == live.size());
     std::priority_queue<LazyEntry> heap;
-    oracle.BuildBase(base, k);
-    for (VertexId v : live) {
-      heap.push({oracle.MarginalUpperBound(v), v, false});
+    bool base_built = false;
+    for (size_t j = 0; j < live.size(); ++j) {
+      const VertexId v = live[j];
+      uint32_t bound;
+      if (!bounds.marginals.empty() &&
+          bounds.marginals[j] != FollowerOracle::kDirtyMarginal) {
+        bound = static_cast<uint32_t>(static_cast<int64_t>(bounds.count) +
+                                      bounds.marginals[j]);
+      } else {
+        if (!base_built) {
+          oracle.BuildBase(base, k);
+          base_built = true;
+        }
+        bound = oracle.MarginalUpperBound(v);
+      }
+      if (!policy.gate || bound > policy.floor) heap.push({bound, v, false});
     }
     outcome.bound_probes = live.size();
     while (!heap.empty()) {

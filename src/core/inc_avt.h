@@ -16,30 +16,32 @@
 //      outside C_k(G_t), passing the Theorem-3 filter (Algorithm 6 line
 //      12). The pool is sorted by id so tie-breaks are deterministic and
 //      independent of cascade traversal order.
-//   4. Local search: for each u in S_t, try every pool vertex v as a
-//      replacement; commit the swap whenever it strictly increases the
-//      follower count (lines 9-16). Follower counts come from the
-//      non-destructive FollowerOracle on the maintained K-order.
+//   4. Local search: for each slot i < l, one EvaluateTrials call. A
+//      slot below |S| tries every pool vertex v as the replacement of
+//      S[i] and commits the swap when it strictly increases the follower
+//      count; a slot past |S| (budget never filled) adds the argmax
+//      trial (lines 9-16). Follower counts come from the non-destructive
+//      FollowerOracle on the maintained K-order.
 //
-// Lazy mode (default) accelerates step 4 without changing its output:
+// Lazy mode (default) accelerates step 4 without changing its output;
+// lazy vs eager is only TrialPolicy::lazy on the same slot loop:
 //
-//   * Each trial's full follower query is gated by the oracle's
-//     certified UpperBound (phase-1-only cascade). A slot's max-heap of
-//     bounds is popped lazily; if the top bound cannot strictly beat the
-//     incumbent follower count, the whole slot is settled with zero full
-//     queries — the common steady-state outcome. Bounds at or below the
-//     incumbent never enter the swap-phase heap: they could never be
-//     resolved or returned.
-//   * The swap phase gets every slot's bounds from one swap
-//     reference: the phase-1 cascade of S itself, with the vertices
-//     whose state differs under some slot base S∖{u_i} marked dirty.
-//     One marginal probe per pool vertex then gives its exact bound for
-//     all l slots; only probes that read a dirty vertex (a few dozen per
+//   * Each trial's full follower query is gated by a certified
+//     phase-1 upper bound, and EvaluateTrials pops the bounds lazily
+//     (anchor/trial_engine.h). If the top bound of a swap slot cannot
+//     strictly beat the incumbent follower count, the slot is settled
+//     with zero full queries — the common steady-state outcome.
+//   * The swap slots get their bounds from one swap reference: the
+//     phase-1 cascade of S itself, with the vertices whose state
+//     differs under some slot base S∖{u_i} marked dirty. One marginal
+//     probe per live pool vertex then gives its exact bound for all
+//     l slots; only probes that read a dirty vertex (a few dozen per
 //     delta) are redone per slot. A commit changes S, so the next slot
 //     rebuilds the reference while at least two slots remain.
 //
 //   Both accelerations preserve bit-identical anchors versus the eager
-//   loop (enforced by tests/lazy_greedy_test.cc).
+//   loop (enforced by tests/lazy_greedy_test.cc, which also pins the
+//   work counters of both modes on seeded streams).
 //
 // The pool is usually tiny relative to the full Theorem-3 candidate set —
 // that is the entire advantage the paper measures in Figures 4/6/8.
@@ -135,22 +137,14 @@ class IncAvtTracker : public AvtTracker {
   }
 
  private:
-  /// |C_k| of the maintained graph (anchors excluded by construction:
-  /// anchors are tracked outside the k-core).
-  uint32_t KCoreSize() const;
+  /// Fills what every snapshot reads off the committed state: anchors,
+  /// `followers`, |C_k| and |C_k(S)|.
+  void FinishSnapshot(uint32_t followers, AvtSnapshotResult& snap) const;
 
-  /// Local search over `pool` (already sorted), replicating the eager
-  /// swap + extend loops with bound gating. Updates
+  /// Algorithm 6's local search over `pool` (already sorted): one
+  /// EvaluateTrials per slot (swap below |S|, extend past it). Updates
   /// anchors_/is_anchor_/current; returns work counters via snap.
-  void LazyLocalSearch(const std::vector<VertexId>& pool, uint32_t& current,
-                       AvtSnapshotResult& snap);
-  /// Algorithm 6's loops with one full query per trial, each slot one
-  /// eager EvaluateTrials.
-  void EagerLocalSearch(const std::vector<VertexId>& pool, uint32_t& current,
-                        AvtSnapshotResult& snap);
-  /// Fills S up to l from the pool (argmax trial per step, no incumbent
-  /// gate) with one EvaluateTrials per added anchor.
-  void ExtendPhase(const std::vector<VertexId>& pool, uint32_t& current,
+  void LocalSearch(const std::vector<VertexId>& pool, uint32_t& current,
                    AvtSnapshotResult& snap);
   /// live_ := the pool minus the current anchors.
   void CollectLive(const std::vector<VertexId>& pool);
@@ -175,13 +169,13 @@ class IncAvtTracker : public AvtTracker {
   /// candidate reachable from several impacted vertices is pooled once
   /// — and is reset from pool_ itself. is_anchor_ mirrors anchors_ (set
   /// by ProcessFirst, updated by every commit) and is read by the pool
-  /// filter and the local searches.
+  /// filter and the local search.
   std::vector<uint8_t> in_pool_;
   std::vector<uint8_t> is_anchor_;
   std::vector<VertexId> pool_;
   std::vector<VertexId> live_;  // CollectLive's output
   /// Swap-reference scratch for the lazy search: one SwapMarginal per
-  /// pool_ entry and one phase-1 count per slot base. Pool- and
+  /// live_ entry and one phase-1 count per slot base. Pool- and
   /// l-sized, reused across deltas.
   std::vector<int32_t> swap_marginals_;
   std::vector<uint32_t> slot_counts_;

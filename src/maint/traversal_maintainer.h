@@ -8,10 +8,9 @@
 // the edge endpoints and propagate through the "purecore" region;
 // deletions re-run the h-index rule to a fixpoint from above.
 //
-// This engine exists for three reasons:
+// This engine exists for two reasons:
 //   * an independent implementation to differential-test CoreMaintainer
 //     against (two engines + one naive recompute rarely share bugs);
-//   * the baseline the microbench compares order-based maintenance to;
 //   * callers that only need core numbers (no anchored queries) can use
 //     the lighter structure.
 

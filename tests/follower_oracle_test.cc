@@ -6,9 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "anchor/anchored_core.h"
 #include "anchor/candidates.h"
+#include "anchor/trial_engine.h"
 #include "corelib/korder.h"
 #include "gen/models.h"
 #include "util/random.h"
@@ -268,8 +271,12 @@ TEST(FollowerOracle, SwapReferenceGivesEverySlotBound) {
   // probe against each slot base S∖{S[i]} wherever it reads no dirty
   // vertex — for every slot and every non-core x, including reference
   // candidates (the -1 delta), anchors, and sets holding a k-core
-  // member. The run must see clean and dirty probes both, or the check
-  // proves nothing.
+  // member. Handed to EvaluateTrials, the reference's bounds must pick
+  // the slot's winner at the same cost as probing every candidate,
+  // gated on the incumbent or not. The run must see clean and dirty
+  // probes both, and slots that resolve a winner, or the check proves
+  // nothing.
+  uint64_t resolved[2] = {0, 0};  // [gate]: slots that found a winner
   uint64_t clean = 0;
   uint64_t dirty = 0;
   uint64_t reference_candidates = 0;
@@ -309,6 +316,20 @@ TEST(FollowerOracle, SwapReferenceGivesEverySlotBound) {
           for (VertexId x = 0; x < n; ++x) {
             if (order.CoreOf(x) < k) deltas[x] = oracle.SwapMarginal(x);
           }
+          // The tracker's live set: non-core vertices outside S, with
+          // their reference bounds aligned.
+          std::vector<VertexId> live;
+          std::vector<int32_t> marginals;
+          for (VertexId x = 0; x < n; ++x) {
+            if (order.CoreOf(x) >= k ||
+                std::find(anchors.begin(), anchors.end(), x) !=
+                    anchors.end()) {
+              continue;
+            }
+            live.push_back(x);
+            marginals.push_back(deltas[x]);
+          }
+          const uint32_t incumbent = oracle.CountFollowers(anchors, k);
           for (size_t i = first_slot; i < anchors.size(); ++i) {
             std::vector<VertexId> slot_base = anchors;
             slot_base.erase(slot_base.begin() + static_cast<ptrdiff_t>(i));
@@ -328,11 +349,33 @@ TEST(FollowerOracle, SwapReferenceGivesEverySlotBound) {
                   << "seed " << seed << " model " << model << " k=" << k
                   << " |S|=" << size << " slot " << i << " x=" << x;
             }
+            for (bool gate : {false, true}) {
+              TrialPolicy policy;
+              policy.gate = gate;
+              policy.floor = incumbent;
+              const TrialOutcome given = EvaluateTrials(
+                  oracle, live, slot_base, k, policy,
+                  TrialBounds{slot_counts[i], marginals});
+              const TrialOutcome probed =
+                  EvaluateTrials(oracle, live, slot_base, k, policy);
+              const std::string what =
+                  "seed " + std::to_string(seed) + " model " +
+                  std::to_string(model) + " k=" + std::to_string(k) +
+                  " |S|=" + std::to_string(size) + " slot " +
+                  std::to_string(i) + (gate ? " gated" : " ungated");
+              EXPECT_EQ(given.vertex, probed.vertex) << what;
+              EXPECT_EQ(given.followers, probed.followers) << what;
+              EXPECT_EQ(given.full_queries, probed.full_queries) << what;
+              EXPECT_EQ(given.bound_probes, probed.bound_probes) << what;
+              if (given.vertex != kNoVertex) ++resolved[gate];
+            }
           }
         }
       }
     }
   }
+  EXPECT_GT(resolved[false], 0u);
+  EXPECT_GT(resolved[true], 0u);
   EXPECT_GT(clean, 0u);
   EXPECT_GT(dirty, 0u);
   EXPECT_GT(reference_candidates, 0u);

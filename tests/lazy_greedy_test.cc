@@ -6,7 +6,8 @@
 // Chung-Lu graphs across k, l and churn, asserting identical anchor
 // *vectors* (order included) and identical follower sets — not just
 // equal counts. A tie-break regression or an unsound bound shows up here
-// immediately.
+// immediately. One IncAVT case also pins both modes' work counters to
+// recorded digests.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 
 #include "anchor/greedy.h"
 #include "core/inc_avt.h"
+#include "durability/serde.h"
 #include "gen/churn.h"
 #include "gen/models.h"
 #include "graph/snapshots.h"
@@ -215,6 +217,102 @@ TEST(LazyIncAvt, MidSwapCommitRebuildsTheSwapReference) {
     });
   }
   EXPECT_GT(rebuilds, 0u) << "no slot-0 commit; the rebuild never ran";
+}
+
+// FNV-1a of one tracker's per-snapshot trace over a seeded churn
+// stream: anchors (in slot order), followers, bound probes, full
+// queries, pool size, and the oracle's cumulative counters. Also
+// tallies which branches of the local search the stream reached.
+struct CounterTrace {
+  uint64_t digest = 0;
+  uint64_t commits = 0;          // deltas whose anchor vector changed
+  uint64_t extends = 0;          // deltas that grew the anchor set
+  uint64_t swap_references = 0;  // over the whole stream
+};
+
+CounterTrace TraceCounters(const Graph& g0, uint32_t k, uint32_t l,
+                           bool lazy, Rng& rng) {
+  ChurnOptions churn;
+  churn.num_snapshots = 16;
+  churn.min_churn = 25;
+  churn.max_churn = 50;
+  const SnapshotSequence sequence = MakeChurnSnapshots(g0, churn, rng);
+  IncAvtOptions options;
+  options.lazy = lazy;
+  IncAvtTracker tracker(k, l, IncAvtMode::kRestricted, options);
+  CounterTrace out;
+  std::string trace;
+  std::vector<VertexId> previous;
+  sequence.ForEachSnapshot([&](size_t t, const Graph& graph,
+                               const EdgeDelta& delta) {
+    const AvtSnapshotResult snap =
+        t == 0 ? tracker.ProcessFirst(graph) : tracker.ProcessDelta(delta);
+    const OracleStats& stats = tracker.oracle()->stats();
+    trace += std::to_string(t) + ':';
+    for (VertexId a : snap.anchors) trace += ' ' + std::to_string(a);
+    trace += " |";
+    for (uint64_t value :
+         {uint64_t{snap.num_followers}, snap.bound_probes,
+          snap.candidates_visited, snap.pool_size, stats.queries,
+          stats.bound_queries, stats.swap_references, stats.visited,
+          stats.eliminated}) {
+      trace += ' ' + std::to_string(value);
+    }
+    trace += '\n';
+    if (t > 0 && snap.anchors != previous) ++out.commits;
+    if (t > 0 && snap.anchors.size() > previous.size()) ++out.extends;
+    previous = snap.anchors;
+  });
+  out.digest = serde::Fnv1a64(trace);
+  out.swap_references = tracker.oracle()->stats().swap_references;
+  return out;
+}
+
+TEST(LazyIncAvt, CountersMatchRecordedDigest) {
+  // Lazy ≡ eager pins the anchors; this pins the work. Two seeded churn
+  // streams, each run lazy and eager, hash every snapshot's anchors,
+  // followers, bound probes, full queries, pool size and the oracle's
+  // counters (full and bound queries, swap references, cascade visits,
+  // eliminations) against values recorded before the lazy swap loop
+  // and the extend phase became one EvaluateTrials call per slot. A
+  // change to what a delta costs moves the digest even when the
+  // anchors stay put. The Chung-Lu stream commits swaps and rebuilds
+  // the swap reference; the Erdős–Rényi one has no 4-core candidates
+  // until a later delta, which fills the empty anchor set by extension
+  // and then commits swaps on it.
+  struct Stream {
+    uint64_t seed;
+    bool chung_lu;
+    uint32_t k;
+    uint32_t l;
+    uint64_t lazy_digest;
+    uint64_t eager_digest;
+  };
+  const Stream streams[2] = {
+      {4700, true, 3, 4, 0x6479a270fc7b15a4ULL, 0x1f383be94dd55846ULL},
+      {4701, false, 4, 6, 0xb935efa36c194387ULL, 0xac78216ca96ba00fULL},
+  };
+  for (const Stream& stream : streams) {
+    for (bool lazy : {true, false}) {
+      Rng rng(stream.seed);
+      const Graph g0 = stream.chung_lu
+                           ? ChungLuPowerLaw(300, 6.0, 2.2, 40, rng)
+                           : ErdosRenyi(200, 300, rng);
+      const CounterTrace trace =
+          TraceCounters(g0, stream.k, stream.l, lazy, rng);
+      const std::string what = "seed " + std::to_string(stream.seed) +
+                               (lazy ? " lazy" : " eager");
+      EXPECT_EQ(trace.digest, lazy ? stream.lazy_digest : stream.eager_digest)
+          << what;
+      EXPECT_GT(trace.commits, 0u) << what;
+      if (!stream.chung_lu) {
+        EXPECT_GT(trace.extends, 0u) << what;
+      }
+      if (lazy) {
+        EXPECT_GT(trace.swap_references, 1u) << what;
+      }
+    }
+  }
 }
 
 }  // namespace
