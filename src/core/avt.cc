@@ -7,8 +7,8 @@
 #include "core/engine.h"
 #include "core/inc_avt.h"
 #include "corelib/decomposition.h"
-#include "durability/serde.h"
 #include "graph/delta_source.h"
+#include "util/serde.h"
 #include "util/timer.h"
 
 namespace avt {

@@ -6,12 +6,25 @@
 #include <utility>
 
 #include "durability/checkpoint.h"
-#include "durability/serde.h"
 #include "util/mem.h"
+#include "util/serde.h"
 
 namespace avt {
 
 namespace {
+
+/// One past the largest endpoint in `delta` (0 when it has none): the
+/// universe the delta needs. 64-bit so id 0xFFFFFFFF cannot wrap.
+uint64_t UniverseNeeded(const EdgeDelta& delta) {
+  uint64_t needed = 0;
+  for (const std::vector<Edge>* batch : {&delta.insertions,
+                                         &delta.deletions}) {
+    for (const Edge& e : *batch) {
+      needed = std::max<uint64_t>(needed, std::max(e.u, e.v) + uint64_t{1});
+    }
+  }
+  return needed;
+}
 
 /// Replay-side twin of ValidateAndGrow for trackers the engine does
 /// not own yet (recovery rebuilds, bisection probes): grows the
@@ -19,18 +32,10 @@ namespace {
 /// engine's boundary checks already ran when the delta first arrived.
 void GrowForReplay(AvtTracker& tracker, const EdgeDelta& delta,
                    VertexId* universe) {
-  VertexId max_id = 0;
-  bool any_endpoint = false;
-  for (const std::vector<Edge>* batch : {&delta.insertions,
-                                         &delta.deletions}) {
-    for (const Edge& e : *batch) {
-      max_id = std::max({max_id, e.u, e.v});
-      any_endpoint = true;
-    }
-  }
-  if (any_endpoint && max_id >= *universe) {
-    tracker.EnsureVertices(max_id + 1);
-    *universe = max_id + 1;
+  const uint64_t needed = UniverseNeeded(delta);
+  if (needed > *universe) {
+    tracker.EnsureVertices(static_cast<VertexId>(needed));
+    *universe = static_cast<VertexId>(needed);
   }
 }
 
@@ -68,35 +73,26 @@ void AvtEngine::Record(AvtSnapshotResult snap) {
 
 Status AvtEngine::ValidateAndGrow(const EdgeDelta& delta) {
   // Source boundary: every endpoint must fit the tracker's universe.
-  VertexId max_id = 0;
-  bool any_endpoint = false;
-  for (const std::vector<Edge>* batch : {&delta.insertions,
-                                         &delta.deletions}) {
-    for (const Edge& e : *batch) {
-      max_id = std::max({max_id, e.u, e.v});
-      any_endpoint = true;
-    }
-  }
-  if (any_endpoint && options_.max_universe > 0 &&
-      max_id >= options_.max_universe) {
+  const uint64_t needed = UniverseNeeded(delta);
+  if (options_.max_universe > 0 && needed > options_.max_universe) {
     return Status::OutOfRange(
         "delta (transition " + std::to_string(processed_) +
         " from source '" + source_->name() + "') references vertex " +
-        std::to_string(max_id) + " at or beyond the max_universe cap of " +
+        std::to_string(needed - 1) + " at or beyond the max_universe cap of " +
         std::to_string(options_.max_universe));
   }
-  if (any_endpoint && max_id >= num_vertices_) {
+  if (needed > num_vertices_) {
     if (!options_.grow_universe) {
       return Status::OutOfRange(
           "delta (transition " + std::to_string(processed_) +
           " from source '" + source_->name() + "') references vertex " +
-          std::to_string(max_id) + " but the universe holds " +
+          std::to_string(needed - 1) + " but the universe holds " +
           std::to_string(num_vertices_) +
           " vertices; enable EngineOptions::grow_universe for streaming "
           "sources or fix the source");
     }
-    tracker_->EnsureVertices(max_id + 1);
-    num_vertices_ = max_id + 1;
+    tracker_->EnsureVertices(static_cast<VertexId>(needed));
+    num_vertices_ = static_cast<VertexId>(needed);
   }
   return Status::Ok();
 }
@@ -260,8 +256,6 @@ StatusOr<bool> AvtEngine::SourcePullFailed(const Status& status) {
 bool AvtEngine::PreValidateSourceDelta(const EdgeDelta& delta,
                                        QuarantineReason* reason,
                                        std::string* detail) const {
-  VertexId max_id = 0;
-  bool any_endpoint = false;
   for (const std::vector<Edge>* batch : {&delta.insertions,
                                          &delta.deletions}) {
     for (const Edge& e : *batch) {
@@ -271,21 +265,19 @@ bool AvtEngine::PreValidateSourceDelta(const EdgeDelta& delta,
                   std::to_string(e.v) + "}";
         return false;
       }
-      max_id = std::max({max_id, e.u, e.v});
-      any_endpoint = true;
     }
   }
-  if (!any_endpoint) return true;
-  if (options_.max_universe > 0 && max_id >= options_.max_universe) {
+  const uint64_t needed = UniverseNeeded(delta);
+  if (options_.max_universe > 0 && needed > options_.max_universe) {
     *reason = QuarantineReason::kUniverseExceeded;
-    *detail = "vertex " + std::to_string(max_id) +
+    *detail = "vertex " + std::to_string(needed - 1) +
               " at or beyond the max_universe cap of " +
               std::to_string(options_.max_universe);
     return false;
   }
-  if (!options_.grow_universe && max_id >= num_vertices_) {
+  if (!options_.grow_universe && needed > num_vertices_) {
     *reason = QuarantineReason::kUniverseExceeded;
-    *detail = "vertex " + std::to_string(max_id) +
+    *detail = "vertex " + std::to_string(needed - 1) +
               " outside the frozen universe of " +
               std::to_string(num_vertices_) + " vertices";
     return false;

@@ -10,15 +10,13 @@
 #include <cstring>
 #include <filesystem>
 
-#include "durability/serde.h"
-#include "util/crc32.h"
+#include "util/serde.h"
 
 namespace avt {
 
 namespace {
 
 constexpr char kMagic[8] = {'A', 'V', 'T', 'C', 'K', 'P', 'T', '1'};
-constexpr uint32_t kMaxPayloadBytes = 1u << 30;
 
 std::string CheckpointFileName(uint64_t step) {
   char name[64];
@@ -69,13 +67,8 @@ bool DecodePayload(std::string_view payload, CheckpointData* data) {
     return false;
   }
   if (reader.Remaining() < 4ull * anchor_count) return false;
-  data->previous_anchors.clear();
-  data->previous_anchors.reserve(anchor_count);
-  for (uint32_t i = 0; i < anchor_count; ++i) {
-    uint32_t v = 0;
-    if (!reader.GetU32(&v)) return false;
-    data->previous_anchors.push_back(v);
-  }
+  data->previous_anchors.assign(anchor_count, 0);
+  for (VertexId& v : data->previous_anchors) reader.GetU32(&v);
   if (!reader.GetU32(&has_state)) return false;
   if (has_state > 1) return false;
   data->has_tracker_state = has_state == 1;
@@ -107,22 +100,14 @@ Status WriteCheckpoint(const std::string& dir, const CheckpointData& data,
   const std::string final_path = dir + "/" + CheckpointFileName(data.step);
   const std::string tmp_path = final_path + ".tmp";
 
-  const std::string payload = EncodePayload(data);
-  const uint32_t len = static_cast<uint32_t>(payload.size());
-  const uint32_t crc = Crc32(payload.data(), payload.size());
-
   std::FILE* file = std::fopen(tmp_path.c_str(), "wb");
   if (file == nullptr) {
     return Status::IoError("cannot create checkpoint tmp " + tmp_path +
                            ": " + std::strerror(errno));
   }
-  char header[8];
-  std::memcpy(header, &len, 4);
-  std::memcpy(header + 4, &crc, 4);
   const bool wrote =
       std::fwrite(kMagic, 1, sizeof(kMagic), file) == sizeof(kMagic) &&
-      std::fwrite(header, 1, 8, file) == 8 &&
-      std::fwrite(payload.data(), 1, payload.size(), file) == payload.size();
+      serde::WriteFrame(file, EncodePayload(data));
   if (!wrote || std::fflush(file) != 0) {
     std::fclose(file);
     std::remove(tmp_path.c_str());
@@ -161,42 +146,25 @@ Status WriteCheckpoint(const std::string& dir, const CheckpointData& data,
 }
 
 StatusOr<CheckpointData> ReadCheckpoint(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    return Status::NotFound("no checkpoint at " + path);
-  }
-  std::string bytes;
-  char buffer[1 << 16];
-  size_t got = 0;
-  while ((got = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
-    bytes.append(buffer, got);
-  }
-  const bool read_error = std::ferror(file) != 0;
-  std::fclose(file);
-  if (read_error) {
-    return Status::IoError("read failed for checkpoint " + path);
-  }
+  StatusOr<std::string> read = serde::ReadWholeFile(path, "checkpoint");
+  if (!read.ok()) return read.status();
+  const std::string& bytes = read.value();
 
   // Checkpoints are published atomically, so unlike the WAL there is
   // no "torn tail" grace: ANY framing damage is corruption.
-  if (bytes.size() < sizeof(kMagic) + 8 ||
+  const serde::FrameView frame = serde::ParseFrame(bytes, sizeof(kMagic));
+  if (frame.status == serde::FrameStatus::kHeaderShort ||
       std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
     return Status::Corruption("bad checkpoint header in " + path);
   }
-  uint32_t len = 0;
-  uint32_t crc = 0;
-  std::memcpy(&len, bytes.data() + sizeof(kMagic), 4);
-  std::memcpy(&crc, bytes.data() + sizeof(kMagic) + 4, 4);
-  if (len > kMaxPayloadBytes ||
-      bytes.size() - sizeof(kMagic) - 8 != len) {
+  if (frame.length > serde::kMaxFramePayload || frame.end != bytes.size()) {
     return Status::Corruption("checkpoint length mismatch in " + path);
   }
-  const std::string_view payload(bytes.data() + sizeof(kMagic) + 8, len);
-  if (Crc32(payload.data(), payload.size()) != crc) {
+  if (frame.status == serde::FrameStatus::kCrcMismatch) {
     return Status::Corruption("checkpoint checksum mismatch in " + path);
   }
   CheckpointData data;
-  if (!DecodePayload(payload, &data)) {
+  if (!DecodePayload(frame.payload, &data)) {
     return Status::Corruption("undecodable checkpoint payload in " + path);
   }
   return data;

@@ -16,9 +16,9 @@
 //     for tracker families whose state is exactly serializable — those
 //     resume from the blob and replay only the WAL suffix.
 //
-// File format: "AVTCKPT1" magic, then one CRC32-framed section
-// ([u32 len][u32 crc][payload]); field order documented in
-// docs/DURABILITY.md. Files are named checkpoint-<step>.avtc and
+// File format: "AVTCKPT1" magic, then exactly one frame (frame and
+// little-endian byte codec: util/serde.h); payload field order
+// documented in docs/DURABILITY.md. Files are named checkpoint-<step>.avtc and
 // written atomically (tmp + fsync + rename), so a torn checkpoint
 // never shadows an older intact one.
 

@@ -1,12 +1,13 @@
 #include "durability/quarantine.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
 #include <utility>
 
-#include "durability/serde.h"
-#include "util/crc32.h"
+#include "durability/delta_codec.h"
+#include "util/serde.h"
 
 namespace avt {
 
@@ -14,27 +15,13 @@ namespace {
 
 constexpr char kMagic[8] = {'A', 'V', 'T', 'Q', 'R', 'N', '1', '\n'};
 
-// Bounds allocation when a corrupt length field asks for gigabytes.
-constexpr uint32_t kMaxPayloadBytes = 1u << 30;
-
 std::string EncodePayload(const QuarantineRecord& record) {
   std::string payload;
   payload.reserve(32 + 8 * record.delta.Size() + record.detail.size());
   serde::PutU64(&payload, record.seq);
   serde::PutU32(&payload, static_cast<uint32_t>(record.reason));
   serde::PutU64(&payload, record.source_pull);
-  serde::PutU32(&payload,
-                static_cast<uint32_t>(record.delta.insertions.size()));
-  serde::PutU32(&payload,
-                static_cast<uint32_t>(record.delta.deletions.size()));
-  for (const Edge& e : record.delta.insertions) {
-    serde::PutU32(&payload, e.u);
-    serde::PutU32(&payload, e.v);
-  }
-  for (const Edge& e : record.delta.deletions) {
-    serde::PutU32(&payload, e.u);
-    serde::PutU32(&payload, e.v);
-  }
+  PutDelta(&payload, record.delta);
   serde::PutU32(&payload, static_cast<uint32_t>(record.detail.size()));
   payload += record.detail;
   return payload;
@@ -43,36 +30,68 @@ std::string EncodePayload(const QuarantineRecord& record) {
 bool DecodePayload(std::string_view payload, QuarantineRecord* record) {
   serde::Reader reader(payload);
   uint32_t reason = 0;
-  uint32_t n_ins = 0;
-  uint32_t n_del = 0;
+  uint32_t detail_len = 0;
   if (!reader.GetU64(&record->seq) || !reader.GetU32(&reason) ||
-      !reader.GetU64(&record->source_pull) || !reader.GetU32(&n_ins) ||
-      !reader.GetU32(&n_del)) {
+      !reader.GetU64(&record->source_pull) ||
+      !GetDelta(&reader, &record->delta) || !reader.GetU32(&detail_len) ||
+      !reader.GetBytes(&record->detail, detail_len)) {
     return false;
   }
   record->reason = static_cast<QuarantineReason>(reason);
-  record->delta.insertions.clear();
-  record->delta.deletions.clear();
-  if (reader.Remaining() <
-      8 * (static_cast<size_t>(n_ins) + static_cast<size_t>(n_del))) {
-    return false;
-  }
-  record->delta.insertions.reserve(n_ins);
-  record->delta.deletions.reserve(n_del);
-  for (uint32_t i = 0; i < n_ins + n_del; ++i) {
-    uint32_t u = 0;
-    uint32_t v = 0;
-    if (!reader.GetU32(&u) || !reader.GetU32(&v)) return false;
-    Edge e;
-    e.u = u;  // verbatim: forensics must show exactly what arrived
-    e.v = v;
-    (i < n_ins ? record->delta.insertions : record->delta.deletions)
-        .push_back(e);
-  }
-  uint32_t detail_len = 0;
-  if (!reader.GetU32(&detail_len)) return false;
-  if (!reader.GetBytes(&record->detail, detail_len)) return false;
   return reader.Exhausted();
+}
+
+// ReadAll, also reporting the byte length of the valid prefix (magic +
+// whole records; 0 when even the magic is torn) so Open can truncate a
+// torn tail.
+StatusOr<std::vector<QuarantineRecord>> ReadLog(const std::string& path,
+                                                uint64_t* valid_bytes) {
+  *valid_bytes = 0;
+  StatusOr<std::string> read =
+      serde::ReadWholeFile(path, "quarantine log");
+  if (!read.ok()) return read.status();
+  const std::string& bytes = read.value();
+
+  if (std::memcmp(bytes.data(), kMagic,
+                  std::min(bytes.size(), sizeof(kMagic))) != 0) {
+    return Status::Corruption("bad quarantine magic in " + path);
+  }
+  if (bytes.size() < sizeof(kMagic)) {
+    return std::vector<QuarantineRecord>{};  // torn header: zero records
+  }
+
+  std::vector<QuarantineRecord> records;
+  size_t pos = sizeof(kMagic);
+  *valid_bytes = pos;
+  while (pos < bytes.size()) {
+    const serde::FrameView frame = serde::ParseFrame(bytes, pos);
+    if (frame.status == serde::FrameStatus::kHeaderShort) break;  // torn
+    if (frame.length > serde::kMaxFramePayload) {
+      return Status::Corruption("absurd quarantine record length at offset " +
+                                std::to_string(pos) + " in " + path);
+    }
+    if (frame.status == serde::FrameStatus::kPayloadShort) break;  // torn
+    if (frame.status == serde::FrameStatus::kCrcMismatch) {
+      return Status::Corruption(
+          "quarantine record checksum mismatch at offset " +
+          std::to_string(pos) + " in " + path);
+    }
+    QuarantineRecord record;
+    if (!DecodePayload(frame.payload, &record)) {
+      return Status::Corruption("undecodable quarantine record at offset " +
+                                std::to_string(pos) + " in " + path);
+    }
+    if (record.seq != records.size() + 1) {
+      return Status::Corruption(
+          "non-sequential quarantine record (seq " +
+          std::to_string(record.seq) + " at position " +
+          std::to_string(records.size() + 1) + ") in " + path);
+    }
+    records.push_back(std::move(record));
+    pos = frame.end;
+    *valid_bytes = pos;
+  }
+  return records;
 }
 
 }  // namespace
@@ -99,18 +118,14 @@ StatusOr<std::unique_ptr<QuarantineLog>> QuarantineLog::Open(
   uint64_t next_seq = 1;
   uint64_t valid_bytes = 0;
   if (std::filesystem::exists(path, ec)) {
-    // Resume numbering after the existing valid prefix. ReadAll
-    // tolerates a torn tail but rejects corruption — a quarantine log
-    // that lies is worse than none.
-    StatusOr<std::vector<QuarantineRecord>> existing = ReadAll(path);
+    // Resume numbering after the existing valid prefix, and truncate
+    // the torn tail past it. ReadLog tolerates a torn tail but rejects
+    // corruption — a quarantine log that lies is worse than none.
+    StatusOr<std::vector<QuarantineRecord>> existing =
+        ReadLog(path, &valid_bytes);
     if (!existing.ok()) return existing.status();
     if (!existing.value().empty()) {
       next_seq = existing.value().back().seq + 1;
-    }
-    // Recompute the valid prefix length to truncate a torn tail.
-    valid_bytes = sizeof(kMagic);
-    for (const QuarantineRecord& record : existing.value()) {
-      valid_bytes += 8 + EncodePayload(record).size();
     }
     std::filesystem::resize_file(path, valid_bytes, ec);
     if (ec) {
@@ -138,15 +153,7 @@ QuarantineLog::~QuarantineLog() {
 
 Status QuarantineLog::Append(QuarantineRecord* record) {
   record->seq = next_seq_;
-  const std::string payload = EncodePayload(*record);
-  const uint32_t len = static_cast<uint32_t>(payload.size());
-  const uint32_t crc = Crc32(payload.data(), payload.size());
-  char header[8];
-  std::memcpy(header, &len, 4);
-  std::memcpy(header + 4, &crc, 4);
-  if (std::fwrite(header, 1, 8, file_) != 8 ||
-      std::fwrite(payload.data(), 1, payload.size(), file_) !=
-          payload.size() ||
+  if (!serde::WriteFrame(file_, EncodePayload(*record)) ||
       std::fflush(file_) != 0) {
     return Status::IoError(std::string("quarantine append failed: ") +
                            std::strerror(errno));
@@ -158,66 +165,8 @@ Status QuarantineLog::Append(QuarantineRecord* record) {
 
 StatusOr<std::vector<QuarantineRecord>> QuarantineLog::ReadAll(
     const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    return Status::NotFound("no quarantine log at " + path);
-  }
-  std::string bytes;
-  char buffer[1 << 16];
-  size_t got = 0;
-  while ((got = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
-    bytes.append(buffer, got);
-  }
-  const bool read_error = std::ferror(file) != 0;
-  std::fclose(file);
-  if (read_error) {
-    return Status::IoError("read failed for quarantine log " + path);
-  }
-
-  if (bytes.size() < sizeof(kMagic)) {
-    if (std::memcmp(bytes.data(), kMagic, bytes.size()) != 0) {
-      return Status::Corruption("bad quarantine magic in " + path);
-    }
-    return std::vector<QuarantineRecord>{};  // torn header: zero records
-  }
-  if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
-    return Status::Corruption("bad quarantine magic in " + path);
-  }
-
-  std::vector<QuarantineRecord> records;
-  size_t pos = sizeof(kMagic);
-  while (pos < bytes.size()) {
-    if (bytes.size() - pos < 8) break;  // torn frame header
-    uint32_t len = 0;
-    uint32_t crc = 0;
-    std::memcpy(&len, bytes.data() + pos, 4);
-    std::memcpy(&crc, bytes.data() + pos + 4, 4);
-    if (len > kMaxPayloadBytes) {
-      return Status::Corruption("absurd quarantine record length at offset " +
-                                std::to_string(pos) + " in " + path);
-    }
-    if (bytes.size() - pos - 8 < len) break;  // torn payload
-    const std::string_view payload(bytes.data() + pos + 8, len);
-    if (Crc32(payload.data(), payload.size()) != crc) {
-      return Status::Corruption(
-          "quarantine record checksum mismatch at offset " +
-          std::to_string(pos) + " in " + path);
-    }
-    QuarantineRecord record;
-    if (!DecodePayload(payload, &record)) {
-      return Status::Corruption("undecodable quarantine record at offset " +
-                                std::to_string(pos) + " in " + path);
-    }
-    if (record.seq != records.size() + 1) {
-      return Status::Corruption(
-          "non-sequential quarantine record (seq " +
-          std::to_string(record.seq) + " at position " +
-          std::to_string(records.size() + 1) + ") in " + path);
-    }
-    records.push_back(std::move(record));
-    pos += 8 + len;
-  }
-  return records;
+  uint64_t valid_bytes = 0;
+  return ReadLog(path, &valid_bytes);
 }
 
 }  // namespace avt

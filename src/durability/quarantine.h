@@ -10,10 +10,12 @@
 // source pull position it came from, so "which upstream records were
 // bad" is answerable after the fact (`avt_cli quarantine <dir>`).
 //
-// File format (quarantine.avtq), mirroring durability/wal.h:
+// File format (quarantine.avtq), mirroring durability/wal.h (frame
+// and little-endian byte codec: util/serde.h; the delta's edge pairs:
+// durability/delta_codec.h):
 //
 //   [8-byte magic "AVTQRN1\n"]
-//   repeated records: [u32 len][u32 crc32][payload]
+//   frame*
 //     payload: u64 seq, u32 reason, u64 source_pull,
 //              u32 n_ins, u32 n_del, (u32 u, u32 v) pairs,
 //              u32 detail_len, detail bytes

@@ -3,11 +3,12 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
-#include "durability/serde.h"
-#include "util/crc32.h"
+#include "durability/delta_codec.h"
+#include "util/serde.h"
 
 namespace avt {
 
@@ -15,58 +16,20 @@ namespace {
 
 constexpr char kMagic[8] = {'A', 'V', 'T', 'W', 'A', 'L', '1', '\n'};
 
-// A single frame cannot plausibly exceed this: it bounds allocation
-// when a corrupt length field asks for gigabytes.
-constexpr uint32_t kMaxPayloadBytes = 1u << 30;
-
 std::string EncodePayload(const WalRecord& record) {
   std::string payload;
-  payload.reserve(24 + 8 * (record.delta.insertions.size() +
-                            record.delta.deletions.size()));
+  payload.reserve(24 + 8 * record.delta.Size());
   serde::PutU64(&payload, record.seq);
   serde::PutU64(&payload, record.source_pulls);
-  serde::PutU32(&payload,
-                static_cast<uint32_t>(record.delta.insertions.size()));
-  serde::PutU32(&payload,
-                static_cast<uint32_t>(record.delta.deletions.size()));
-  for (const Edge& e : record.delta.insertions) {
-    serde::PutU32(&payload, e.u);
-    serde::PutU32(&payload, e.v);
-  }
-  for (const Edge& e : record.delta.deletions) {
-    serde::PutU32(&payload, e.u);
-    serde::PutU32(&payload, e.v);
-  }
+  PutDelta(&payload, record.delta);
   return payload;
 }
 
 bool DecodePayload(std::string_view payload, WalRecord* record) {
   serde::Reader reader(payload);
-  uint32_t n_ins = 0;
-  uint32_t n_del = 0;
-  if (!reader.GetU64(&record->seq) || !reader.GetU64(&record->source_pulls) ||
-      !reader.GetU32(&n_ins) || !reader.GetU32(&n_del)) {
-    return false;
-  }
-  if (reader.Remaining() !=
-      8 * (static_cast<size_t>(n_ins) + static_cast<size_t>(n_del))) {
-    return false;
-  }
-  record->delta.insertions.clear();
-  record->delta.deletions.clear();
-  record->delta.insertions.reserve(n_ins);
-  record->delta.deletions.reserve(n_del);
-  for (uint32_t i = 0; i < n_ins + n_del; ++i) {
-    uint32_t u = 0;
-    uint32_t v = 0;
-    if (!reader.GetU32(&u) || !reader.GetU32(&v)) return false;
-    Edge e;
-    e.u = u;  // verbatim, NOT normalized: within-batch op order and
-    e.v = v;  // endpoint order must replay exactly as committed
-    (i < n_ins ? record->delta.insertions : record->delta.deletions)
-        .push_back(e);
-  }
-  return reader.Exhausted();
+  return reader.GetU64(&record->seq) &&
+         reader.GetU64(&record->source_pulls) &&
+         GetDelta(&reader, &record->delta) && reader.Exhausted();
 }
 
 Status SyncFile(std::FILE* file) {
@@ -140,15 +103,7 @@ DeltaWal::~DeltaWal() {
 }
 
 Status DeltaWal::Append(const WalRecord& record) {
-  const std::string payload = EncodePayload(record);
-  const uint32_t len = static_cast<uint32_t>(payload.size());
-  const uint32_t crc = Crc32(payload.data(), payload.size());
-  char header[8];
-  std::memcpy(header, &len, 4);
-  std::memcpy(header + 4, &crc, 4);
-  if (std::fwrite(header, 1, 8, file_) != 8 ||
-      std::fwrite(payload.data(), 1, payload.size(), file_) !=
-          payload.size()) {
+  if (!serde::WriteFrame(file_, EncodePayload(record))) {
     return Status::IoError(std::string("wal append failed: ") +
                            std::strerror(errno));
   }
@@ -169,68 +124,46 @@ Status DeltaWal::Flush() {
 Status DeltaWal::Sync() { return SyncFile(file_); }
 
 StatusOr<DeltaWal::ReadResult> DeltaWal::ReadAll(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    return Status::NotFound("no WAL at " + path);
-  }
-  // Read the whole file; WALs the engine writes are bounded by the
-  // stream they log, and recovery reads them once.
-  std::string bytes;
-  char buffer[1 << 16];
-  size_t got = 0;
-  while ((got = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
-    bytes.append(buffer, got);
-  }
-  const bool read_error = std::ferror(file) != 0;
-  std::fclose(file);
-  if (read_error) {
-    return Status::IoError("read failed for WAL " + path);
-  }
+  // WALs the engine writes are bounded by the stream they log, and
+  // recovery reads them once.
+  StatusOr<std::string> read = serde::ReadWholeFile(path, "WAL");
+  if (!read.ok()) return read.status();
+  const std::string& bytes = read.value();
 
+  if (std::memcmp(bytes.data(), kMagic,
+                  std::min(bytes.size(), sizeof(kMagic))) != 0) {
+    return Status::Corruption("bad WAL magic in " + path);
+  }
+  ReadResult result;
   if (bytes.size() < sizeof(kMagic)) {
     // Even the magic is torn; an empty-but-valid log has 8 bytes. A
     // crash can tear the very first write, so this is a torn tail with
-    // zero records, not corruption — unless the partial bytes already
-    // disagree with the magic.
-    if (std::memcmp(bytes.data(), kMagic, bytes.size()) != 0) {
-      return Status::Corruption("bad WAL magic in " + path);
-    }
-    ReadResult result;
-    result.valid_bytes = 0;
+    // zero records, not corruption.
     result.torn_tail = !bytes.empty();
     return result;
   }
-  if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
-    return Status::Corruption("bad WAL magic in " + path);
-  }
-
-  ReadResult result;
   size_t pos = sizeof(kMagic);
   result.valid_bytes = pos;
   while (pos < bytes.size()) {
-    if (bytes.size() - pos < 8) {
+    const serde::FrameView frame = serde::ParseFrame(bytes, pos);
+    if (frame.status == serde::FrameStatus::kHeaderShort) {
       result.torn_tail = true;  // partial frame header
       break;
     }
-    uint32_t len = 0;
-    uint32_t crc = 0;
-    std::memcpy(&len, bytes.data() + pos, 4);
-    std::memcpy(&crc, bytes.data() + pos + 4, 4);
-    if (len > kMaxPayloadBytes) {
+    if (frame.length > serde::kMaxFramePayload) {
       return Status::Corruption("absurd WAL record length at offset " +
                                 std::to_string(pos) + " in " + path);
     }
-    if (bytes.size() - pos - 8 < len) {
+    if (frame.status == serde::FrameStatus::kPayloadShort) {
       result.torn_tail = true;  // partial payload: crash mid-append
       break;
     }
-    const std::string_view payload(bytes.data() + pos + 8, len);
-    if (Crc32(payload.data(), payload.size()) != crc) {
+    if (frame.status == serde::FrameStatus::kCrcMismatch) {
       return Status::Corruption("WAL record checksum mismatch at offset " +
                                 std::to_string(pos) + " in " + path);
     }
     WalRecord record;
-    if (!DecodePayload(payload, &record)) {
+    if (!DecodePayload(frame.payload, &record)) {
       return Status::Corruption("undecodable WAL record at offset " +
                                 std::to_string(pos) + " in " + path);
     }
@@ -241,7 +174,7 @@ StatusOr<DeltaWal::ReadResult> DeltaWal::ReadAll(const std::string& path) {
           ") in " + path);
     }
     result.records.push_back(std::move(record));
-    pos += 8 + len;
+    pos = frame.end;
     result.valid_bytes = pos;
   }
   return result;

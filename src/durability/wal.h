@@ -7,12 +7,12 @@
 // boundaries, same within-batch order) and then fast-forward the
 // source to the first unprocessed delta.
 //
-// File format (all fields little-endian):
+// File format (frame and little-endian byte codec: util/serde.h; the
+// delta's edge pairs: durability/delta_codec.h):
 //
 //   [8-byte magic "AVTWAL1\n"]
-//   record*
+//   frame*
 //
-//   record  := [u32 payload_len][u32 crc32(payload)][payload]
 //   payload := u64 seq            -- 1-based, strictly sequential
 //              u64 source_pulls   -- source deltas merged into this txn
 //              u32 n_insertions, u32 n_deletions

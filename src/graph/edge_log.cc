@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "util/crc32.h"
+#include "util/serde.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
@@ -14,32 +15,6 @@
 namespace avt {
 
 namespace {
-
-// Little-endian fixed-width codecs, local so the graph layer does not
-// reach up into durability/serde.h.
-void PutU32(std::string* out, uint32_t value) {
-  char bytes[4];
-  for (int i = 0; i < 4; ++i) bytes[i] = static_cast<char>(value >> (8 * i));
-  out->append(bytes, 4);
-}
-
-void PutU64(std::string* out, uint64_t value) {
-  char bytes[8];
-  for (int i = 0; i < 8; ++i) bytes[i] = static_cast<char>(value >> (8 * i));
-  out->append(bytes, 8);
-}
-
-uint32_t ReadU32(const uint8_t* p) {
-  uint32_t value = 0;
-  for (int i = 0; i < 4; ++i) value |= static_cast<uint32_t>(p[i]) << (8 * i);
-  return value;
-}
-
-uint64_t ReadU64(const uint8_t* p) {
-  uint64_t value = 0;
-  for (int i = 0; i < 8; ++i) value |= static_cast<uint64_t>(p[i]) << (8 * i);
-  return value;
-}
 
 // LEB128. Full uint64_t range so 0 and 0xFFFFFFFF ids round-trip.
 void PutVarint(std::string* out, uint64_t value) {
@@ -125,25 +100,20 @@ bool DecodeBatch(const uint8_t* data, size_t size, size_t* pos,
 std::string EncodeHeaderFields(uint32_t index_every, uint64_t num_vertices,
                                uint64_t num_frames, uint64_t index_offset) {
   std::string fields;
-  PutU32(&fields, 1);  // version
-  PutU32(&fields, index_every);
-  PutU64(&fields, num_vertices);
-  PutU64(&fields, num_frames);
-  PutU64(&fields, index_offset);
+  serde::PutU32(&fields, 1);  // version
+  serde::PutU32(&fields, index_every);
+  serde::PutU64(&fields, num_vertices);
+  serde::PutU64(&fields, num_frames);
+  serde::PutU64(&fields, index_offset);
   return fields;
 }
 
 Status WriteFrame(std::FILE* file, const std::string& payload,
                   uint64_t* offset) {
-  std::string head;
-  PutU32(&head, static_cast<uint32_t>(payload.size()));
-  PutU32(&head, Crc32(payload.data(), payload.size()));
-  if (std::fwrite(head.data(), 1, head.size(), file) != head.size() ||
-      std::fwrite(payload.data(), 1, payload.size(), file) !=
-          payload.size()) {
+  if (!serde::WriteFrame(file, payload)) {
     return Status::IoError("edge log write failed");
   }
-  *offset += head.size() + payload.size();
+  *offset += serde::kFrameHeaderSize + payload.size();
   return Status::Ok();
 }
 
@@ -237,7 +207,7 @@ StatusOr<std::unique_ptr<EdgeLogWriter>> EdgeLogWriter::Create(
       index_every, EdgeLogLayout::kUnfinalized, EdgeLogLayout::kUnfinalized,
       /*index_offset=*/0);
   header += fields;
-  PutU32(&header, Crc32(fields.data(), fields.size()));
+  serde::PutU32(&header, Crc32(fields.data(), fields.size()));
   if (std::fwrite(header.data(), 1, header.size(), file) != header.size()) {
     return Status::IoError("cannot write edge log header to " + path);
   }
@@ -300,15 +270,15 @@ Status EdgeLogWriter::Finish(VertexId num_vertices) {
   if (index_every_ > 0) {
     index_offset = offset_;
     std::string payload;
-    PutU64(&payload, index_.size());
-    for (uint64_t entry : index_) PutU64(&payload, entry);
+    serde::PutU64(&payload, index_.size());
+    for (uint64_t entry : index_) serde::PutU64(&payload, entry);
     AVT_RETURN_IF_ERROR(WriteFrame(file_, payload, &offset_));
   }
 
   const std::string fields =
       EncodeHeaderFields(index_every_, universe, frames_, index_offset);
   std::string patch = fields;
-  PutU32(&patch, Crc32(fields.data(), fields.size()));
+  serde::PutU32(&patch, Crc32(fields.data(), fields.size()));
   if (std::fseek(file_, static_cast<long>(EdgeLogLayout::kMagicSize),
                  SEEK_SET) != 0 ||
       std::fwrite(patch.data(), 1, patch.size(), file_) != patch.size() ||
@@ -341,40 +311,40 @@ StatusOr<std::unique_ptr<EdgeLogReader>> EdgeLogReader::Open(
   }
   const uint8_t* fields = data + EdgeLogLayout::kMagicSize;
   const uint32_t stored_crc =
-      ReadU32(fields + EdgeLogLayout::kHeaderFieldsSize);
+      serde::GetU32(fields + EdgeLogLayout::kHeaderFieldsSize);
   if (Crc32(fields, EdgeLogLayout::kHeaderFieldsSize) != stored_crc) {
     return Status::Corruption("edge log " + path +
                               " header checksum mismatch");
   }
-  const uint32_t version = ReadU32(fields);
+  const uint32_t version = serde::GetU32(fields);
   if (version != 1) {
     return Status::InvalidArgument("edge log " + path +
                                    " has unsupported version " +
                                    std::to_string(version));
   }
-  reader->index_every_ = ReadU32(fields + 4);
-  reader->num_vertices_ = ReadU64(fields + 8);
-  reader->num_frames_ = ReadU64(fields + 16);
-  reader->index_offset_ = ReadU64(fields + 24);
+  reader->index_every_ = serde::GetU32(fields + 4);
+  reader->num_vertices_ = serde::GetU64(fields + 8);
+  reader->num_frames_ = serde::GetU64(fields + 16);
+  reader->index_offset_ = serde::GetU64(fields + 24);
   reader->cursor_ = EdgeLogLayout::kHeaderSize;
 
   if (reader->finalized() && reader->index_offset_ != 0) {
     // Decode and sanity-check the seek index frame.
+    const serde::FrameView frame =
+        serde::ParseFrame(reader->map_->bytes(size), reader->index_offset_);
     if (reader->index_offset_ < EdgeLogLayout::kHeaderSize ||
-        reader->index_offset_ + 8 > size) {
+        frame.status == serde::FrameStatus::kHeaderShort) {
       return Status::Corruption("edge log seek index out of bounds");
     }
-    const uint8_t* frame = data + reader->index_offset_;
-    const uint32_t len = ReadU32(frame);
-    const uint32_t crc = ReadU32(frame + 4);
-    if (len > size - reader->index_offset_ - 8 ||
-        Crc32(frame + 8, len) != crc) {
+    if (frame.status != serde::FrameStatus::kOk) {
       return Status::Corruption("edge log seek index damaged");
     }
-    const uint8_t* payload = frame + 8;
-    if (len < 8) return Status::Corruption("edge log seek index truncated");
-    const uint64_t count = ReadU64(payload);
-    if (len != 8 + count * 8) {
+    const std::string_view payload = frame.payload;
+    if (payload.size() < 8) {
+      return Status::Corruption("edge log seek index truncated");
+    }
+    const uint64_t count = serde::GetU64(payload.data());
+    if (payload.size() != 8 + count * 8) {
       return Status::Corruption("edge log seek index has wrong size");
     }
     const uint64_t expected =
@@ -389,7 +359,7 @@ StatusOr<std::unique_ptr<EdgeLogReader>> EdgeLogReader::Open(
     }
     uint64_t previous = 0;
     for (uint64_t i = 0; i < count; ++i) {
-      const uint64_t entry = ReadU64(payload + 8 + i * 8);
+      const uint64_t entry = serde::GetU64(payload.data() + 8 + i * 8);
       if (entry < EdgeLogLayout::kHeaderSize ||
           entry >= reader->index_offset_ ||
           (i > 0 && entry <= previous)) {
@@ -416,34 +386,33 @@ size_t EdgeLogReader::FrameRegionEnd() const {
 
 StatusOr<bool> EdgeLogReader::NextFrame(EdgeDelta* delta) {
   if (finalized() && frame_index_ >= num_frames_) return false;
-  const size_t end = FrameRegionEnd();
-  const uint8_t* data = map_->data();
 
-  // Frame header. An unfinalized log that runs out of bytes here is a
-  // torn tail (the writer died mid-frame): clean end of stream. A
-  // FINALIZED log running out below its declared count lost data.
-  if (cursor_ + 8 > end) {
+  // An unfinalized log that runs out of bytes mid-frame is a torn tail
+  // (the writer died mid-frame): clean end of stream. A FINALIZED log
+  // running out below its declared count lost data.
+  const serde::FrameView frame =
+      serde::ParseFrame(map_->bytes(FrameRegionEnd()), cursor_);
+  if (frame.status == serde::FrameStatus::kHeaderShort) {
     if (finalized()) {
       return Status::Corruption(
           "edge log holds fewer frames than its header declares");
     }
     return false;
   }
-  const uint32_t len = ReadU32(data + cursor_);
-  const uint32_t crc = ReadU32(data + cursor_ + 4);
-  if (len > end - cursor_ - 8) {
+  if (frame.status == serde::FrameStatus::kPayloadShort) {
     if (finalized()) {
       return Status::Corruption("edge log final frame truncated below "
                                 "its declared length");
     }
     return false;  // torn final frame: valid prefix ends here
   }
-  const uint8_t* payload = data + cursor_ + 8;
-  if (Crc32(payload, len) != crc) {
+  if (frame.status == serde::FrameStatus::kCrcMismatch) {
     return Status::Corruption("edge log frame " +
                               std::to_string(frame_index_) +
                               " checksum mismatch");
   }
+  const auto* payload = reinterpret_cast<const uint8_t*>(frame.payload.data());
+  const size_t len = frame.length;
 
   size_t pos = 0;
   uint64_t n_ins = 0, n_del = 0;
@@ -464,7 +433,7 @@ StatusOr<bool> EdgeLogReader::NextFrame(EdgeDelta* delta) {
                               std::to_string(frame_index_) +
                               " payload does not decode to its length");
   }
-  cursor_ += 8 + static_cast<size_t>(len);
+  cursor_ = frame.end;
   ++frame_index_;
   return true;
 }
@@ -483,25 +452,25 @@ Status EdgeLogReader::SeekToFrame(uint64_t index) {
     frame = entry * index_every_;
     offset = static_cast<size_t>(index_[entry]);
   }
-  // Forward skip by length fields only; CRCs are checked on decode.
-  const size_t end = FrameRegionEnd();
-  const uint8_t* data = map_->data();
+  // Forward skip. A skipped frame's CRC is not reported here: NextFrame
+  // reports it when the frame is decoded.
+  const std::string_view bytes = map_->bytes(FrameRegionEnd());
   while (frame < index) {
-    if (offset + 8 > end) {
+    const serde::FrameView skipped = serde::ParseFrame(bytes, offset);
+    if (skipped.status == serde::FrameStatus::kHeaderShort) {
       return finalized()
                  ? Status::Corruption(
                        "edge log ends below its declared frame count")
                  : Status::InvalidArgument(
                        "seek past the end of an unfinalized edge log");
     }
-    const uint32_t len = ReadU32(data + offset);
-    if (len > end - offset - 8) {
+    if (skipped.status == serde::FrameStatus::kPayloadShort) {
       return finalized()
                  ? Status::Corruption("edge log frame truncated")
                  : Status::InvalidArgument(
                        "seek past the end of an unfinalized edge log");
     }
-    offset += 8 + static_cast<size_t>(len);
+    offset = skipped.end;
     ++frame;
   }
   cursor_ = offset;

@@ -11,7 +11,7 @@
 // declares the dense vertex universe and delta count up front (no
 // metadata pre-scan, and tracker growth is a single reserve).
 //
-// File layout (all fixed-width fields little-endian):
+// File layout (frame and little-endian byte codec: util/serde.h):
 //
 //   [8-byte magic "AVTELG1\n"]
 //   [header: u32 version, u32 index_every,
@@ -21,10 +21,9 @@
 //                                  frames 1..num_frames-1 are deltas
 //   [seek index frame]          -- at index_offset when index_every > 0
 //
-//   frame   := [u32 payload_len][u32 crc32(payload)][payload]
 //   payload := varint n_insertions, varint n_deletions,
 //              packed insertion edges, packed deletion edges
-//   index   := framed like a frame;
+//   index   := a frame whose
 //              payload := u64 count, count * u64 byte offsets
 //                         (offset of frame i*index_every)
 //
@@ -51,6 +50,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "graph/delta.h"
@@ -74,6 +74,10 @@ class MappedFile {
 
   const uint8_t* data() const { return data_; }
   size_t size() const { return size_; }
+  /// The first `size` bytes as a view (no copy).
+  std::string_view bytes(size_t size) const {
+    return std::string_view(reinterpret_cast<const char*>(data_), size);
+  }
 
  private:
   MappedFile() = default;
@@ -173,9 +177,9 @@ class EdgeLogReader {
   StatusOr<bool> NextFrame(EdgeDelta* delta);
 
   /// Repositions so the next NextFrame decodes frame `index`: binary
-  /// search of the seek index, then a forward skip (length fields
-  /// only; CRCs are verified when frames are decoded). Works without
-  /// an index by skipping from frame 0.
+  /// search of the seek index, then a forward skip over whole frames
+  /// (a CRC mismatch is reported when the frame is decoded, not while
+  /// skipping it). Works without an index by skipping from frame 0.
   Status SeekToFrame(uint64_t index);
 
   /// Index of the frame the next NextFrame call will decode.

@@ -16,7 +16,7 @@
 
 #include "anchor/greedy.h"
 #include "core/inc_avt.h"
-#include "durability/serde.h"
+#include "util/serde.h"
 #include "gen/churn.h"
 #include "gen/models.h"
 #include "graph/snapshots.h"

@@ -592,6 +592,35 @@ TEST(QuarantineLog, ToleratesTornTailAndTruncatesOnReopen) {
   EXPECT_EQ(records.value()[1].source_pull, 3u);
 }
 
+TEST(QuarantineLog, ReopenAfterTornHeaderRewritesIt) {
+  // A crash can tear the log inside its 8-byte magic (or before any
+  // byte reached the file). Reopening must truncate to empty and write
+  // a fresh magic, not zero-pad the partial one into a bad magic.
+  for (size_t kept : {size_t{0}, size_t{3}}) {
+    TempDir dir("avt-qlog-torn-magic");
+    const std::string path = dir.path() + "/" + QuarantineLog::kFileName;
+    {
+      StatusOr<std::unique_ptr<QuarantineLog>> log =
+          QuarantineLog::Open(dir.path());
+      ASSERT_TRUE(log.ok());
+    }
+    fs::resize_file(path, kept);
+    {
+      StatusOr<std::unique_ptr<QuarantineLog>> log =
+          QuarantineLog::Open(dir.path());
+      ASSERT_TRUE(log.ok()) << log.status().ToString();
+      QuarantineRecord a = SampleRecord(5);
+      ASSERT_TRUE(log.value()->Append(&a).ok());
+      EXPECT_EQ(a.seq, 1u);
+    }
+    StatusOr<std::vector<QuarantineRecord>> records =
+        QuarantineLog::ReadAll(path);
+    ASSERT_TRUE(records.ok()) << kept << ": " << records.status().ToString();
+    ASSERT_EQ(records.value().size(), 1u) << kept;
+    EXPECT_EQ(records.value()[0].source_pull, 5u);
+  }
+}
+
 TEST(QuarantineLog, CorruptPrefixIsNotSilentlyLossy) {
   TempDir dir("avt-qlog-crc");
   const std::string path = dir.path() + "/" + QuarantineLog::kFileName;
