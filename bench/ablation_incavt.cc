@@ -17,6 +17,7 @@
 #include "bench_common.h"
 #include "core/engine.h"
 #include "core/inc_avt.h"
+#include "core/run_summary.h"
 #include "graph/delta_source.h"
 
 using namespace avt;
@@ -48,14 +49,14 @@ int main(int argc, char** argv) {
     SnapshotSequence sequence = BuildSequence(info, config);
     const uint32_t k = info.default_k;
 
-    AvtRunResult greedy = RunAvt(sequence, AvtAlgorithm::kGreedy, k,
-                                 config.l);
+    const RunSummary greedy =
+        SummarizeRun(RunAvt(sequence, AvtAlgorithm::kGreedy, k, config.l));
     table.Row()
         .Str(info.name)
         .Str("Greedy (rebuild+full)")
-        .Double(greedy.TotalMillis(), 1)
-        .UInt(greedy.TotalCandidatesVisited())
-        .UInt(greedy.TotalFollowers());
+        .Double(greedy.total_millis, 1)
+        .UInt(greedy.total_candidates)
+        .UInt(greedy.total_followers);
 
     struct Variant {
       IncAvtMode mode;
@@ -65,13 +66,14 @@ int main(int argc, char** argv) {
          {Variant{IncAvtMode::kMaintainedFull, "IncAVT-fullpool"},
           Variant{IncAvtMode::kRestricted, "IncAVT (published)"},
           Variant{IncAvtMode::kCarryForward, "IncAVT-carry"}}) {
-      AvtRunResult run = RunMode(sequence, k, config.l, variant.mode);
+      const RunSummary run =
+          SummarizeRun(RunMode(sequence, k, config.l, variant.mode));
       table.Row()
           .Str(info.name)
           .Str(variant.label)
-          .Double(run.TotalMillis(), 1)
-          .UInt(run.TotalCandidatesVisited())
-          .UInt(run.TotalFollowers());
+          .Double(run.total_millis, 1)
+          .UInt(run.total_candidates)
+          .UInt(run.total_followers);
     }
   }
   EmitTable("Ablation: IncAVT speedup decomposition", table,

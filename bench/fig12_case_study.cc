@@ -11,6 +11,7 @@
 #include <cstdio>
 
 #include "bench_common.h"
+#include "core/run_summary.h"
 
 using namespace avt;
 using namespace avt::bench;
@@ -49,12 +50,13 @@ int main(int argc, char** argv) {
 
   // Shape check the paper emphasizes: the heuristics stay close to the
   // optimum.
-  uint64_t brute = runs.back().TotalFollowers();
+  uint64_t brute = SummarizeRun(runs.back()).total_followers;
   std::printf("\ntotal followers across snapshots: brute-force=%lu",
               static_cast<unsigned long>(brute));
   for (size_t i = 0; i + 1 < runs.size(); ++i) {
     std::printf(", %s=%lu", AvtAlgorithmName(algorithms[i]),
-                static_cast<unsigned long>(runs[i].TotalFollowers()));
+                static_cast<unsigned long>(
+                    SummarizeRun(runs[i]).total_followers));
   }
   std::printf("\n");
   return 0;

@@ -5,8 +5,8 @@
 #   scripts/check.sh             # Release, all labels
 #   scripts/check.sh --werror    # additionally promote warnings to errors
 #   scripts/check.sh --asan      # sanitizer tier: unit tests + reduced
-#                                # differential fuzz + maintainer soak
-#                                # under ASan/UBSan
+#                                # differential fuzz + maintainer soak +
+#                                # cli_test under ASan/UBSan
 #
 # Any extra arguments after the mode flag are forwarded to ctest.
 
@@ -39,6 +39,9 @@ case "$mode" in
     # checks are small enough to run in full.
     ctest --test-dir "$build_dir" -R '^maintenance_soak_test$' \
       --output-on-failure "$@"
+    # cli_test is cli-labeled but runs in about a second; it is the only
+    # suite that drives the command layer (tools/cli_commands.cc).
+    ctest --test-dir "$build_dir" -R '^cli_test$' --output-on-failure "$@"
     ;;
   --werror)
     build_dir=build-werror

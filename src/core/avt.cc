@@ -24,24 +24,6 @@ const char* AvtAlgorithmName(AvtAlgorithm algorithm) {
   return "unknown";
 }
 
-double AvtRunResult::TotalMillis() const {
-  double total = 0;
-  for (const auto& s : snapshots) total += s.millis;
-  return total;
-}
-
-uint64_t AvtRunResult::TotalCandidatesVisited() const {
-  uint64_t total = 0;
-  for (const auto& s : snapshots) total += s.candidates_visited;
-  return total;
-}
-
-uint64_t AvtRunResult::TotalFollowers() const {
-  uint64_t total = 0;
-  for (const auto& s : snapshots) total += s.num_followers;
-  return total;
-}
-
 AvtSnapshotResult StaticAvtTracker::SolveSnapshot() {
   Timer timer;
   AvtSnapshotResult snap;

@@ -68,16 +68,12 @@ struct AvtSnapshotResult {
   uint64_t memo_bytes = 0;
 };
 
-/// Whole-run output plus aggregates.
+/// Whole-run output (aggregates: SummarizeRun, core/run_summary.h).
 struct AvtRunResult {
   AvtAlgorithm algorithm;
   uint32_t k = 0;
   uint32_t l = 0;
   std::vector<AvtSnapshotResult> snapshots;
-
-  double TotalMillis() const;
-  uint64_t TotalCandidatesVisited() const;
-  uint64_t TotalFollowers() const;
 };
 
 class KOrder;

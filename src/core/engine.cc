@@ -26,13 +26,10 @@ uint64_t UniverseNeeded(const EdgeDelta& delta) {
   return needed;
 }
 
-/// Replay-side twin of ValidateAndGrow for trackers the engine does
-/// not own yet (recovery rebuilds, bisection probes): grows the
-/// tracker for a committed/candidate delta unconditionally — the
-/// engine's boundary checks already ran when the delta first arrived.
-void GrowForReplay(AvtTracker& tracker, const EdgeDelta& delta,
-                   VertexId* universe) {
-  const uint64_t needed = UniverseNeeded(delta);
+/// Grows `tracker` (whose universe is *universe) to hold `needed`
+/// vertices. Replays of committed or candidate deltas call it
+/// unconditionally: the boundary checks ran when the delta arrived.
+void GrowUniverse(AvtTracker& tracker, uint64_t needed, VertexId* universe) {
   if (needed > *universe) {
     tracker.EnsureVertices(static_cast<VertexId>(needed));
     *universe = static_cast<VertexId>(needed);
@@ -52,72 +49,54 @@ AvtEngine::AvtEngine(std::unique_ptr<AvtTracker> tracker,
   AVT_CHECK_MSG(source_ != nullptr, "AvtEngine needs a delta source");
 }
 
-void AvtEngine::Record(AvtSnapshotResult snap) {
-  total_millis_ += snap.millis;
-  max_millis_ = std::max(max_millis_, snap.millis);
-  total_candidates_ += snap.candidates_visited;
-  total_followers_ += snap.num_followers;
-  if (processed_ > 0) {
-    double jaccard = JaccardSimilarity(previous_anchors_, snap.anchors);
-    stability_sum_ += jaccard;
-    if (jaccard < 1.0) ++anchor_changes_;
-  }
-  previous_anchors_ = snap.anchors;
-  ++processed_;
-  // Replayed snapshots (AdoptReplay) were observed when first
-  // processed; re-announcing them would double every side effect.
-  if (observer_ && !replaying_) observer_(snap);
+void AvtEngine::Record(AvtSnapshotResult snap, bool observe) {
+  totals_.Add(snap.millis, snap.candidates_visited, snap.num_followers,
+              snap.anchors);
+  if (observe && observer_) observer_(snap);
   if (options_.keep_snapshots) result_.snapshots.push_back(snap);
   last_ = std::move(snap);
+}
+
+AvtEngine::UniverseFit AvtEngine::FitUniverse(uint64_t needed) const {
+  if (options_.max_universe > 0 && needed > options_.max_universe) {
+    return UniverseFit::kBeyondCap;
+  }
+  if (!options_.grow_universe && needed > num_vertices_) {
+    return UniverseFit::kFrozen;
+  }
+  return UniverseFit::kFits;
 }
 
 Status AvtEngine::ValidateAndGrow(const EdgeDelta& delta) {
   // Source boundary: every endpoint must fit the tracker's universe.
   const uint64_t needed = UniverseNeeded(delta);
-  if (options_.max_universe > 0 && needed > options_.max_universe) {
-    return Status::OutOfRange(
-        "delta (transition " + std::to_string(processed_) +
+  const UniverseFit fit = FitUniverse(needed);
+  if (fit != UniverseFit::kFits) {
+    const std::string at =
+        "delta (transition " + std::to_string(totals_.snapshots) +
         " from source '" + source_->name() + "') references vertex " +
-        std::to_string(needed - 1) + " at or beyond the max_universe cap of " +
-        std::to_string(options_.max_universe));
+        std::to_string(needed - 1);
+    return Status::OutOfRange(
+        fit == UniverseFit::kBeyondCap
+            ? at + " at or beyond the max_universe cap of " +
+                  std::to_string(options_.max_universe)
+            : at + " but the universe holds " +
+                  std::to_string(num_vertices_) +
+                  " vertices; enable EngineOptions::grow_universe for "
+                  "streaming sources or fix the source");
   }
-  if (needed > num_vertices_) {
-    if (!options_.grow_universe) {
-      return Status::OutOfRange(
-          "delta (transition " + std::to_string(processed_) +
-          " from source '" + source_->name() + "') references vertex " +
-          std::to_string(needed - 1) + " but the universe holds " +
-          std::to_string(num_vertices_) +
-          " vertices; enable EngineOptions::grow_universe for streaming "
-          "sources or fix the source");
-    }
-    tracker_->EnsureVertices(static_cast<VertexId>(needed));
-    num_vertices_ = static_cast<VertexId>(needed);
-  }
+  GrowUniverse(*tracker_, needed, &num_vertices_);
   return Status::Ok();
 }
 
 StatusOr<bool> AvtEngine::Step() {
   if (!halt_status_.ok()) return halt_status_;
-  if (durable_ && !durability_broken_.ok()) return durability_broken_;
 
   if (!started_) {
     started_ = true;
     const Graph& g0 = source_->InitialGraph();
     num_vertices_ = g0.NumVertices();
-    Record(tracker_->ProcessFirst(g0));
-    if (durable_) {
-      // The initial checkpoint anchors the fingerprint and gives
-      // Recover something to validate even before the first cadenced
-      // checkpoint lands.
-      Status status = WriteCheckpointNow();
-      if (!status.ok()) {
-        durability_broken_ = status;
-        health_.Halt(HealthReason::kDurabilityFailure, processed_,
-                     status.message());
-        return status;
-      }
-    }
+    AVT_RETURN_IF_ERROR(Commit(tracker_->ProcessFirst(g0), nullptr));
     return true;
   }
 
@@ -173,7 +152,7 @@ StatusOr<bool> AvtEngine::Step() {
   // transaction is still OUTSIDE the WAL — the committed prefix then
   // provably describes the last audited-good state, which is what
   // rollback recovery rebuilds.
-  if (auditor_.Due(processed_)) {
+  if (auditor_.Due(totals_.snapshots)) {
     if (audit_drill_pending_) {
       // Drill: desync the index now, with the snapshot already computed
       // from the healthy state, so the audit below must fail and the
@@ -183,26 +162,29 @@ StatusOr<bool> AvtEngine::Step() {
     }
     AuditOutcome outcome = AuditTracker(*tracker_);
     if (outcome.audited && !outcome.ok) {
-      Status healed = HandleAuditFailure(std::move(delta), outcome.failure);
-      if (!healed.ok()) return healed;
-      txn_source_deltas_.clear();
-      return true;  // HandleAuditFailure recorded + committed
+      // On success the healed transaction is already committed.
+      AVT_RETURN_IF_ERROR(
+          HandleAuditFailure(std::move(delta), outcome.failure));
+      return true;
     }
   }
 
+  AVT_RETURN_IF_ERROR(Commit(std::move(snap), &delta));
+  return true;
+}
+
+Status AvtEngine::Commit(AvtSnapshotResult snap, const EdgeDelta* delta) {
   Record(std::move(snap));
   txn_source_deltas_.clear();
-
-  if (durable_) {
-    Status status = CommitDurable(delta);
-    if (!status.ok()) {
-      durability_broken_ = status;
-      health_.Halt(HealthReason::kDurabilityFailure, processed_,
-                   status.message());
-      return status;
-    }
-  }
-  return true;
+  if (!durable_) return Status::Ok();
+  // G_0 is not a WAL record: its commit is the initial checkpoint, which
+  // anchors the fingerprint before the first cadenced one lands. A log
+  // that may have a gap can no longer promise crash safety, so a failed
+  // write halts instead of streaming on unprotected.
+  Status status =
+      delta == nullptr ? WriteCheckpointNow() : CommitDurable(*delta);
+  if (!status.ok()) return HaltWith(HealthReason::kDurabilityFailure, status);
+  return status;
 }
 
 StatusOr<bool> AvtEngine::PullOne(EdgeDelta* delta) {
@@ -238,7 +220,7 @@ StatusOr<bool> AvtEngine::SourcePullFailed(const Status& status) {
   // pull-counted cooldown, so stepping IS the path back to a
   // half-open probe — but bound the patience so a dead source cannot
   // spin the engine forever.
-  health_.Degrade(HealthReason::kSourceUnavailable, processed_,
+  health_.Degrade(HealthReason::kSourceUnavailable, totals_.snapshots,
                   status.message());
   ++unavailable_streak_;
   if (unavailable_streak_ > options_.max_source_failures) {
@@ -268,21 +250,16 @@ bool AvtEngine::PreValidateSourceDelta(const EdgeDelta& delta,
     }
   }
   const uint64_t needed = UniverseNeeded(delta);
-  if (options_.max_universe > 0 && needed > options_.max_universe) {
-    *reason = QuarantineReason::kUniverseExceeded;
-    *detail = "vertex " + std::to_string(needed - 1) +
-              " at or beyond the max_universe cap of " +
-              std::to_string(options_.max_universe);
-    return false;
-  }
-  if (!options_.grow_universe && needed > num_vertices_) {
-    *reason = QuarantineReason::kUniverseExceeded;
-    *detail = "vertex " + std::to_string(needed - 1) +
-              " outside the frozen universe of " +
-              std::to_string(num_vertices_) + " vertices";
-    return false;
-  }
-  return true;
+  const UniverseFit fit = FitUniverse(needed);
+  if (fit == UniverseFit::kFits) return true;
+  *reason = QuarantineReason::kUniverseExceeded;
+  *detail = "vertex " + std::to_string(needed - 1) +
+            (fit == UniverseFit::kBeyondCap
+                 ? " at or beyond the max_universe cap of " +
+                       std::to_string(options_.max_universe)
+                 : " outside the frozen universe of " +
+                       std::to_string(num_vertices_) + " vertices");
+  return false;
 }
 
 Status AvtEngine::Quarantine(QuarantineReason reason, const EdgeDelta& delta,
@@ -307,7 +284,7 @@ Status AvtEngine::Quarantine(QuarantineReason reason, const EdgeDelta& delta,
     return HaltWith(HealthReason::kDurabilityFailure, status);
   }
   ++quarantined_;
-  health_.Degrade(HealthReason::kQuarantinedDelta, processed_,
+  health_.Degrade(HealthReason::kQuarantinedDelta, totals_.snapshots,
                   std::string(QuarantineReasonName(reason)) + ": " +
                       record.detail);
   return Status::Ok();
@@ -315,16 +292,17 @@ Status AvtEngine::Quarantine(QuarantineReason reason, const EdgeDelta& delta,
 
 AuditOutcome AvtEngine::AuditTracker(const AvtTracker& tracker) {
   const TrackerAuditView view = tracker.AuditView();
-  return auditor_.Audit(view.graph, view.order, processed_);
+  return auditor_.Audit(view.graph, view.order, totals_.snapshots);
 }
 
 Status AvtEngine::HaltWith(HealthReason reason, Status status) {
-  health_.Halt(reason, processed_, status.message());
+  health_.Halt(reason, totals_.snapshots, status.message());
   halt_status_ = status;
   return status;
 }
 
-StatusOr<AvtEngine::ReplayedRun> AvtEngine::RebuildFromWal() {
+StatusOr<AvtEngine::ReplayedRun> AvtEngine::RebuildAndApply(
+    const EdgeDelta& delta, AuditOutcome* base) {
   // Buffered appends must be visible to the independent read below.
   if (wal_ != nullptr) AVT_RETURN_IF_ERROR(wal_->Flush());
   StatusOr<DeltaWal::ReadResult> read =
@@ -341,38 +319,39 @@ StatusOr<AvtEngine::ReplayedRun> AvtEngine::RebuildFromWal() {
   run.snaps.reserve(read.value().records.size() + 1);
   run.snaps.push_back(run.tracker->ProcessFirst(g0));
   for (const WalRecord& record : read.value().records) {
-    GrowForReplay(*run.tracker, record.delta, &run.num_vertices);
+    GrowUniverse(*run.tracker, UniverseNeeded(record.delta),
+                 &run.num_vertices);
     run.snaps.push_back(run.tracker->ProcessDelta(record.delta));
   }
+  if (base != nullptr) {
+    *base = AuditTracker(*run.tracker);
+    if (base->audited && !base->ok) return run;
+  }
+  GrowUniverse(*run.tracker, UniverseNeeded(delta), &run.num_vertices);
+  run.candidate = run.tracker->ProcessDelta(delta);
+  run.audit = AuditTracker(*run.tracker);
   return run;
 }
 
-void AvtEngine::AdoptReplay(ReplayedRun run) {
+Status AvtEngine::AdoptReplay(ReplayedRun run, const EdgeDelta& delta) {
   tracker_ = std::move(run.tracker);
   num_vertices_ = run.num_vertices;
-  // Re-derive every accumulator from the replayed snapshots: results
-  // recorded between the corruption and its detection may be wrong,
-  // and the deterministic replay recomputes all of them exactly
-  // (timings are recomputed too — they are advisory, and the
-  // checkpoint cross-check deliberately excludes them).
-  processed_ = 0;
-  total_millis_ = 0;
-  max_millis_ = 0;
-  total_candidates_ = 0;
-  total_followers_ = 0;
-  stability_sum_ = 0;
-  anchor_changes_ = 0;
-  previous_anchors_.clear();
+  ++recoveries_;
+  // Re-derive the ledger from the replayed snapshots: results recorded
+  // between the corruption and its detection may be wrong, and the
+  // deterministic replay recomputes all of them exactly (timings too;
+  // they are advisory). They were observed when first processed, so
+  // they are not announced again.
+  totals_ = {};
   result_.snapshots.clear();
-  replaying_ = true;
-  for (AvtSnapshotResult& snap : run.snaps) Record(std::move(snap));
-  replaying_ = false;
+  for (AvtSnapshotResult& snap : run.snaps) Record(std::move(snap), false);
+  return Commit(std::move(run.candidate), &delta);
 }
 
 Status AvtEngine::HandleAuditFailure(EdgeDelta delta,
                                      const std::string& failure) {
-  const std::string at =
-      "integrity audit failed at transaction " + std::to_string(processed_);
+  const std::string at = "integrity audit failed at transaction " +
+                         std::to_string(totals_.snapshots);
   if (!durable_ || !tracker_factory_) {
     // No rollback machinery: the only honest move is to halt before
     // the divergent state commits anything further.
@@ -387,16 +366,14 @@ Status AvtEngine::HandleAuditFailure(EdgeDelta delta,
 
   // 1. Roll back: rebuild the last known-good state from G_0 plus the
   // committed WAL prefix (every record there predates this audit).
-  StatusOr<ReplayedRun> rebuilt_or = RebuildFromWal();
-  if (!rebuilt_or.ok()) {
-    return HaltWith(HealthReason::kCorruption, rebuilt_or.status());
-  }
-  ReplayedRun rebuilt = std::move(rebuilt_or).value();
-
   // 2. Re-audit the rebuild. If the committed prefix itself diverges,
   // the log does not describe a healthy run — halt with kCorruption,
   // exactly the contract: recover once, never loop on a lie.
-  AuditOutcome base = AuditTracker(*rebuilt.tracker);
+  AuditOutcome base;
+  StatusOr<ReplayedRun> retried_or = RebuildAndApply(delta, &base);
+  if (!retried_or.ok()) {
+    return HaltWith(HealthReason::kCorruption, retried_or.status());
+  }
   if (base.audited && !base.ok) {
     return HaltWith(
         HealthReason::kCorruption,
@@ -404,29 +381,15 @@ Status AvtEngine::HandleAuditFailure(EdgeDelta delta,
                            "checkpoint+WAL diverges again: " + base.failure));
   }
 
-  // 3. Innocent-delta check: apply the suspect transaction to the
+  // 3. Innocent-delta check: the suspect transaction was applied to the
   // clean rebuild. If the audit now passes, the divergence was
   // in-memory corruption (bit flip, logic drill) and the rollback
   // healed it — adopt the rebuild and commit the transaction normally.
-  GrowForReplay(*rebuilt.tracker, delta, &rebuilt.num_vertices);
-  AvtSnapshotResult snap = rebuilt.tracker->ProcessDelta(delta);
-  AuditOutcome retried = AuditTracker(*rebuilt.tracker);
-  if (!retried.audited || retried.ok) {
-    AdoptReplay(std::move(rebuilt));
-    ++recoveries_;
-    health_.Degrade(HealthReason::kAuditRecovered, processed_,
+  ReplayedRun retried = std::move(retried_or).value();
+  if (retried.Passed()) {
+    health_.Degrade(HealthReason::kAuditRecovered, totals_.snapshots,
                     at + "; healed by checkpoint+WAL rollback");
-    Record(std::move(snap));
-    if (durable_) {
-      Status status = CommitDurable(delta);
-      if (!status.ok()) {
-        durability_broken_ = status;
-        health_.Halt(HealthReason::kDurabilityFailure, processed_,
-                     status.message());
-        return status;
-      }
-    }
-    return Status::Ok();
+    return AdoptReplay(std::move(retried), delta);
   }
 
   // 4. The transaction itself is poison. Without quarantine there is
@@ -436,7 +399,7 @@ Status AvtEngine::HandleAuditFailure(EdgeDelta delta,
         HealthReason::kCorruption,
         Status::Corruption(
             at + ": the transaction trips the audit even on a clean "
-                 "rebuild (" + retried.failure +
+                 "rebuild (" + retried.audit.failure +
             "); arm EngineOptions::quarantine_dir to isolate the poison"));
   }
 
@@ -460,17 +423,12 @@ Status AvtEngine::HandleAuditFailure(EdgeDelta delta,
   };
   auto probe = [&](size_t take) -> StatusOr<bool> {
     // Apply kept + the first `take` of remaining to a fresh rebuild.
-    StatusOr<ReplayedRun> run_or = RebuildFromWal();
-    if (!run_or.ok()) return run_or.status();
-    ReplayedRun run = std::move(run_or).value();
     std::vector<PulledDelta> candidate = kept;
     candidate.insert(candidate.end(), remaining.begin(),
                      remaining.begin() + take);
-    EdgeDelta merged = merge(candidate);
-    GrowForReplay(*run.tracker, merged, &run.num_vertices);
-    run.tracker->ProcessDelta(merged);
-    AuditOutcome outcome = AuditTracker(*run.tracker);
-    return !outcome.audited || outcome.ok;
+    StatusOr<ReplayedRun> run = RebuildAndApply(merge(candidate));
+    if (!run.ok()) return run.status();
+    return run.value().Passed();
   };
 
   for (;;) {
@@ -496,47 +454,30 @@ Status AvtEngine::HandleAuditFailure(EdgeDelta delta,
     const PulledDelta poison = remaining[lo - 1];
     AVT_RETURN_IF_ERROR(Quarantine(
         QuarantineReason::kAuditDivergence, poison.delta, poison.pull,
-        "isolated by bisection at transaction " + std::to_string(processed_) +
-            ": " + failure));
+        "isolated by bisection at transaction " +
+            std::to_string(totals_.snapshots) + ": " + failure));
     kept.insert(kept.end(), remaining.begin(), remaining.begin() + (lo - 1));
     remaining.erase(remaining.begin(), remaining.begin() + lo);
   }
   kept.insert(kept.end(), remaining.begin(), remaining.end());
 
   // 6. Rebuild once more, apply the cleaned transaction for real, and
-  // paranoia-audit the result before adopting it.
-  StatusOr<ReplayedRun> healed_or = RebuildFromWal();
-  if (!healed_or.ok()) {
-    return HaltWith(HealthReason::kCorruption, healed_or.status());
+  // paranoia-audit the result before adopting it. The committed
+  // transaction is the CLEANED one; its source_pulls still count every
+  // pull of the original batch (quarantined deltas consumed stream
+  // positions too), so recovery fast-forward stays exact.
+  const EdgeDelta cleaned = merge(kept);
+  StatusOr<ReplayedRun> healed = RebuildAndApply(cleaned);
+  if (!healed.ok()) {
+    return HaltWith(HealthReason::kCorruption, healed.status());
   }
-  ReplayedRun healed = std::move(healed_or).value();
-  EdgeDelta cleaned = merge(kept);
-  GrowForReplay(*healed.tracker, cleaned, &healed.num_vertices);
-  AvtSnapshotResult cleaned_snap = healed.tracker->ProcessDelta(cleaned);
-  AuditOutcome verify = AuditTracker(*healed.tracker);
-  if (verify.audited && !verify.ok) {
+  if (!healed.value().Passed()) {
     return HaltWith(
         HealthReason::kCorruption,
         Status::Corruption(at + ": state still diverges after bisection (" +
-                           verify.failure + ")"));
+                           healed.value().audit.failure + ")"));
   }
-  AdoptReplay(std::move(healed));
-  ++recoveries_;
-  Record(std::move(cleaned_snap));
-  if (durable_) {
-    // The committed transaction is the CLEANED one; its source_pulls
-    // still count every pull of the original batch (quarantined deltas
-    // consumed stream positions too), so recovery fast-forward stays
-    // exact.
-    Status status = CommitDurable(cleaned);
-    if (!status.ok()) {
-      durability_broken_ = status;
-      health_.Halt(HealthReason::kDurabilityFailure, processed_,
-                   status.message());
-      return status;
-    }
-  }
-  return Status::Ok();
+  return AdoptReplay(std::move(healed).value(), cleaned);
 }
 
 Status AvtEngine::CommitDurable(const EdgeDelta& delta) {
@@ -549,7 +490,7 @@ Status AvtEngine::CommitDurable(const EdgeDelta& delta) {
   source_pulls_committed_ += uncommitted_pulls_;
   uncommitted_pulls_ = 0;
 
-  const size_t transactions = processed_ - 1;  // G_0 is not a WAL record
+  const uint64_t transactions = totals_.snapshots - 1;  // G_0: no record
   if (durability_.checkpoint_every > 0 &&
       transactions % durability_.checkpoint_every == 0) {
     // The WAL prefix this checkpoint summarizes must be in the file
@@ -566,22 +507,11 @@ Status AvtEngine::CommitDurable(const EdgeDelta& delta) {
 Status AvtEngine::WriteCheckpointNow() {
   CheckpointData data;
   data.fingerprint = ConfigFingerprint();
-  data.step = processed_;
   data.wal_records = wal_seq_;
   data.source_pulls = source_pulls_committed_;
   data.num_vertices = num_vertices_;
-  data.total_millis = total_millis_;
-  data.max_millis = max_millis_;
-  data.total_candidates = total_candidates_;
-  data.total_followers = total_followers_;
-  data.stability_sum = stability_sum_;
-  data.anchor_changes = anchor_changes_;
-  data.previous_anchors = previous_anchors_;
-  std::string blob;
-  if (tracker_->SaveCheckpointState(&blob)) {
-    data.has_tracker_state = true;
-    data.tracker_state = std::move(blob);
-  }
+  data.totals = totals_;
+  data.has_tracker_state = tracker_->SaveCheckpointState(&data.tracker_state);
   return WriteCheckpoint(durability_.dir, data,
                          durability_.fsync != FsyncPolicy::kNever);
 }
@@ -640,18 +570,14 @@ StatusOr<std::unique_ptr<AvtEngine>> AvtEngine::Recover(
   CheckpointData checkpoint = std::move(checkpoint_or).value();
 
   const std::string wal_path = durability.dir + "/" + DeltaWal::kFileName;
-  DeltaWal::ReadResult wal_contents;
-  {
-    StatusOr<DeltaWal::ReadResult> read = DeltaWal::ReadAll(wal_path);
-    if (read.ok()) {
-      wal_contents = std::move(read).value();
-    } else if (read.status().code() == StatusCode::kNotFound) {
-      // Crash before the WAL was created: recoverable iff the
-      // checkpoint never claimed any records (checked below).
-    } else {
-      return read.status();
-    }
+  // kNotFound: the crash came before the WAL was created, recoverable
+  // iff the checkpoint never claimed any records (checked below).
+  StatusOr<DeltaWal::ReadResult> read = DeltaWal::ReadAll(wal_path);
+  if (!read.ok() && read.status().code() != StatusCode::kNotFound) {
+    return read.status();
   }
+  const DeltaWal::ReadResult wal_contents =
+      read.ok() ? std::move(read).value() : DeltaWal::ReadResult{};
 
   auto engine = std::unique_ptr<AvtEngine>(
       new AvtEngine(std::move(tracker), std::move(source), options));
@@ -666,13 +592,15 @@ StatusOr<std::unique_ptr<AvtEngine>> AvtEngine::Recover(
   if (checkpoint.wal_records > wal_contents.records.size()) {
     return Status::Corruption(
         "WAL holds " + std::to_string(wal_contents.records.size()) +
-        " records but checkpoint step " + std::to_string(checkpoint.step) +
+        " records but checkpoint step " +
+        std::to_string(checkpoint.totals.snapshots) +
         " claims " + std::to_string(checkpoint.wal_records) +
         "; the log was truncated after the checkpoint was written");
   }
-  if (checkpoint.step != checkpoint.wal_records + 1) {
+  if (checkpoint.totals.snapshots != checkpoint.wal_records + 1) {
     return Status::Corruption(
-        "inconsistent checkpoint: step " + std::to_string(checkpoint.step) +
+        "inconsistent checkpoint: step " +
+        std::to_string(checkpoint.totals.snapshots) +
         " does not match " + std::to_string(checkpoint.wal_records) +
         " WAL records");
   }
@@ -696,19 +624,12 @@ StatusOr<std::unique_ptr<AvtEngine>> AvtEngine::Recover(
 
   engine->started_ = true;
   if (restored) {
-    engine->processed_ = checkpoint.step;
+    engine->totals_ = checkpoint.totals;
     engine->num_vertices_ = checkpoint.num_vertices;
-    engine->total_millis_ = checkpoint.total_millis;
-    engine->max_millis_ = checkpoint.max_millis;
-    engine->total_candidates_ = checkpoint.total_candidates;
-    engine->total_followers_ = checkpoint.total_followers;
-    engine->stability_sum_ = checkpoint.stability_sum;
-    engine->anchor_changes_ = static_cast<size_t>(checkpoint.anchor_changes);
-    engine->previous_anchors_ = checkpoint.previous_anchors;
     engine->wal_seq_ = checkpoint.wal_records;
     engine->source_pulls_committed_ = checkpoint.source_pulls;
-    engine->last_.anchors = checkpoint.previous_anchors;
-    engine->last_.t = checkpoint.step - 1;
+    engine->last_.anchors = checkpoint.totals.previous_anchors;
+    engine->last_.t = checkpoint.totals.snapshots - 1;
   } else {
     const Graph& g0 = engine->source_->InitialGraph();
     engine->num_vertices_ = g0.NumVertices();
@@ -726,21 +647,14 @@ StatusOr<std::unique_ptr<AvtEngine>> AvtEngine::Recover(
     engine->source_pulls_committed_ += record.source_pulls;
 
     // Integrity anchor: when full replay passes the checkpoint's step,
-    // its deterministic accumulators must match bit-exactly. A
-    // mismatch means the WAL and checkpoint describe different runs.
+    // its deterministic ledger must match bit-exactly. A mismatch
+    // means the WAL and checkpoint describe different runs.
     if (!restored && engine->wal_seq_ == checkpoint.wal_records) {
-      const bool consistent =
-          engine->processed_ == checkpoint.step &&
-          engine->num_vertices_ == checkpoint.num_vertices &&
-          engine->total_candidates_ == checkpoint.total_candidates &&
-          engine->total_followers_ == checkpoint.total_followers &&
-          engine->stability_sum_ == checkpoint.stability_sum &&
-          engine->anchor_changes_ == checkpoint.anchor_changes &&
-          engine->previous_anchors_ == checkpoint.previous_anchors;
-      if (!consistent) {
+      if (engine->num_vertices_ != checkpoint.num_vertices ||
+          !engine->totals_.ExactlyEquals(checkpoint.totals)) {
         return Status::Corruption(
             "WAL replay diverged from checkpoint step " +
-            std::to_string(checkpoint.step) +
+            std::to_string(checkpoint.totals.snapshots) +
             "; the durability dir mixes incompatible runs");
       }
     }
@@ -763,18 +677,14 @@ StatusOr<std::unique_ptr<AvtEngine>> AvtEngine::Recover(
     }
   }
 
-  // Resume appending after the intact prefix (truncating a torn tail).
-  if (wal_contents.valid_bytes == 0 && wal_contents.records.empty() &&
-      !std::filesystem::exists(wal_path)) {
-    auto wal = DeltaWal::Create(wal_path, durability.fsync);
-    if (!wal.ok()) return wal.status();
-    engine->wal_ = std::move(wal).value();
-  } else {
-    auto wal = DeltaWal::OpenForAppend(wal_path, durability.fsync,
-                                       wal_contents.valid_bytes);
-    if (!wal.ok()) return wal.status();
-    engine->wal_ = std::move(wal).value();
-  }
+  // Resume appending after the intact prefix (truncating a torn tail),
+  // or start the log if the crash came before it was created.
+  auto wal = std::filesystem::exists(wal_path)
+                 ? DeltaWal::OpenForAppend(wal_path, durability.fsync,
+                                           wal_contents.valid_bytes)
+                 : DeltaWal::Create(wal_path, durability.fsync);
+  if (!wal.ok()) return wal.status();
+  engine->wal_ = std::move(wal).value();
   engine->durable_ = true;
   return engine;
 }
@@ -799,8 +709,7 @@ Status AvtEngine::Drain() {
 }
 
 RunSummary AvtEngine::Summary() const {
-  RunSummary summary;
-  summary.snapshots = processed_;
+  RunSummary summary = SummarizeTotals(totals_);
   const DeltaSource::Stats source_stats = source_->SourceStats();
   summary.source_retries = source_stats.retries;
   summary.source_transient_errors = source_stats.transient_errors;
@@ -813,19 +722,6 @@ RunSummary AvtEngine::Summary() const {
   summary.health = health_.state();
   summary.health_reason = health_.reason();
   summary.peak_rss_bytes = PeakRssBytes();
-  if (processed_ == 0) return summary;
-  summary.total_millis = total_millis_;
-  summary.max_millis = max_millis_;
-  summary.total_candidates = total_candidates_;
-  summary.total_followers = total_followers_;
-  summary.mean_millis = total_millis_ / static_cast<double>(processed_);
-  summary.mean_followers = static_cast<double>(total_followers_) /
-                           static_cast<double>(processed_);
-  const size_t transitions = processed_ - 1;
-  summary.anchor_stability =
-      transitions == 0 ? 1.0
-                       : stability_sum_ / static_cast<double>(transitions);
-  summary.anchor_changes = anchor_changes_;
   return summary;
 }
 

@@ -6,13 +6,14 @@
 //   (file / generator /    validates ids,        per-snapshot
 //    sequence / coalesce)  grows the universe,   AvtSnapshotResult
 //                          times & records            │
-//                               └────────▶ RunSummary sink
+//                               └────────▶ RunTotals ledger
 //
 // The engine owns one tracker and one source, drives the stream
 // (Step-at-a-time for tools that pause and inspect, Drain for batch
-// runs), and folds every snapshot into a running RunSummary so long
-// streams can drop per-snapshot results (keep_snapshots = false) and
-// still report aggregates in O(1) memory.
+// runs), and folds every snapshot into one RunTotals ledger (the one
+// SummarizeRun folds and checkpoints persist), so long streams can drop
+// per-snapshot results (keep_snapshots = false) and still report
+// aggregates in O(1) memory.
 //
 // The engine is also the SOURCE BOUNDARY for vertex-universe growth: a
 // delta referencing an id outside the tracker's universe either grows
@@ -178,7 +179,7 @@ class AvtEngine {
   }
 
   /// Snapshots processed so far (G_0 included once processed).
-  size_t SnapshotsProcessed() const { return processed_; }
+  size_t SnapshotsProcessed() const { return totals_.snapshots; }
 
   /// The most recent snapshot result. Requires SnapshotsProcessed() > 0.
   const AvtSnapshotResult& last() const { return last_; }
@@ -202,14 +203,25 @@ class AvtEngine {
   const DeltaSource& source() const { return *source_; }
 
  private:
-  void Record(AvtSnapshotResult snap);
+  /// Folds `snap` into the ledger and results; `observe` announces it.
+  void Record(AvtSnapshotResult snap, bool observe = true);
+
+  /// The one commit path: records `snap`, closes the in-flight
+  /// transaction and makes it durable (G_0, `delta` null: the initial
+  /// checkpoint). A failed write halts with kDurabilityFailure.
+  Status Commit(AvtSnapshotResult snap, const EdgeDelta* delta);
+
+  /// The universe rule for a delta needing `needed` vertices; its two
+  /// callers word the verdict each for their own audience.
+  enum class UniverseFit { kFits, kBeyondCap, kFrozen };
+  UniverseFit FitUniverse(uint64_t needed) const;
 
   /// Source boundary: grows the universe for (or rejects) out-of-range
   /// endpoints. Shared by Step and WAL replay.
   Status ValidateAndGrow(const EdgeDelta& delta);
 
   /// Appends the just-committed transaction to the WAL and writes a
-  /// cadenced checkpoint when due. No-op when durability is off.
+  /// cadenced checkpoint when due. Called by Commit when durable.
   Status CommitDurable(const EdgeDelta& delta);
 
   Status WriteCheckpointNow();
@@ -242,18 +254,26 @@ class AvtEngine {
   StatusOr<bool> SourcePullFailed(const Status& status);
 
   /// A tracker rebuilt from G_0 + the committed WAL prefix, with every
-  /// replayed snapshot retained for accumulator reconstruction.
+  /// replayed snapshot retained for ledger reconstruction, plus one
+  /// candidate transaction applied on top and audited.
   struct ReplayedRun {
     std::unique_ptr<AvtTracker> tracker;
     std::vector<AvtSnapshotResult> snaps;
     VertexId num_vertices = 0;
+    AvtSnapshotResult candidate;
+    AuditOutcome audit;
+    bool Passed() const { return !audit.audited || audit.ok; }
   };
-  StatusOr<ReplayedRun> RebuildFromWal();
 
-  /// Swaps in a rebuilt tracker and re-derives every accumulator from
-  /// its replayed snapshots (observer suppressed: they were already
-  /// observed once).
-  void AdoptReplay(ReplayedRun run);
+  /// Rolls back to the last committed state (G_0 + the WAL), applies
+  /// `delta` and audits the result. With `base` set the rebuild is
+  /// audited into *base first; a failing base returns unapplied.
+  StatusOr<ReplayedRun> RebuildAndApply(const EdgeDelta& delta,
+                                        AuditOutcome* base = nullptr);
+
+  /// Swaps in a rebuilt tracker, counts one recovery, re-derives the
+  /// ledger from its replay and commits its candidate as `delta`.
+  Status AdoptReplay(ReplayedRun run, const EdgeDelta& delta);
 
   /// Audits `tracker` with the sentinel (at the current step).
   AuditOutcome AuditTracker(const AvtTracker& tracker);
@@ -264,7 +284,7 @@ class AvtEngine {
   /// (possibly cleaned) transaction is recorded and committed.
   Status HandleAuditFailure(EdgeDelta delta, const std::string& failure);
 
-  /// Marks the engine terminally broken with kCorruption semantics.
+  /// Terminal halt: health halts for `reason`, Step returns `status`.
   Status HaltWith(HealthReason reason, Status status);
 
   std::unique_ptr<AvtTracker> tracker_;
@@ -273,7 +293,6 @@ class AvtEngine {
   std::function<void(const AvtSnapshotResult&)> observer_;
 
   bool started_ = false;
-  size_t processed_ = 0;
   VertexId num_vertices_ = 0;
   /// Merges consecutive source deltas into one net-effect transaction
   /// when the tracker requests batches (PreferredBatchSize() > 1).
@@ -284,15 +303,7 @@ class AvtEngine {
   bool has_pending_delta_ = false;
   AvtRunResult result_;
   AvtSnapshotResult last_;
-
-  // Incremental RunSummary sink (exact SummarizeRun semantics).
-  double total_millis_ = 0;
-  double max_millis_ = 0;
-  uint64_t total_candidates_ = 0;
-  uint64_t total_followers_ = 0;
-  double stability_sum_ = 0;
-  size_t anchor_changes_ = 0;
-  std::vector<VertexId> previous_anchors_;
+  RunTotals totals_;  // the run ledger; totals_.snapshots is the step
 
   // Durability state (inert until EnableDurability/Recover).
   bool durable_ = false;
@@ -304,10 +315,6 @@ class AvtEngine {
   /// transaction: survives validation failures and transient source
   /// errors so the eventual commit logs the right cursor advance.
   uint64_t uncommitted_pulls_ = 0;
-  /// A durability write failed; the log can no longer be trusted to be
-  /// contiguous, so every later Step refuses with this status instead
-  /// of silently streaming without crash safety.
-  Status durability_broken_ = Status::Ok();
 
   // Self-healing state (inert unless audits/quarantine/breaker are
   // armed; all counters are per-process — a Recover'd engine starts
@@ -329,13 +336,11 @@ class AvtEngine {
     uint64_t pull = 0;
   };
   std::vector<PulledDelta> txn_source_deltas_;
-  /// Observer suppressed while AdoptReplay re-records replayed
-  /// snapshots (they were observed when first processed).
-  bool replaying_ = false;
   /// One-shot flag armed by RequestAuditFaultDrill.
   bool audit_drill_pending_ = false;
   /// Terminal halt (audit divergence that could not be healed, source
-  /// failure bound exceeded): every later Step refuses with this.
+  /// failure bound exceeded, failed durability write): every later Step
+  /// refuses with this.
   Status halt_status_ = Status::Ok();
 };
 

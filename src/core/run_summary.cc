@@ -1,75 +1,42 @@
 #include "core/run_summary.h"
 
-#include <algorithm>
 #include <cstdio>
 
 namespace avt {
 
-double JaccardSimilarity(const std::vector<VertexId>& a,
-                         const std::vector<VertexId>& b) {
-  if (a.empty() && b.empty()) return 1.0;
-  std::vector<VertexId> sa = a, sb = b;
-  std::sort(sa.begin(), sa.end());
-  std::sort(sb.begin(), sb.end());
-  size_t i = 0, j = 0, intersection = 0;
-  while (i < sa.size() && j < sb.size()) {
-    if (sa[i] == sb[j]) {
-      ++intersection;
-      ++i;
-      ++j;
-    } else if (sa[i] < sb[j]) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  size_t union_size = sa.size() + sb.size() - intersection;
-  return union_size == 0 ? 1.0
-                         : static_cast<double>(intersection) /
-                               static_cast<double>(union_size);
+RunSummary SummarizeTotals(const RunTotals& totals) {
+  RunSummary summary;
+  static_cast<RunTotals&>(summary) = totals;
+  if (totals.snapshots == 0) return summary;
+  const double snapshots = static_cast<double>(totals.snapshots);
+  summary.mean_millis = totals.total_millis / snapshots;
+  summary.mean_followers =
+      static_cast<double>(totals.total_followers) / snapshots;
+  summary.anchor_stability = totals.AnchorStability();
+  return summary;
 }
 
 RunSummary SummarizeRun(const AvtRunResult& run) {
-  RunSummary summary;
-  summary.snapshots = run.snapshots.size();
-  if (run.snapshots.empty()) return summary;
-
-  double stability_sum = 0;
-  size_t transitions = 0;
-  for (size_t t = 0; t < run.snapshots.size(); ++t) {
-    const AvtSnapshotResult& snap = run.snapshots[t];
-    summary.total_millis += snap.millis;
-    summary.max_millis = std::max(summary.max_millis, snap.millis);
-    summary.total_candidates += snap.candidates_visited;
-    summary.total_followers += snap.num_followers;
-    if (t > 0) {
-      double jaccard = JaccardSimilarity(run.snapshots[t - 1].anchors,
-                                         snap.anchors);
-      stability_sum += jaccard;
-      ++transitions;
-      if (jaccard < 1.0) ++summary.anchor_changes;
-    }
+  RunTotals totals;
+  for (const AvtSnapshotResult& snap : run.snapshots) {
+    totals.Add(snap.millis, snap.candidates_visited, snap.num_followers,
+               snap.anchors);
   }
-  summary.mean_millis =
-      summary.total_millis / static_cast<double>(summary.snapshots);
-  summary.mean_followers = static_cast<double>(summary.total_followers) /
-                           static_cast<double>(summary.snapshots);
-  summary.anchor_stability =
-      transitions == 0 ? 1.0 : stability_sum / static_cast<double>(transitions);
-  return summary;
+  return SummarizeTotals(totals);
 }
 
 std::string FormatRunSummary(const RunSummary& summary) {
   char buf[256];
   std::snprintf(buf, sizeof(buf),
-                "%zu snapshots, %.1f ms total (mean %.2f, max %.2f), "
+                "%llu snapshots, %.1f ms total (mean %.2f, max %.2f), "
                 "%llu candidates, %.1f followers/snapshot, anchor "
-                "stability %.2f (%zu changes)",
-                summary.snapshots, summary.total_millis,
-                summary.mean_millis, summary.max_millis,
+                "stability %.2f (%llu changes)",
+                static_cast<unsigned long long>(summary.snapshots),
+                summary.total_millis, summary.mean_millis,
+                summary.max_millis,
                 static_cast<unsigned long long>(summary.total_candidates),
                 summary.mean_followers, summary.anchor_stability,
-                summary.anchor_changes);
+                static_cast<unsigned long long>(summary.anchor_changes));
   std::string line = buf;
   if (summary.source_retries > 0 || summary.source_transient_errors > 0) {
     std::snprintf(buf, sizeof(buf),

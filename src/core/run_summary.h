@@ -5,33 +5,30 @@
 // sets) quantifies the paper's implicit claim that anchors drift slowly
 // on smooth workloads — the property IncAVT's carried-forward seed
 // exploits. The ad-campaign example and EXPERIMENTS.md use this module.
+// SummarizeRun folds a finished run into a RunTotals ledger
+// (durability/run_totals.h); AvtEngine keeps one live. Both derive the
+// reported means and stability through SummarizeTotals.
 
 #ifndef AVT_CORE_RUN_SUMMARY_H_
 #define AVT_CORE_RUN_SUMMARY_H_
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "core/avt.h"
 #include "core/health.h"
+#include "durability/run_totals.h"
 
 namespace avt {
 
-/// Aggregated view of one AvtRunResult.
-struct RunSummary {
-  size_t snapshots = 0;
-  double total_millis = 0;
+/// Aggregated view of one run: its RunTotals ledger (snapshot count,
+/// totals, anchor changes) plus what is derived from it and telemetry.
+struct RunSummary : RunTotals {
   double mean_millis = 0;
-  double max_millis = 0;
-  uint64_t total_candidates = 0;
-  uint64_t total_followers = 0;
   double mean_followers = 0;
   /// Mean Jaccard similarity of consecutive anchor sets (1.0 = anchors
   /// never change; undefined -> 1.0 for runs with < 2 snapshots).
   double anchor_stability = 1.0;
-  /// Number of transitions where the anchor set changed at all.
-  size_t anchor_changes = 0;
   /// Ingestion-side fault counters (RetryingSource, graph/
   /// resilient_source.h): pulls that were re-attempted and transient
   /// errors absorbed. Zero for undecorated sources, and excluded from
@@ -65,12 +62,12 @@ struct RunSummary {
   uint64_t peak_rss_bytes = 0;
 };
 
-/// Computes the summary.
-RunSummary SummarizeRun(const AvtRunResult& run);
+/// Derives the result aggregates (totals, means, anchor stability)
+/// from a run ledger; the telemetry fields stay zero.
+RunSummary SummarizeTotals(const RunTotals& totals);
 
-/// Jaccard similarity of two vertex sets (1.0 when both empty).
-double JaccardSimilarity(const std::vector<VertexId>& a,
-                         const std::vector<VertexId>& b);
+/// Folds every snapshot of `run` into a ledger and summarizes it.
+RunSummary SummarizeRun(const AvtRunResult& run);
 
 /// One-line human-readable rendering.
 std::string FormatRunSummary(const RunSummary& summary);

@@ -27,20 +27,21 @@ std::string CheckpointFileName(uint64_t step) {
 
 std::string EncodePayload(const CheckpointData& data) {
   std::string payload;
+  const RunTotals& totals = data.totals;
   serde::PutU64(&payload, data.fingerprint);
-  serde::PutU64(&payload, data.step);
+  serde::PutU64(&payload, totals.snapshots);
   serde::PutU64(&payload, data.wal_records);
   serde::PutU64(&payload, data.source_pulls);
   serde::PutU32(&payload, data.num_vertices);
-  serde::PutDouble(&payload, data.total_millis);
-  serde::PutDouble(&payload, data.max_millis);
-  serde::PutU64(&payload, data.total_candidates);
-  serde::PutU64(&payload, data.total_followers);
-  serde::PutDouble(&payload, data.stability_sum);
-  serde::PutU64(&payload, data.anchor_changes);
+  serde::PutDouble(&payload, totals.total_millis);
+  serde::PutDouble(&payload, totals.max_millis);
+  serde::PutU64(&payload, totals.total_candidates);
+  serde::PutU64(&payload, totals.total_followers);
+  serde::PutDouble(&payload, totals.stability_sum);
+  serde::PutU64(&payload, totals.anchor_changes);
   serde::PutU32(&payload,
-                static_cast<uint32_t>(data.previous_anchors.size()));
-  for (VertexId v : data.previous_anchors) serde::PutU32(&payload, v);
+                static_cast<uint32_t>(totals.previous_anchors.size()));
+  for (VertexId v : totals.previous_anchors) serde::PutU32(&payload, v);
   serde::PutU32(&payload, data.has_tracker_state ? 1 : 0);
   if (data.has_tracker_state) {
     serde::PutU64(&payload, data.tracker_state.size());
@@ -51,24 +52,26 @@ std::string EncodePayload(const CheckpointData& data) {
 
 bool DecodePayload(std::string_view payload, CheckpointData* data) {
   serde::Reader reader(payload);
+  RunTotals& totals = data->totals;
   uint32_t anchor_count = 0;
   uint32_t has_state = 0;
-  if (!reader.GetU64(&data->fingerprint) || !reader.GetU64(&data->step) ||
+  if (!reader.GetU64(&data->fingerprint) ||
+      !reader.GetU64(&totals.snapshots) ||
       !reader.GetU64(&data->wal_records) ||
       !reader.GetU64(&data->source_pulls) ||
       !reader.GetU32(&data->num_vertices) ||
-      !reader.GetDouble(&data->total_millis) ||
-      !reader.GetDouble(&data->max_millis) ||
-      !reader.GetU64(&data->total_candidates) ||
-      !reader.GetU64(&data->total_followers) ||
-      !reader.GetDouble(&data->stability_sum) ||
-      !reader.GetU64(&data->anchor_changes) ||
+      !reader.GetDouble(&totals.total_millis) ||
+      !reader.GetDouble(&totals.max_millis) ||
+      !reader.GetU64(&totals.total_candidates) ||
+      !reader.GetU64(&totals.total_followers) ||
+      !reader.GetDouble(&totals.stability_sum) ||
+      !reader.GetU64(&totals.anchor_changes) ||
       !reader.GetU32(&anchor_count)) {
     return false;
   }
   if (reader.Remaining() < 4ull * anchor_count) return false;
-  data->previous_anchors.assign(anchor_count, 0);
-  for (VertexId& v : data->previous_anchors) reader.GetU32(&v);
+  totals.previous_anchors.assign(anchor_count, 0);
+  for (VertexId& v : totals.previous_anchors) reader.GetU32(&v);
   if (!reader.GetU32(&has_state)) return false;
   if (has_state > 1) return false;
   data->has_tracker_state = has_state == 1;
@@ -97,7 +100,8 @@ Status SyncFd(int fd, const std::string& what) {
 
 Status WriteCheckpoint(const std::string& dir, const CheckpointData& data,
                        bool fsync) {
-  const std::string final_path = dir + "/" + CheckpointFileName(data.step);
+  const std::string final_path =
+      dir + "/" + CheckpointFileName(data.totals.snapshots);
   const std::string tmp_path = final_path + ".tmp";
 
   std::FILE* file = std::fopen(tmp_path.c_str(), "wb");

@@ -8,10 +8,11 @@
 //   * a config fingerprint — recovery with a different tracker, batch
 //     size, source, or engine option is rejected up front instead of
 //     silently producing a diverged run;
-//   * the engine's step counter, source cursor, and the exact
-//     RunSummary accumulators at that step — replay cross-checks its
-//     own accumulators against these when it passes the checkpoint's
-//     step, so a WAL/checkpoint divergence surfaces as kCorruption;
+//   * the engine's source cursor and its RunTotals ledger at that
+//     step (durability/run_totals.h; its snapshot count IS the step) —
+//     replay cross-checks its own ledger against this one when it
+//     passes the checkpoint's step, so a WAL/checkpoint divergence
+//     surfaces as kCorruption;
 //   * optionally, a tracker state blob (AvtTracker::SaveCheckpointState)
 //     for tracker families whose state is exactly serializable — those
 //     resume from the blob and replay only the WAL suffix.
@@ -29,29 +30,19 @@
 #include <string>
 #include <vector>
 
-#include "graph/graph.h"
+#include "durability/run_totals.h"
 #include "util/status.h"
 
 namespace avt {
 
-/// Everything a checkpoint stores. Timing fields are advisory (wall
-/// clock is not deterministic); every other field is cross-checked
-/// bit-exactly during replay.
+/// Everything a checkpoint stores. Replay cross-checks `totals` (minus
+/// its timings) and `num_vertices` when it passes the checkpoint.
 struct CheckpointData {
   uint64_t fingerprint = 0;     ///< config hash; mismatch rejects resume
-  uint64_t step = 0;            ///< snapshots processed (G_0 included)
   uint64_t wal_records = 0;     ///< committed WAL records at this step
   uint64_t source_pulls = 0;    ///< source deltas consumed at this step
   uint32_t num_vertices = 0;    ///< engine universe at this step
-
-  // RunSummary accumulators, exact.
-  double total_millis = 0;      ///< advisory
-  double max_millis = 0;        ///< advisory
-  uint64_t total_candidates = 0;
-  uint64_t total_followers = 0;
-  double stability_sum = 0;
-  uint64_t anchor_changes = 0;
-  std::vector<VertexId> previous_anchors;
+  RunTotals totals;  ///< run ledger; totals.snapshots is the step
 
   bool has_tracker_state = false;
   std::string tracker_state;    ///< AvtTracker::SaveCheckpointState blob

@@ -7,6 +7,7 @@
 #include "anchor/anchored_core.h"
 #include "core/avt.h"
 #include "core/inc_avt.h"
+#include "core/run_summary.h"
 #include "corelib/invariants.h"
 #include "gen/churn.h"
 #include "gen/datasets.h"
@@ -110,7 +111,8 @@ TEST(AvtTracking, IncAvtQualityTracksGreedy) {
   SnapshotSequence sequence = SmallChurnWorkload(7, 8);
   AvtRunResult greedy = RunAvt(sequence, AvtAlgorithm::kGreedy, 3, 5);
   AvtRunResult inc = RunAvt(sequence, AvtAlgorithm::kIncAvt, 3, 5);
-  EXPECT_GE(2 * inc.TotalFollowers(), greedy.TotalFollowers());
+  EXPECT_GE(2 * SummarizeRun(inc).total_followers,
+            SummarizeRun(greedy).total_followers);
 }
 
 TEST(AvtTracking, TemporalWorkloadAllAlgorithms) {
@@ -138,9 +140,10 @@ TEST(AvtTracking, AggregatesAreSums) {
     followers += snap.num_followers;
     visited += snap.candidates_visited;
   }
-  EXPECT_DOUBLE_EQ(run.TotalMillis(), millis);
-  EXPECT_EQ(run.TotalFollowers(), followers);
-  EXPECT_EQ(run.TotalCandidatesVisited(), visited);
+  const RunSummary summary = SummarizeRun(run);
+  EXPECT_DOUBLE_EQ(summary.total_millis, millis);
+  EXPECT_EQ(summary.total_followers, followers);
+  EXPECT_EQ(summary.total_candidates, visited);
 }
 
 TEST(AvtTracking, AlgorithmNamesStable) {

@@ -466,6 +466,34 @@ TEST_F(CliTest, StreamRejectsBadBatch) {
   }
 }
 
+TEST_F(CliTest, IntegerFlagsRejectUnparsableAndOutOfRangeValues) {
+  // --k=abc used to fall back to the default and --l=-1 used to wrap to
+  // a 4294967295-anchor budget; both now exit 2 naming the flag.
+  std::string graph_path = TempPath("int_flags.txt");
+  std::string out, err;
+  ASSERT_EQ(Run({"gen", "--model=chung-lu", "--n=120", "--avg-degree=6",
+                 "--out=" + graph_path},
+                &out),
+            0);
+  const std::vector<std::vector<std::string>> commands = {
+      {"stream", "--source=gen", "--n=300", "--t=3"},
+      {"track", "--dataset=eu-core", "--t=3", "--scale=0.05"},
+      {"anchors", graph_path},
+  };
+  for (const std::vector<std::string>& command : commands) {
+    for (const std::string bad : {"--k=abc", "--l=-1"}) {
+      std::vector<std::string> args = command;
+      args.push_back(bad);
+      EXPECT_EQ(Run(args, &out, &err), 2) << command[0] << " " << bad;
+      const std::string flag = bad.substr(0, bad.find('='));
+      EXPECT_NE(err.find("error: " + flag + " must be a non-negative "
+                         "integer"),
+                std::string::npos)
+          << command[0] << " " << bad << ": " << err;
+    }
+  }
+}
+
 TEST_F(CliTest, StreamBatchMergesTransactions) {
   // T=5 snapshots = G_0 + 4 deltas; --batch=2 merges them into 2
   // transactions, so the engine reports 3 snapshots (batch boundaries).

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -316,17 +317,17 @@ TEST(DeltaWal, BitFlipAtEveryByteIsCorruptionOrShorterPrefix) {
 CheckpointData SampleCheckpoint() {
   CheckpointData data;
   data.fingerprint = 0xFEEDFACE12345678ull;
-  data.step = 4;
+  data.totals.snapshots = 4;
   data.wal_records = 3;
   data.source_pulls = 5;
   data.num_vertices = 99;
-  data.total_millis = 1.5;
-  data.max_millis = 0.75;
-  data.total_candidates = 42;
-  data.total_followers = 17;
-  data.stability_sum = 2.25;
-  data.anchor_changes = 2;
-  data.previous_anchors = {3, 1, 4};
+  data.totals.total_millis = 1.5;
+  data.totals.max_millis = 0.75;
+  data.totals.total_candidates = 42;
+  data.totals.total_followers = 17;
+  data.totals.stability_sum = 2.25;
+  data.totals.anchor_changes = 2;
+  data.totals.previous_anchors = {3, 1, 4};
   data.has_tracker_state = true;
   data.tracker_state = "opaque-blob\x00\x01\x02";
   return data;
@@ -341,21 +342,21 @@ TEST(Checkpoint, RoundTripsAllFields) {
   auto listed = ListCheckpoints(dir.path());
   ASSERT_TRUE(listed.ok());
   ASSERT_EQ(listed.value().size(), 1u);
-  EXPECT_EQ(listed.value()[0].step, data.step);
+  EXPECT_EQ(listed.value()[0].step, data.totals.snapshots);
 
   auto read = ReadCheckpoint(listed.value()[0].path);
   ASSERT_TRUE(read.ok()) << read.status().ToString();
   const CheckpointData& r = read.value();
   EXPECT_EQ(r.fingerprint, data.fingerprint);
-  EXPECT_EQ(r.step, data.step);
+  EXPECT_EQ(r.totals.snapshots, data.totals.snapshots);
   EXPECT_EQ(r.wal_records, data.wal_records);
   EXPECT_EQ(r.source_pulls, data.source_pulls);
   EXPECT_EQ(r.num_vertices, data.num_vertices);
-  EXPECT_EQ(r.total_candidates, data.total_candidates);
-  EXPECT_EQ(r.total_followers, data.total_followers);
-  EXPECT_EQ(r.stability_sum, data.stability_sum);
-  EXPECT_EQ(r.anchor_changes, data.anchor_changes);
-  EXPECT_EQ(r.previous_anchors, data.previous_anchors);
+  EXPECT_EQ(r.totals.total_candidates, data.totals.total_candidates);
+  EXPECT_EQ(r.totals.total_followers, data.totals.total_followers);
+  EXPECT_EQ(r.totals.stability_sum, data.totals.stability_sum);
+  EXPECT_EQ(r.totals.anchor_changes, data.totals.anchor_changes);
+  EXPECT_EQ(r.totals.previous_anchors, data.totals.previous_anchors);
   EXPECT_EQ(r.has_tracker_state, data.has_tracker_state);
   EXPECT_EQ(r.tracker_state, data.tracker_state);
 }
@@ -364,17 +365,17 @@ TEST(Checkpoint, LoadLatestPicksNewestValidAndFallsBack) {
   TempDir dir("ckpt_latest");
   fs::create_directories(dir.path());
   CheckpointData old_data = SampleCheckpoint();
-  old_data.step = 2;
+  old_data.totals.snapshots = 2;
   old_data.wal_records = 1;
   CheckpointData new_data = SampleCheckpoint();
-  new_data.step = 6;
+  new_data.totals.snapshots = 6;
   new_data.wal_records = 5;
   ASSERT_TRUE(WriteCheckpoint(dir.path(), old_data, false).ok());
   ASSERT_TRUE(WriteCheckpoint(dir.path(), new_data, false).ok());
 
   auto latest = LoadLatestValidCheckpoint(dir.path());
   ASSERT_TRUE(latest.ok());
-  EXPECT_EQ(latest.value().step, 6u);
+  EXPECT_EQ(latest.value().totals.snapshots, 6u);
 
   // Damage the newest: loading falls back to the older intact one — an
   // atomically-renamed torn checkpoint must never mask its predecessor.
@@ -387,7 +388,7 @@ TEST(Checkpoint, LoadLatestPicksNewestValidAndFallsBack) {
 
   latest = LoadLatestValidCheckpoint(dir.path());
   ASSERT_TRUE(latest.ok()) << latest.status().ToString();
-  EXPECT_EQ(latest.value().step, 2u);
+  EXPECT_EQ(latest.value().totals.snapshots, 2u);
 }
 
 TEST(Checkpoint, EmptyDirIsNotFound) {
@@ -832,6 +833,99 @@ TEST(Recovery, TruncationBelowCheckpointClaimIsCorruption) {
       durability);
   ASSERT_FALSE(recovered.ok());
   EXPECT_EQ(recovered.status().code(), StatusCode::kCorruption);
+}
+
+// Runs IncAVT (which declines state blobs, so recovery replays the
+// whole WAL) for G_0 + 3 transactions with a checkpoint every 2, then
+// rewrites the newest checkpoint (step 3, same fingerprint and file
+// name) through `edit` and recovers from the directory.
+StatusOr<std::unique_ptr<AvtEngine>> RecoverFromEditedCheckpoint(
+    const SnapshotSequence& sequence, const DurabilityOptions& durability,
+    const std::function<void(CheckpointData*)>& edit) {
+  const TrackerConfig config{/*label=*/"incavt/default", false, true, 1};
+  {
+    AvtEngine victim(BuildTracker(config, 3, 3),
+                     std::make_unique<SequenceSource>(&sequence));
+    EXPECT_TRUE(victim.EnableDurability(durability).ok());
+    for (int i = 0; i < 4; ++i) EXPECT_TRUE(victim.Step().value());
+  }
+  auto listed = ListCheckpoints(durability.dir);
+  if (!listed.ok()) return listed.status();
+  if (listed.value().empty() || listed.value().back().step != 3) {
+    return Status::Internal("expected the newest checkpoint at step 3");
+  }
+  auto newest = ReadCheckpoint(listed.value().back().path);
+  if (!newest.ok()) return newest.status();
+  CheckpointData data = std::move(newest).value();
+  EXPECT_FALSE(data.has_tracker_state);
+  edit(&data);
+  EXPECT_TRUE(WriteCheckpoint(durability.dir, data, /*fsync=*/false).ok());
+  return AvtEngine::Recover(BuildTracker(config, 3, 3),
+                            std::make_unique<SequenceSource>(&sequence),
+                            EngineOptions{}, durability);
+}
+
+TEST(Recovery, CheckpointLedgerMismatchIsCorruption) {
+  // Full replay passes the checkpoint's step and compares its own
+  // ledger with the stored one: one follower off means the WAL and the
+  // checkpoint describe different runs.
+  SnapshotSequence sequence = SmallWorkload(53, 6, 80);
+  TempDir dir("ledger_mismatch");
+  DurabilityOptions durability;
+  durability.dir = dir.path();
+  durability.checkpoint_every = 2;
+  auto recovered = RecoverFromEditedCheckpoint(
+      sequence, durability,
+      [](CheckpointData* data) { data->totals.total_followers += 1; });
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_EQ(recovered.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(recovered.status().message().find(
+                "WAL replay diverged from checkpoint step 3"),
+            std::string::npos)
+      << recovered.status().ToString();
+}
+
+TEST(Recovery, CheckpointTimingsAreAdvisory) {
+  // Wall-clock timings are not deterministic, so the cross-check skips
+  // them: a checkpoint differing only in total/max millis recovers to
+  // the uninterrupted run's exact state.
+  const TrackerConfig config{/*label=*/"incavt/default", false, true, 1};
+  SnapshotSequence sequence = SmallWorkload(54, 6, 80);
+  AvtEngine reference(BuildTracker(config, 3, 3),
+                      std::make_unique<SequenceSource>(&sequence));
+  ASSERT_TRUE(reference.Drain().ok());
+
+  TempDir dir("ledger_timings");
+  DurabilityOptions durability;
+  durability.dir = dir.path();
+  durability.checkpoint_every = 2;
+  auto recovered = RecoverFromEditedCheckpoint(
+      sequence, durability, [](CheckpointData* data) {
+        data->totals.total_millis += 1000.0;
+        data->totals.max_millis += 1000.0;
+      });
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  ASSERT_TRUE(recovered.value()->Drain().ok());
+  EXPECT_EQ(Capture(*recovered.value()), Capture(reference));
+}
+
+TEST(Recovery, CheckpointStepNotMatchingWalRecordsIsCorruption) {
+  // A checkpoint's step is its WAL record count plus G_0; any other
+  // pairing is a damaged or forged checkpoint.
+  SnapshotSequence sequence = SmallWorkload(55, 6, 80);
+  TempDir dir("ledger_step");
+  DurabilityOptions durability;
+  durability.dir = dir.path();
+  durability.checkpoint_every = 2;
+  auto recovered = RecoverFromEditedCheckpoint(
+      sequence, durability,
+      [](CheckpointData* data) { data->wal_records -= 1; });
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_EQ(recovered.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(recovered.status().message().find(
+                "inconsistent checkpoint: step 3 does not match"),
+            std::string::npos)
+      << recovered.status().ToString();
 }
 
 TEST(Recovery, RejectsFingerprintMismatch) {

@@ -6,6 +6,7 @@
 
 #include "anchor/greedy.h"
 #include "core/inc_avt.h"
+#include "core/run_summary.h"
 #include "corelib/coreness_history.h"
 #include "corelib/graph_stats.h"
 #include "gen/churn.h"
@@ -225,12 +226,13 @@ TEST(IncAvtModes, QualityOrderIsSane) {
   // Full pool >= restricted >= carry-forward in total followers
   // (allowing small noise: local search is not monotone per-snapshot).
   SnapshotSequence sequence = SmallWorkload(29, 8);
-  uint64_t full =
-      RunMode(sequence, IncAvtMode::kMaintainedFull).TotalFollowers();
+  uint64_t full = SummarizeRun(RunMode(sequence, IncAvtMode::kMaintainedFull))
+                      .total_followers;
   uint64_t restricted =
-      RunMode(sequence, IncAvtMode::kRestricted).TotalFollowers();
-  uint64_t carry =
-      RunMode(sequence, IncAvtMode::kCarryForward).TotalFollowers();
+      SummarizeRun(RunMode(sequence, IncAvtMode::kRestricted))
+          .total_followers;
+  uint64_t carry = SummarizeRun(RunMode(sequence, IncAvtMode::kCarryForward))
+                       .total_followers;
   EXPECT_GE(full + 5, restricted);
   EXPECT_GE(restricted + 5, carry);
 }

@@ -66,17 +66,17 @@ EdgeDelta MakeDelta(std::vector<Edge> insertions,
 CheckpointData FixedCheckpoint() {
   CheckpointData data;
   data.fingerprint = 0x0123456789abcdefULL;
-  data.step = 7;
+  data.totals.snapshots = 7;
   data.wal_records = 6;
   data.source_pulls = 9;
   data.num_vertices = 42;
-  data.total_millis = 12.5;
-  data.max_millis = 3.25;
-  data.total_candidates = 1000;
-  data.total_followers = 77;
-  data.stability_sum = 4.75;
-  data.anchor_changes = 2;
-  data.previous_anchors = {3, 0, 0xFFFFFFFFu};
+  data.totals.total_millis = 12.5;
+  data.totals.max_millis = 3.25;
+  data.totals.total_candidates = 1000;
+  data.totals.total_followers = 77;
+  data.totals.stability_sum = 4.75;
+  data.totals.anchor_changes = 2;
+  data.totals.previous_anchors = {3, 0, 0xFFFFFFFFu};
   return data;
 }
 

@@ -1,6 +1,9 @@
 #include "cli_commands.h"
 
 #include <algorithm>
+#include <cerrno>
+#include <cstdlib>
+#include <limits>
 #include <memory>
 
 #include "anchor/anchored_core.h"
@@ -55,6 +58,35 @@ int ExitCodeFor(const Status& status) {
 // degraded along the way (see above).
 constexpr int kExitDegraded = 6;
 
+// Reads integer flag --`name` into `*value` (`fallback` when absent).
+// A value that does not parse, is below `min`, or does not fit T is
+// rejected with a one-line error naming the flag; the caller exits 2.
+template <typename T>
+bool ReadIntFlag(const Flags& flags, const char* name, T fallback,
+                 FILE* err, T* value, int64_t min = 0) {
+  if (!flags.Has(name)) {
+    *value = fallback;
+    return true;
+  }
+  const std::string text = flags.GetString(name, "");
+  const uint64_t max = std::min<uint64_t>(
+      std::numeric_limits<T>::max(), std::numeric_limits<int64_t>::max());
+  char* end = nullptr;
+  errno = 0;
+  const long long parsed = std::strtoll(text.c_str(), &end, 10);
+  if (end == text.c_str() || *end != '\0' || errno == ERANGE ||
+      parsed < min || static_cast<uint64_t>(parsed) > max) {
+    std::fprintf(err,
+                 "error: --%s must be a %s integer (at most %llu, got "
+                 "'%s')\n",
+                 name, min > 0 ? "positive" : "non-negative",
+                 static_cast<unsigned long long>(max), text.c_str());
+    return false;
+  }
+  *value = static_cast<T>(parsed);
+  return true;
+}
+
 // Loads the graph named by the first positional argument. Returns 0 on
 // success, else the exit code the command should return.
 int LoadPositionalGraph(const Flags& flags, FILE* err, Graph* graph) {
@@ -100,7 +132,8 @@ bool ParseAlgorithm(const std::string& name, AvtAlgorithm* algorithm) {
 
 int RunGenCommand(const Flags& flags, FILE* out, FILE* err) {
   const std::string model = flags.GetString("model", "chung-lu");
-  const VertexId n = static_cast<VertexId>(flags.GetInt("n", 1000));
+  VertexId n = 0;
+  if (!ReadIntFlag(flags, "n", VertexId{1000}, err, &n)) return 2;
   const double avg_degree = flags.GetDouble("avg-degree", 6.0);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   const std::string path = flags.GetString("out", "");
@@ -189,10 +222,11 @@ int RunStatsCommand(const Flags& flags, FILE* out, FILE* err) {
 }
 
 int RunCoreCommand(const Flags& flags, FILE* out, FILE* err) {
+  uint32_t k = 0;
+  if (!ReadIntFlag(flags, "k", uint32_t{0}, err, &k)) return 2;
   Graph g;
   if (int rc = LoadPositionalGraph(flags, err, &g)) return rc;
   CoreDecomposition cores = DecomposeCores(g);
-  const uint32_t k = static_cast<uint32_t>(flags.GetInt("k", 0));
   std::fprintf(out, "degeneracy %u\n", cores.max_core);
   if (k > 0) {
     std::vector<VertexId> members = KCoreMembers(cores, k);
@@ -211,10 +245,13 @@ int RunCoreCommand(const Flags& flags, FILE* out, FILE* err) {
 }
 
 int RunAnchorsCommand(const Flags& flags, FILE* out, FILE* err) {
+  uint32_t k = 0, l = 0;
+  if (!ReadIntFlag(flags, "k", uint32_t{3}, err, &k) ||
+      !ReadIntFlag(flags, "l", uint32_t{5}, err, &l)) {
+    return 2;
+  }
   Graph g;
   if (int rc = LoadPositionalGraph(flags, err, &g)) return rc;
-  const uint32_t k = static_cast<uint32_t>(flags.GetInt("k", 3));
-  const uint32_t l = static_cast<uint32_t>(flags.GetInt("l", 5));
   const std::string algo = flags.GetString("algo", "greedy");
   std::unique_ptr<AnchorSolver> solver = MakeSolver(algo);
   if (!solver) {
@@ -238,9 +275,14 @@ int RunAnchorsCommand(const Flags& flags, FILE* out, FILE* err) {
 }
 
 int RunTrackCommand(const Flags& flags, FILE* out, FILE* err) {
-  const uint32_t k = static_cast<uint32_t>(flags.GetInt("k", 3));
-  const uint32_t l = static_cast<uint32_t>(flags.GetInt("l", 5));
-  const size_t T = static_cast<size_t>(flags.GetInt("t", 10));
+  uint32_t k = 0, l = 0, window = 0;
+  size_t T = 0;
+  if (!ReadIntFlag(flags, "k", uint32_t{3}, err, &k) ||
+      !ReadIntFlag(flags, "l", uint32_t{5}, err, &l) ||
+      !ReadIntFlag(flags, "t", size_t{10}, err, &T) ||
+      !ReadIntFlag(flags, "window", uint32_t{45}, err, &window)) {
+    return 2;
+  }
   const std::string algo = flags.GetString("algo", "incavt");
 
   AvtAlgorithm algorithm;
@@ -266,9 +308,7 @@ int RunTrackCommand(const Flags& flags, FILE* out, FILE* err) {
       std::fprintf(err, "error: %s\n", log.status().ToString().c_str());
       return ExitCodeFor(log.status());
     }
-    sequence = WindowSnapshots(
-        log.value(), T,
-        static_cast<uint32_t>(flags.GetInt("window", 45)));
+    sequence = WindowSnapshots(log.value(), T, window);
   } else {
     std::fprintf(err,
                  "error: one of --dataset=<name> or --temporal=<file> is "
@@ -297,9 +337,14 @@ int RunTrackCommand(const Flags& flags, FILE* out, FILE* err) {
 }
 
 int RunStreamCommand(const Flags& flags, FILE* out, FILE* err) {
-  const uint32_t k = static_cast<uint32_t>(flags.GetInt("k", 3));
-  const uint32_t l = static_cast<uint32_t>(flags.GetInt("l", 5));
-  const size_t T = static_cast<size_t>(flags.GetInt("t", 10));
+  uint32_t k = 0, l = 0, window = 0;
+  size_t T = 0;
+  if (!ReadIntFlag(flags, "k", uint32_t{3}, err, &k) ||
+      !ReadIntFlag(flags, "l", uint32_t{5}, err, &l) ||
+      !ReadIntFlag(flags, "t", size_t{10}, err, &T) ||
+      !ReadIntFlag(flags, "window", uint32_t{45}, err, &window)) {
+    return 2;
+  }
   const std::string algo = flags.GetString("algo", "incavt");
   AvtAlgorithm algorithm;
   if (!ParseAlgorithm(algo, &algorithm)) {
@@ -309,36 +354,25 @@ int RunStreamCommand(const Flags& flags, FILE* out, FILE* err) {
                  algo.c_str());
     return 2;
   }
-  const int64_t coalesce = flags.Has("coalesce-window")
-                               ? flags.GetInt("coalesce-window", -1)
-                               : 1;
-  if (coalesce < 1) {
-    std::fprintf(err,
-                 "error: --coalesce-window must be a positive integer "
-                 "(got '%s')\n",
-                 flags.GetString("coalesce-window", "").c_str());
-    return 2;
-  }
-  const int64_t batch = flags.Has("batch") ? flags.GetInt("batch", -1) : 1;
-  if (batch < 1) {
-    std::fprintf(err,
-                 "error: --batch must be a positive integer (got '%s')\n",
-                 flags.GetString("batch", "").c_str());
+  // Stream shape, crash-safety (docs/DURABILITY.md), retry, and
+  // self-healing (core/health.h) integer flags.
+  VertexId n = 0, max_universe = 0;
+  size_t coalesce = 0, batch = 0, checkpoint_every = 0, audit_every = 0,
+         audit_sample = 0;
+  int max_retries = 0;
+  if (!ReadIntFlag(flags, "n", VertexId{1000}, err, &n) ||
+      !ReadIntFlag(flags, "coalesce-window", size_t{1}, err, &coalesce, 1) ||
+      !ReadIntFlag(flags, "batch", size_t{1}, err, &batch, 1) ||
+      !ReadIntFlag(flags, "checkpoint-every", size_t{0}, err,
+                   &checkpoint_every) ||
+      !ReadIntFlag(flags, "max-retries", 8, err, &max_retries) ||
+      !ReadIntFlag(flags, "audit-every", size_t{0}, err, &audit_every) ||
+      !ReadIntFlag(flags, "audit-sample", size_t{16}, err, &audit_sample) ||
+      !ReadIntFlag(flags, "max-universe", VertexId{0}, err, &max_universe)) {
     return 2;
   }
 
-  // Crash-safety flags (docs/DURABILITY.md).
   const std::string checkpoint_dir = flags.GetString("checkpoint-dir", "");
-  const int64_t checkpoint_every =
-      flags.Has("checkpoint-every") ? flags.GetInt("checkpoint-every", -1)
-                                    : 0;
-  if (checkpoint_every < 0) {
-    std::fprintf(err,
-                 "error: --checkpoint-every must be a non-negative integer "
-                 "(got '%s')\n",
-                 flags.GetString("checkpoint-every", "").c_str());
-    return 2;
-  }
   const bool resume = flags.GetBool("resume", false);
   if (checkpoint_dir.empty() &&
       (resume || flags.Has("checkpoint-every") || flags.Has("fsync"))) {
@@ -370,27 +404,10 @@ int RunStreamCommand(const Flags& flags, FILE* out, FILE* err) {
                  flags.GetString("fault-rate", "").c_str());
     return 2;
   }
-  const int64_t max_retries = flags.GetInt("max-retries", 8);
-  if (max_retries < 0) {
-    std::fprintf(err,
-                 "error: --max-retries must be a non-negative integer "
-                 "(got '%s')\n",
-                 flags.GetString("max-retries", "").c_str());
-    return 2;
-  }
 
   // Self-healing flags (core/health.h, docs/DURABILITY.md): cadenced
   // integrity audits, the poison-delta quarantine, the source circuit
   // breaker, and the corruption drill.
-  const int64_t audit_every =
-      flags.Has("audit-every") ? flags.GetInt("audit-every", -1) : 0;
-  if (audit_every < 0) {
-    std::fprintf(err,
-                 "error: --audit-every must be a non-negative integer "
-                 "(got '%s')\n",
-                 flags.GetString("audit-every", "").c_str());
-    return 2;
-  }
   if ((flags.Has("audit-sample") || flags.Has("audit-seed")) &&
       audit_every == 0) {
     std::fprintf(err,
@@ -398,25 +415,7 @@ int RunStreamCommand(const Flags& flags, FILE* out, FILE* err) {
                  "--audit-every=<N>\n");
     return 2;
   }
-  const int64_t audit_sample =
-      flags.Has("audit-sample") ? flags.GetInt("audit-sample", -1) : 16;
-  if (audit_sample < 0) {
-    std::fprintf(err,
-                 "error: --audit-sample must be a non-negative integer "
-                 "(got '%s')\n",
-                 flags.GetString("audit-sample", "").c_str());
-    return 2;
-  }
   const std::string quarantine_dir = flags.GetString("quarantine-dir", "");
-  const int64_t max_universe =
-      flags.Has("max-universe") ? flags.GetInt("max-universe", -1) : 0;
-  if (max_universe < 0) {
-    std::fprintf(err,
-                 "error: --max-universe must be a non-negative integer "
-                 "(got '%s')\n",
-                 flags.GetString("max-universe", "").c_str());
-    return 2;
-  }
   const double poison_rate = flags.GetDouble("poison-rate", 0.0);
   if (poison_rate < 0.0 || poison_rate >= 1.0) {
     std::fprintf(err, "error: --poison-rate must be in [0, 1) (got '%s')\n",
@@ -484,12 +483,9 @@ int RunStreamCommand(const Flags& flags, FILE* out, FILE* err) {
         return 2;
       }
       meta.num_vertices = static_cast<VertexId>(vertices);
-      opened = StreamingEdgeFileSource::Open(
-          temporal, T, static_cast<uint32_t>(flags.GetInt("window", 45)),
-          meta);
+      opened = StreamingEdgeFileSource::Open(temporal, T, window, meta);
     } else {
-      opened = StreamingEdgeFileSource::Open(
-          temporal, T, static_cast<uint32_t>(flags.GetInt("window", 45)));
+      opened = StreamingEdgeFileSource::Open(temporal, T, window);
     }
     if (!opened.ok()) {
       std::fprintf(err, "error: %s\n",
@@ -514,12 +510,9 @@ int RunStreamCommand(const Flags& flags, FILE* out, FILE* err) {
   } else if (kind == "gen") {
     Rng rng(static_cast<uint64_t>(flags.GetInt("seed", 42)));
     Graph initial = ChungLuPowerLaw(
-        static_cast<VertexId>(flags.GetInt("n", 1000)),
-        flags.GetDouble("avg-degree", 6.0), flags.GetDouble("alpha", 2.2),
-        static_cast<uint32_t>(
-            flags.GetInt("max-degree",
-                         std::max<int64_t>(flags.GetInt("n", 1000) / 20,
-                                           16))),
+        n, flags.GetDouble("avg-degree", 6.0), flags.GetDouble("alpha", 2.2),
+        static_cast<uint32_t>(flags.GetInt(
+            "max-degree", std::max<int64_t>(n / 20, 16))),
         rng);
     ChurnOptions churn;
     churn.num_snapshots = T;
@@ -554,7 +547,7 @@ int RunStreamCommand(const Flags& flags, FILE* out, FILE* err) {
     fault.corrupt_after = flags.GetInt("fault-corrupt-after", -1);
     source = std::make_unique<FaultInjectingSource>(std::move(source), fault);
     RetryOptions retry;
-    retry.max_retries = static_cast<int>(max_retries);
+    retry.max_retries = max_retries;
     source = std::make_unique<RetryingSource>(std::move(source), retry);
   }
   if (breaker) {
@@ -578,8 +571,7 @@ int RunStreamCommand(const Flags& flags, FILE* out, FILE* err) {
                                                     breaker_options);
   }
   if (coalesce > 1) {
-    source = std::make_unique<CoalescingSource>(
-        std::move(source), static_cast<size_t>(coalesce));
+    source = std::make_unique<CoalescingSource>(std::move(source), coalesce);
   }
   PoisonInjectingSource* poison_source = nullptr;
   if (poison_rate > 0.0) {
@@ -596,17 +588,17 @@ int RunStreamCommand(const Flags& flags, FILE* out, FILE* err) {
   }
 
   auto make_tracker = [&]() {
-    return MakeTracker(algorithm, k, l, static_cast<size_t>(batch));
+    return MakeTracker(algorithm, k, l, batch);
   };
   std::unique_ptr<AvtTracker> tracker = make_tracker();
 
   EngineOptions engine_options;
-  engine_options.audit.every = static_cast<size_t>(audit_every);
-  engine_options.audit.sample = static_cast<size_t>(audit_sample);
+  engine_options.audit.every = audit_every;
+  engine_options.audit.sample = audit_sample;
   engine_options.audit.seed =
       static_cast<uint64_t>(flags.GetInt("audit-seed", 0x5eed));
   engine_options.quarantine_dir = quarantine_dir;
-  engine_options.max_universe = static_cast<VertexId>(max_universe);
+  engine_options.max_universe = max_universe;
 
   std::unique_ptr<AvtEngine> engine;
   if (checkpoint_dir.empty()) {
@@ -618,19 +610,19 @@ int RunStreamCommand(const Flags& flags, FILE* out, FILE* err) {
     // a resume under different parameters is rejected, not diverging.
     DurabilityOptions durability;
     durability.dir = checkpoint_dir;
-    durability.checkpoint_every = static_cast<size_t>(checkpoint_every);
+    durability.checkpoint_every = checkpoint_every;
     durability.fsync = fsync;
     durability.config_extra =
         "k=" + std::to_string(k) + ";l=" + std::to_string(l) +
         ";algo=" + algo + ";coalesce=" + std::to_string(coalesce) +
         ";source=" + kind + ";t=" + std::to_string(T) +
-        ";window=" + std::to_string(flags.GetInt("window", 45)) +
+        ";window=" + std::to_string(window) +
         ";seed=" + std::to_string(flags.GetInt("seed", 42)) +
         ";temporal=" + flags.GetString("temporal", "") +
         ";binlog=" + flags.GetString("binlog", "") +
         ";dataset=" + flags.GetString("dataset", "") +
         ";scale=" + std::to_string(flags.GetDouble("scale", 0.25)) +
-        ";n=" + std::to_string(flags.GetInt("n", 1000)) +
+        ";n=" + std::to_string(n) +
         ";churn=" + std::to_string(flags.GetInt("churn-min", 100)) + "-" +
         std::to_string(flags.GetInt("churn-max", 250));
     if (resume) {
@@ -761,9 +753,12 @@ int RunConvertCommand(const Flags& flags, FILE* out, FILE* err) {
     std::fprintf(err, "error: missing <temporal-edge-list> argument\n");
     return 2;
   }
-  const size_t T = static_cast<size_t>(flags.GetInt("t", 10));
-  const uint32_t window =
-      static_cast<uint32_t>(flags.GetInt("window", 45));
+  size_t T = 0;
+  uint32_t window = 0;
+  if (!ReadIntFlag(flags, "t", size_t{10}, err, &T) ||
+      !ReadIntFlag(flags, "window", uint32_t{45}, err, &window)) {
+    return 2;
+  }
 
   // Two output modes: a second positional transcodes the text log into
   // a binary edge log (`convert in.txt out.avtb`); without it, the
