@@ -1,5 +1,7 @@
 #include "core/avt.h"
 
+#include <utility>
+
 #include "anchor/brute_force.h"
 #include "anchor/greedy.h"
 #include "anchor/olak.h"
@@ -48,9 +50,9 @@ AvtSnapshotResult StaticAvtTracker::SolveSnapshot() {
   return snap;
 }
 
-AvtSnapshotResult StaticAvtTracker::ProcessFirst(const Graph& g0) {
+AvtSnapshotResult StaticAvtTracker::ProcessFirstOwned(Graph g0) {
   t_ = 0;
-  graph_ = g0;
+  graph_ = std::move(g0);
   return SolveSnapshot();
 }
 

@@ -98,6 +98,14 @@ class AvtTracker {
   /// Processes the first snapshot.
   virtual AvtSnapshotResult ProcessFirst(const Graph& g0) = 0;
 
+  /// Processes the first snapshot, taking ownership of it: a tracker
+  /// that retains G_0 keeps this graph instead of a copy (AvtEngine
+  /// passes DeltaSource::TakeInitialGraph here, so one copy of G_0 is
+  /// resident). The default forwards to ProcessFirst.
+  virtual AvtSnapshotResult ProcessFirstOwned(Graph g0) {
+    return ProcessFirst(g0);
+  }
+
   /// Processes the transition G_{t-1} -> G_t described by `delta`. Every
   /// endpoint must be inside the tracker's current vertex universe
   /// (grow first via EnsureVertices; AvtEngine does this automatically
@@ -170,7 +178,10 @@ class StaticAvtTracker : public AvtTracker {
                    uint32_t l)
       : solver_(std::move(solver)), k_(k), l_(l) {}
 
-  AvtSnapshotResult ProcessFirst(const Graph& g0) override;
+  AvtSnapshotResult ProcessFirst(const Graph& g0) override {
+    return ProcessFirstOwned(g0);
+  }
+  AvtSnapshotResult ProcessFirstOwned(Graph g0) override;
   AvtSnapshotResult ProcessDelta(const EdgeDelta& delta) override;
   void EnsureVertices(VertexId count) override {
     if (count > 0) graph_.EnsureVertex(count - 1);

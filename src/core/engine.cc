@@ -94,9 +94,12 @@ StatusOr<bool> AvtEngine::Step() {
 
   if (!started_) {
     started_ = true;
-    const Graph& g0 = source_->InitialGraph();
+    // The tracker keeps G_0 as its maintained graph, so the source hands
+    // over its copy rather than keeping a second one resident.
+    Graph g0 = source_->TakeInitialGraph();
     num_vertices_ = g0.NumVertices();
-    AVT_RETURN_IF_ERROR(Commit(tracker_->ProcessFirst(g0), nullptr));
+    AVT_RETURN_IF_ERROR(
+        Commit(tracker_->ProcessFirstOwned(std::move(g0)), nullptr));
     return true;
   }
 
@@ -314,10 +317,12 @@ StatusOr<AvtEngine::ReplayedRun> AvtEngine::RebuildAndApply(
   if (run.tracker == nullptr) {
     return Status::Internal("tracker factory returned null");
   }
-  const Graph& g0 = source_->InitialGraph();
+  // The source gave its G_0 to the first snapshot; it rebuilds one for
+  // the replay (an edge log decodes frame 0 again).
+  Graph g0 = source_->TakeInitialGraph();
   run.num_vertices = g0.NumVertices();
   run.snaps.reserve(read.value().records.size() + 1);
-  run.snaps.push_back(run.tracker->ProcessFirst(g0));
+  run.snaps.push_back(run.tracker->ProcessFirstOwned(std::move(g0)));
   for (const WalRecord& record : read.value().records) {
     GrowUniverse(*run.tracker, UniverseNeeded(record.delta),
                  &run.num_vertices);
@@ -631,9 +636,9 @@ StatusOr<std::unique_ptr<AvtEngine>> AvtEngine::Recover(
     engine->last_.anchors = checkpoint.totals.previous_anchors;
     engine->last_.t = checkpoint.totals.snapshots - 1;
   } else {
-    const Graph& g0 = engine->source_->InitialGraph();
+    Graph g0 = engine->source_->TakeInitialGraph();
     engine->num_vertices_ = g0.NumVertices();
-    engine->Record(engine->tracker_->ProcessFirst(g0));
+    engine->Record(engine->tracker_->ProcessFirstOwned(std::move(g0)));
   }
 
   // Replay the committed transactions past the restore point. Each WAL

@@ -1,6 +1,7 @@
 #include "core/inc_avt.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "anchor/anchored_core.h"
 #include "anchor/candidates.h"
@@ -30,7 +31,7 @@ void IncAvtTracker::FinishSnapshot(uint32_t followers,
   snap.anchored_core_size = snap.kcore_size + anchors_outside + followers;
 }
 
-AvtSnapshotResult IncAvtTracker::ProcessFirst(const Graph& g0) {
+AvtSnapshotResult IncAvtTracker::ProcessFirstOwned(Graph g0) {
   Timer timer;
   AvtSnapshotResult snap;
   snap.t = t_ = 0;
@@ -38,7 +39,7 @@ AvtSnapshotResult IncAvtTracker::ProcessFirst(const Graph& g0) {
   // Algorithm 6 lines 1-2: build the K-order of G_1 and solve it with the
   // Greedy algorithm (lazy pick loop unless the tracker is eager — both
   // produce identical anchors).
-  maintainer_.Reset(g0, k_);
+  maintainer_.Reset(std::move(g0), k_);
   // One oracle for the tracker's lifetime: greedy, the local search
   // and the incumbent queries all share it. The maintainer's graph and
   // order have stable addresses, so a repeated ProcessFirst (rollback
@@ -60,8 +61,9 @@ AvtSnapshotResult IncAvtTracker::ProcessFirst(const Graph& g0) {
       greedy.PickFrom(maintainer_.CollectCandidates(), *oracle_, k_, l_);
   anchors_ = first.anchors;
 
-  in_pool_.assign(g0.NumVertices(), 0);
-  is_anchor_.assign(g0.NumVertices(), 0);
+  const size_t n = maintainer_.graph().NumVertices();
+  in_pool_.assign(n, 0);
+  is_anchor_.assign(n, 0);
   for (VertexId a : anchors_) is_anchor_[a] = 1;
   pool_.clear();
 
@@ -171,6 +173,10 @@ AvtSnapshotResult IncAvtTracker::ProcessDelta(const EdgeDelta& delta) {
   AVT_DCHECK(std::all_of(anchors_.begin(), anchors_.end(),
                          [&](VertexId a) { return is_anchor_[a] != 0; }));
   pool_.clear();
+  // Below k = 2 no vertex passes Theorem 3 (a vertex outside the 1-core
+  // is isolated), so every mode's pool is kCarryForward's empty one and
+  // the walk is skipped.
+  const IncAvtMode pool_mode = k_ > 1 ? mode_ : IncAvtMode::kCarryForward;
   auto consider = [&](VertexId v) {
     const bool candidate = maintainer_.IsCandidate(v);
     AVT_DCHECK(candidate ==
@@ -179,7 +185,7 @@ AvtSnapshotResult IncAvtTracker::ProcessDelta(const EdgeDelta& delta) {
     in_pool_[v] = 1;
     pool_.push_back(v);
   };
-  switch (mode_) {
+  switch (pool_mode) {
     case IncAvtMode::kRestricted:
       for (VertexId v : impacted) {
         consider(v);

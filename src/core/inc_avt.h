@@ -103,7 +103,11 @@ class IncAvtTracker : public AvtTracker {
                 IncAvtOptions options = IncAvtOptions{})
       : k_(k), l_(l), mode_(mode), options_(options) {}
 
-  AvtSnapshotResult ProcessFirst(const Graph& g0) override;
+  AvtSnapshotResult ProcessFirst(const Graph& g0) override {
+    return ProcessFirstOwned(g0);
+  }
+  /// Algorithm 6 lines 1-2 on G_0, which becomes the maintained graph.
+  AvtSnapshotResult ProcessFirstOwned(Graph g0) override;
   AvtSnapshotResult ProcessDelta(const EdgeDelta& delta) override;
   /// Streaming growth: new isolated vertices join the maintained graph,
   /// K-order (back of level 0), the oracle scratch, and this

@@ -20,12 +20,13 @@
 //   CoalescingSource        — a decorator merging a fixed window of
 //                             upstream deltas into one net-effect batch.
 //
-// Contract: InitialGraph() first, then NextDelta() until it returns
-// false. Emitted deltas may reference vertex ids beyond the previous
-// universe (streaming files discover vertices mid-stream); consumers
-// grow via Graph::EnsureVertex — the engine does this automatically, or
-// rejects the delta with a clear Status when growth is disabled,
-// instead of letting the id trip an assertion deep in Graph::AddEdge.
+// Contract: InitialGraph() (or TakeInitialGraph()) first, then
+// NextDelta() until it returns false. Emitted deltas may reference
+// vertex ids beyond the previous universe (streaming files discover
+// vertices mid-stream); consumers grow via Graph::EnsureVertex — the
+// engine does this automatically, or rejects the delta with a clear
+// Status when growth is disabled, instead of letting the id trip an
+// assertion deep in Graph::AddEdge.
 
 #ifndef AVT_GRAPH_DELTA_SOURCE_H_
 #define AVT_GRAPH_DELTA_SOURCE_H_
@@ -52,9 +53,18 @@ class DeltaSource {
   virtual ~DeltaSource() = default;
 
   /// The stream's first snapshot G_0. Stable reference, valid for the
-  /// source's lifetime. Streaming sources may report a smaller vertex
-  /// universe than the stream eventually reaches.
+  /// source's lifetime or until the next TakeInitialGraph() call.
+  /// Streaming sources may report a smaller vertex universe than the
+  /// stream eventually reaches.
   virtual const Graph& InitialGraph() const = 0;
+
+  /// G_0 for a consumer that keeps it (the engine hands it to the
+  /// tracker's ProcessFirstOwned). The default copies InitialGraph(). A
+  /// source that holds G_0 only to serve it may move its copy out, so
+  /// one resident copy remains; InitialGraph() must still work after,
+  /// by rebuilding G_0 (MmapEdgeLogSource re-decodes frame 0).
+  /// Decorators forward to the inner source.
+  virtual Graph TakeInitialGraph() { return InitialGraph(); }
 
   /// Pulls the next transition into `*delta` (overwriting it). Returns
   /// false when the stream is exhausted (`*delta` is then unspecified),
@@ -127,6 +137,7 @@ class CoalescingSource : public DeltaSource {
   const Graph& InitialGraph() const override {
     return inner_->InitialGraph();
   }
+  Graph TakeInitialGraph() override { return inner_->TakeInitialGraph(); }
 
   /// A transient inner error propagates with the partially merged
   /// window retained, so a later call resumes the same window where it

@@ -1,6 +1,7 @@
 #include "graph/edge_log.h"
 
 #include <cstring>
+#include <utility>
 
 #include "util/crc32.h"
 #include "util/serde.h"
@@ -385,13 +386,31 @@ size_t EdgeLogReader::FrameRegionEnd() const {
 }
 
 StatusOr<bool> EdgeLogReader::NextFrame(EdgeDelta* delta) {
-  if (finalized() && frame_index_ >= num_frames_) return false;
+  size_t end = 0;
+  StatusOr<bool> decoded = DecodeFrame(cursor_, frame_index_, delta, &end);
+  if (decoded.ok() && decoded.value()) {
+    cursor_ = end;
+    ++frame_index_;
+  }
+  return decoded;
+}
+
+StatusOr<bool> EdgeLogReader::ReadInitialFrame(EdgeDelta* delta) const {
+  size_t end = 0;
+  return DecodeFrame(EdgeLogLayout::kHeaderSize, 0, delta, &end);
+}
+
+StatusOr<bool> EdgeLogReader::DecodeFrame(size_t offset,
+                                          uint64_t frame_index,
+                                          EdgeDelta* delta,
+                                          size_t* end) const {
+  if (finalized() && frame_index >= num_frames_) return false;
 
   // An unfinalized log that runs out of bytes mid-frame is a torn tail
   // (the writer died mid-frame): clean end of stream. A FINALIZED log
   // running out below its declared count lost data.
   const serde::FrameView frame =
-      serde::ParseFrame(map_->bytes(FrameRegionEnd()), cursor_);
+      serde::ParseFrame(map_->bytes(FrameRegionEnd()), offset);
   if (frame.status == serde::FrameStatus::kHeaderShort) {
     if (finalized()) {
       return Status::Corruption(
@@ -408,7 +427,7 @@ StatusOr<bool> EdgeLogReader::NextFrame(EdgeDelta* delta) {
   }
   if (frame.status == serde::FrameStatus::kCrcMismatch) {
     return Status::Corruption("edge log frame " +
-                              std::to_string(frame_index_) +
+                              std::to_string(frame_index) +
                               " checksum mismatch");
   }
   const auto* payload = reinterpret_cast<const uint8_t*>(frame.payload.data());
@@ -423,18 +442,17 @@ StatusOr<bool> EdgeLogReader::NextFrame(EdgeDelta* delta) {
     // bytes) are damage the CRC failed to catch — reject before the
     // reserve below can balloon.
     return Status::Corruption("edge log frame " +
-                              std::to_string(frame_index_) +
+                              std::to_string(frame_index) +
                               " has invalid batch counts");
   }
   if (!DecodeBatch(payload, len, &pos, n_ins, &delta->insertions) ||
       !DecodeBatch(payload, len, &pos, n_del, &delta->deletions) ||
       pos != len) {
     return Status::Corruption("edge log frame " +
-                              std::to_string(frame_index_) +
+                              std::to_string(frame_index) +
                               " payload does not decode to its length");
   }
-  cursor_ = frame.end;
-  ++frame_index_;
+  *end = frame.end;
   return true;
 }
 
@@ -486,21 +504,28 @@ StatusOr<std::unique_ptr<MmapEdgeLogSource>> MmapEdgeLogSource::Open(
   if (!opened.ok()) return opened.status();
 
   auto source = std::unique_ptr<MmapEdgeLogSource>(new MmapEdgeLogSource());
+  source->path_ = path;
   source->reader_ = std::move(opened).value();
-
   EdgeDelta first;
   StatusOr<bool> more = source->reader_->NextFrame(&first);
-  if (!more.ok()) return more.status();
-  if (!more.value()) {
-    return Status::InvalidArgument("edge log " + path +
+  StatusOr<Graph> initial = source->BuildInitialGraph(more, first);
+  if (!initial.ok()) return initial.status();
+  source->initial_ = std::move(initial).value();
+  return source;
+}
+
+StatusOr<Graph> MmapEdgeLogSource::BuildInitialGraph(
+    const StatusOr<bool>& decoded, const EdgeDelta& first) const {
+  if (!decoded.ok()) return decoded.status();
+  if (!decoded.value()) {
+    return Status::InvalidArgument("edge log " + path_ +
                                    " has no initial frame");
   }
   if (!first.deletions.empty()) {
-    return Status::Corruption("edge log " + path +
+    return Status::Corruption("edge log " + path_ +
                               " initial frame contains deletions");
   }
-
-  VertexId universe = source->reader_->num_vertices();
+  VertexId universe = reader_->num_vertices();
   if (universe == 0) {
     // Unfinalized log: no declared universe; cover frame 0 and let the
     // engine grow trackers as later deltas discover vertices.
@@ -508,16 +533,40 @@ StatusOr<std::unique_ptr<MmapEdgeLogSource>> MmapEdgeLogSource::Open(
       if (e.v + 1 > universe) universe = e.v + 1;
     }
   }
-  source->initial_ = Graph(universe);
   for (const Edge& e : first.insertions) {
     if (e.v >= universe) {
       return Status::Corruption(
-          "edge log " + path +
+          "edge log " + path_ +
           " initial frame exceeds its declared vertex universe");
     }
-    source->initial_.AddEdge(e.u, e.v);
   }
-  return source;
+  // DecodeBatch only accepts frames in canonical order, so this is
+  // FromEdges' bulk path.
+  return Graph::FromEdges(universe, first.insertions);
+}
+
+Graph MmapEdgeLogSource::DecodeInitialGraph() const {
+  // The mapping is read-only and Open already decoded these bytes, so a
+  // failure here means the file changed underneath the mapping.
+  EdgeDelta first;
+  StatusOr<Graph> initial =
+      BuildInitialGraph(reader_->ReadInitialFrame(&first), first);
+  AVT_CHECK_MSG(initial.ok(), "edge log frame 0 no longer decodes");
+  return std::move(initial).value();
+}
+
+const Graph& MmapEdgeLogSource::InitialGraph() const {
+  if (initial_taken_) {
+    initial_ = DecodeInitialGraph();
+    initial_taken_ = false;
+  }
+  return initial_;
+}
+
+Graph MmapEdgeLogSource::TakeInitialGraph() {
+  if (initial_taken_) return DecodeInitialGraph();
+  initial_taken_ = true;
+  return std::exchange(initial_, Graph());
 }
 
 StatusOr<bool> MmapEdgeLogSource::NextDelta(EdgeDelta* delta) {

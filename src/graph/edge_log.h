@@ -176,6 +176,10 @@ class EdgeLogReader {
   /// frames below its declared count.
   StatusOr<bool> NextFrame(EdgeDelta* delta);
 
+  /// Decodes frame 0 (G_0) into `*delta` without moving the cursor,
+  /// under NextFrame's rules: false for a log without frames.
+  StatusOr<bool> ReadInitialFrame(EdgeDelta* delta) const;
+
   /// Repositions so the next NextFrame decodes frame `index`: binary
   /// search of the seek index, then a forward skip over whole frames
   /// (a CRC mismatch is reported when the frame is decoded, not while
@@ -192,6 +196,11 @@ class EdgeLogReader {
   /// file size).
   size_t FrameRegionEnd() const;
 
+  /// Decodes the frame at byte `offset`, numbered `frame_index`, and
+  /// sets `*end` to the offset just past it.
+  StatusOr<bool> DecodeFrame(size_t offset, uint64_t frame_index,
+                             EdgeDelta* delta, size_t* end) const;
+
   std::unique_ptr<edge_log_internal::MappedFile> map_;
   uint64_t num_vertices_ = 0;
   uint64_t num_frames_ = 0;
@@ -207,12 +216,18 @@ class EdgeLogReader {
 /// consumers reserve once and EnsureVertices never fires on finalized
 /// logs), frames 1..N-1 are the deltas. Composes with every decorator
 /// (Retrying/Breaker/Coalescing) like any other source.
+///
+/// Open decodes G_0 once, in bulk (Graph::FromEdges). TakeInitialGraph
+/// moves that graph out, so the consumer's copy is the only resident
+/// one; an InitialGraph or TakeInitialGraph call after that decodes
+/// frame 0 again from the mapping (the engine's rebuild paths).
 class MmapEdgeLogSource : public DeltaSource {
  public:
   static StatusOr<std::unique_ptr<MmapEdgeLogSource>> Open(
       const std::string& path);
 
-  const Graph& InitialGraph() const override { return initial_; }
+  const Graph& InitialGraph() const override;
+  Graph TakeInitialGraph() override;
   StatusOr<bool> NextDelta(EdgeDelta* delta) override;
   std::string name() const override { return "binlog-mmap"; }
 
@@ -221,8 +236,19 @@ class MmapEdgeLogSource : public DeltaSource {
  private:
   MmapEdgeLogSource() = default;
 
+  /// G_0 from frame 0 as `decoded` read it into `first`: rejects a
+  /// missing frame 0, deletions in it, and endpoints past the universe.
+  StatusOr<Graph> BuildInitialGraph(const StatusOr<bool>& decoded,
+                                    const EdgeDelta& first) const;
+  /// Frame 0 decoded again (Open already validated it).
+  Graph DecodeInitialGraph() const;
+
+  std::string path_;
   std::unique_ptr<EdgeLogReader> reader_;
-  Graph initial_;
+  /// G_0 as Open decoded it, or as InitialGraph decoded it again after
+  /// TakeInitialGraph moved it out (then initial_taken_ was true).
+  mutable Graph initial_;
+  mutable bool initial_taken_ = false;
 };
 
 /// Drains `source` (G_0 + every delta) into a finalized edge log at

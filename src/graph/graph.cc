@@ -7,23 +7,43 @@
 namespace avt {
 
 Graph Graph::FromEdges(VertexId num_vertices, const std::vector<Edge>& edges) {
+  // Canonical input (every edge normalized, the list sorted — an edge
+  // log frame, CollectEdges) keeps a duplicate right after its twin, so
+  // "equal to the previous edge" is the whole duplicate test. Any other
+  // input pays AddEdge's HasEdge scan per edge. Either way each kept
+  // edge is appended in input order, so neighbor order is exactly what
+  // per-edge AddEdge calls would give.
+  bool canonical = true;
+  for (size_t i = 0; i < edges.size() && canonical; ++i) {
+    canonical = edges[i].u <= edges[i].v &&
+                (i == 0 || !(edges[i] < edges[i - 1]));
+  }
+  auto duplicate = [&](const Graph& g, size_t i) {
+    return canonical ? i > 0 && edges[i] == edges[i - 1]
+                     : g.HasEdge(edges[i].u, edges[i].v);
+  };
+
   Graph g(num_vertices);
-  // Degree-counting reserve pass: size every neighbor list up front so
-  // the insertion loop never reallocates. Duplicates (skipped below)
-  // only make the counts a slight over-reserve.
+  // Count, reserve, append: no neighbor list reallocates. Only the
+  // HasEdge path over-reserves (for duplicates it skips later).
   std::vector<uint32_t> degree(num_vertices, 0);
-  for (const Edge& e : edges) {
+  for (size_t i = 0; i < edges.size(); ++i) {
+    const Edge& e = edges[i];
     AVT_CHECK_MSG(e.u < num_vertices && e.v < num_vertices,
                   "edge endpoint out of range");
-    if (e.u == e.v) continue;
+    if (e.u == e.v || (canonical && duplicate(g, i))) continue;
     ++degree[e.u];
     ++degree[e.v];
   }
   for (VertexId v = 0; v < num_vertices; ++v) {
     g.adjacency_[v].reserve(degree[v]);
   }
-  for (const Edge& e : edges) {
-    g.AddEdge(e.u, e.v);
+  for (size_t i = 0; i < edges.size(); ++i) {
+    const Edge& e = edges[i];
+    if (e.u == e.v || duplicate(g, i)) continue;
+    g.adjacency_[e.u].push_back(e.v);
+    g.adjacency_[e.v].push_back(e.u);
+    ++g.num_edges_;
   }
   return g;
 }

@@ -46,7 +46,10 @@ class Graph {
   explicit Graph(VertexId num_vertices) : adjacency_(num_vertices) {}
 
   /// Builds a graph from an edge list; duplicate edges and self-loops are
-  /// silently skipped (generators may emit them).
+  /// silently skipped (generators may emit them). The result, neighbor
+  /// order included, is what AddEdge over the list in order gives. A
+  /// canonical list (normalized and sorted, as an edge log frame is)
+  /// is built in one bulk pass with no per-edge HasEdge scan.
   static Graph FromEdges(VertexId num_vertices,
                          const std::vector<Edge>& edges);
 

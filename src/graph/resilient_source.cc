@@ -122,18 +122,14 @@ StatusOr<bool> PoisonInjectingSource::NextDelta(EdgeDelta* delta) {
       rng_.Bernoulli(options_.poison_rate)) {
     delta->insertions.clear();
     delta->deletions.clear();
-    const VertexId n = inner_->InitialGraph().NumVertices();
     const bool use_huge =
         options_.huge_ids &&
         (!options_.self_loops || rng_.Bernoulli(0.5));
     Edge poison;
-    if (use_huge) {
-      poison.u = n > 0 ? static_cast<VertexId>(rng_.Uniform(n)) : 0;
-      poison.v = options_.huge_id;
-    } else {
-      poison.u = n > 0 ? static_cast<VertexId>(rng_.Uniform(n)) : 0;
-      poison.v = poison.u;  // self-loop
-    }
+    poison.u = universe_ > 0
+                   ? static_cast<VertexId>(rng_.Uniform(universe_))
+                   : 0;
+    poison.v = use_huge ? options_.huge_id : poison.u;  // else a self-loop
     delta->insertions.push_back(poison);
     ++poisons_injected_;
     return true;

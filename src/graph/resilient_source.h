@@ -88,6 +88,7 @@ class FaultInjectingSource : public DeltaSource {
   const Graph& InitialGraph() const override {
     return inner_->InitialGraph();
   }
+  Graph TakeInitialGraph() override { return inner_->TakeInitialGraph(); }
 
   StatusOr<bool> NextDelta(EdgeDelta* delta) override {
     if (options_.corrupt_after >= 0 &&
@@ -148,6 +149,7 @@ class RetryingSource : public DeltaSource {
   const Graph& InitialGraph() const override {
     return inner_->InitialGraph();
   }
+  Graph TakeInitialGraph() override { return inner_->TakeInitialGraph(); }
 
   StatusOr<bool> NextDelta(EdgeDelta* delta) override;
 
@@ -214,6 +216,7 @@ class CircuitBreakerSource : public DeltaSource {
   const Graph& InitialGraph() const override {
     return inner_->InitialGraph();
   }
+  Graph TakeInitialGraph() override { return inner_->TakeInitialGraph(); }
 
   StatusOr<bool> NextDelta(EdgeDelta* delta) override;
 
@@ -272,11 +275,13 @@ class PoisonInjectingSource : public DeltaSource {
                   "poison_rate must be in [0, 1)");
     AVT_CHECK_MSG(options_.self_loops || options_.huge_ids,
                   "enable at least one poison kind");
+    universe_ = inner_->InitialGraph().NumVertices();
   }
 
   const Graph& InitialGraph() const override {
     return inner_->InitialGraph();
   }
+  Graph TakeInitialGraph() override { return inner_->TakeInitialGraph(); }
 
   StatusOr<bool> NextDelta(EdgeDelta* delta) override;
 
@@ -290,6 +295,9 @@ class PoisonInjectingSource : public DeltaSource {
   std::unique_ptr<DeltaSource> inner_;
   PoisonInjectionOptions options_;
   Rng rng_;
+  /// G_0's universe, read once here: after the engine takes G_0, an
+  /// InitialGraph() call per injection would rebuild it each time.
+  VertexId universe_ = 0;
   bool exhausted_ = false;
   uint64_t poisons_injected_ = 0;
 };

@@ -1,11 +1,12 @@
 #include "maint/maintainer.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace avt {
 
-void CoreMaintainer::Reset(const Graph& graph, uint32_t k) {
-  graph_ = graph;
+void CoreMaintainer::Reset(Graph&& graph, uint32_t k) {
+  graph_ = std::move(graph);
   order_.Build(graph_);
   stats_.Reset();
   const size_t n = graph_.NumVertices();

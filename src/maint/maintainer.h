@@ -96,11 +96,13 @@ class CoreMaintainer {
  public:
   CoreMaintainer() = default;
 
-  /// Takes a copy of `graph` and builds the index. With k > 0 it also
-  /// fills the Theorem-3 neighbor counters and verdict bytes for
-  /// threshold k in one O(m) pass (see the file comment); with k = 0 it
-  /// keeps neither.
-  void Reset(const Graph& graph, uint32_t k = 0);
+  /// Takes `graph` as the maintained graph and builds the index. With
+  /// k > 0 it also fills the Theorem-3 neighbor counters and verdict
+  /// bytes for threshold k in one O(m) pass (see the file comment);
+  /// with k = 0 it keeps neither.
+  void Reset(Graph&& graph, uint32_t k = 0);
+  /// Same on a copy of `graph`.
+  void Reset(const Graph& graph, uint32_t k = 0) { Reset(Graph(graph), k); }
 
   const Graph& graph() const { return graph_; }
   const KOrder& order() const { return order_; }

@@ -90,6 +90,31 @@ TEST(AvtTracking, IncAvtMaintainedIndexStaysConsistent) {
       });
 }
 
+TEST(AvtTracking, IncAvtAtKOneSkipsThePoolWalk) {
+  // At k = 1 no vertex passes Theorem 3 (a vertex outside the 1-core is
+  // isolated), so no delta walks the impacted region for a pool.
+  SnapshotSequence sequence = SmallChurnWorkload(9, 8);
+  IncAvtOptions eager_options;
+  eager_options.lazy = false;
+  IncAvtTracker lazy(1, 3);
+  IncAvtTracker eager(1, 3, IncAvtMode::kRestricted, eager_options);
+  sequence.ForEachSnapshot(
+      [&](size_t t, const Graph& graph, const EdgeDelta& delta) {
+        const AvtSnapshotResult a =
+            t == 0 ? lazy.ProcessFirst(graph) : lazy.ProcessDelta(delta);
+        const AvtSnapshotResult b =
+            t == 0 ? eager.ProcessFirst(graph) : eager.ProcessDelta(delta);
+        EXPECT_EQ(a.anchors, b.anchors) << "t=" << t;
+        EXPECT_EQ(a.num_followers, b.num_followers) << "t=" << t;
+        if (t == 0) return;
+        EXPECT_GT(delta.insertions.size() + delta.deletions.size(), 0u);
+        EXPECT_EQ(a.pool_walked, 0u) << "t=" << t;
+        EXPECT_EQ(a.pool_size, 0u) << "t=" << t;
+        EXPECT_EQ(b.pool_walked, 0u) << "t=" << t;
+        EXPECT_EQ(b.pool_size, 0u) << "t=" << t;
+      });
+}
+
 TEST(AvtTracking, IncAvtVisitsFewerCandidatesThanGreedy) {
   SnapshotSequence sequence = SmallChurnWorkload(6, 8);
   AvtRunResult greedy = RunAvt(sequence, AvtAlgorithm::kGreedy, 3, 5);

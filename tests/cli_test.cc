@@ -494,6 +494,49 @@ TEST_F(CliTest, IntegerFlagsRejectUnparsableAndOutOfRangeValues) {
   }
 }
 
+TEST_F(CliTest, GeneratorAndFaultFlagsRejectUnparsableAndOutOfRangeValues) {
+  // --seed=abc used to run seed 42 and --churn-min=-1 wrapped to
+  // 4294967295 and never finished; every numeric flag now exits 2
+  // naming itself.
+  std::string out, err;
+  const std::vector<std::string> stream = {"stream", "--source=gen",
+                                           "--n=200", "--t=2"};
+  for (const std::string bad :
+       {"--seed=abc", "--churn-min=-1", "--churn-max=1.5", "--max-degree=0",
+        "--avg-degree=-3", "--alpha=1", "--scale=0", "--fault-rate=x",
+        "--poison-rate=1", "--fault-seed=-4", "--audit-seed=9e99",
+        "--fault-corrupt-after=-2", "--corrupt-state-after=-1"}) {
+    std::vector<std::string> args = stream;
+    args.push_back(bad);
+    EXPECT_EQ(Run(args, &out, &err), 2) << bad;
+    const std::string flag = bad.substr(0, bad.find('='));
+    EXPECT_NE(err.find("error: " + flag + " must be"), std::string::npos)
+        << bad << ": " << err;
+  }
+  EXPECT_EQ(Run({"stream", "--source=gen", "--n=200", "--t=2",
+                 "--churn-min=9", "--churn-max=3"},
+                &out, &err),
+            2);
+  EXPECT_NE(err.find("--churn-min"), std::string::npos) << err;
+
+  const std::string graph_path = TempPath("bad_gen_flags.txt");
+  for (const std::string bad :
+       {"--seed=abc", "--communities=0", "--beta=2", "--p-intra=-0.1"}) {
+    EXPECT_EQ(Run({"gen", "--model=sbm", "--n=60", "--out=" + graph_path,
+                   bad},
+                  &out, &err),
+              2)
+        << bad;
+    const std::string flag = bad.substr(0, bad.find('='));
+    EXPECT_NE(err.find("error: " + flag + " must be"), std::string::npos)
+        << bad << ": " << err;
+  }
+  EXPECT_EQ(Run({"track", "--dataset=eu-core", "--t=2", "--scale=abc"}, &out,
+                &err),
+            2);
+  EXPECT_NE(err.find("error: --scale must be"), std::string::npos) << err;
+}
+
 TEST_F(CliTest, StreamBatchMergesTransactions) {
   // T=5 snapshots = G_0 + 4 deltas; --batch=2 merges them into 2
   // transactions, so the engine reports 3 snapshots (batch boundaries).

@@ -13,11 +13,15 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "gen/models.h"
 #include "graph/delta_source.h"
+#include "util/crc32.h"
 #include "util/random.h"
+#include "util/serde.h"
 
 namespace avt {
 namespace {
@@ -419,6 +423,110 @@ TEST(EdgeLog, MmapSourceReplaysTheWrittenStream) {
   auto end = source.value()->NextDelta(&delta);
   ASSERT_TRUE(end.ok());
   EXPECT_FALSE(end.value());
+}
+
+// --- G_0: bulk build and hand-off -------------------------------------
+
+void ExpectSameLists(const Graph& got, const Graph& want,
+                     const std::string& context) {
+  ASSERT_EQ(got.NumVertices(), want.NumVertices()) << context;
+  EXPECT_EQ(got.NumEdges(), want.NumEdges()) << context;
+  for (VertexId v = 0; v < want.NumVertices(); ++v) {
+    const std::span<const VertexId> a = got.Neighbors(v);
+    const std::span<const VertexId> b = want.Neighbors(v);
+    EXPECT_EQ(std::vector<VertexId>(a.begin(), a.end()),
+              std::vector<VertexId>(b.begin(), b.end()))
+        << context << " vertex " << v;
+  }
+}
+
+Graph AddEdgesInOrder(VertexId n, const std::vector<Edge>& edges) {
+  Graph g(n);
+  for (const Edge& e : edges) g.AddEdge(e.u, e.v);
+  return g;
+}
+
+void PutVarint(std::string* out, uint64_t value) {
+  while (value >= 0x80) {
+    out->push_back(static_cast<char>((value & 0x7F) | 0x80));
+    value >>= 7;
+  }
+  out->push_back(static_cast<char>(value));
+}
+
+// A finalized one-frame log written byte by byte, bypassing the
+// writer's canonical-batch check: frame 0 may then hold an edge twice
+// in a row (du = dv = 0), which DecodeBatch accepts.
+std::string HandWrittenLog(VertexId num_vertices,
+                           const std::vector<Edge>& initial) {
+  std::string payload;
+  PutVarint(&payload, initial.size());
+  PutVarint(&payload, 0);
+  VertexId prev_u = 0, prev_v = 0;
+  for (const Edge& e : initial) {
+    const VertexId du = e.u - prev_u;
+    if (du != 0) prev_v = 0;
+    PutVarint(&payload, du);
+    PutVarint(&payload, e.v - prev_v);
+    prev_u = e.u;
+    prev_v = e.v;
+  }
+  std::string fields;
+  serde::PutU32(&fields, 1);  // version
+  serde::PutU32(&fields, 0);  // no seek index
+  serde::PutU64(&fields, num_vertices);
+  serde::PutU64(&fields, 1);  // frames
+  serde::PutU64(&fields, 0);  // index offset
+  std::string bytes(EdgeLogLayout::kMagic, EdgeLogLayout::kMagicSize);
+  bytes += fields;
+  serde::PutU32(&bytes, Crc32(fields.data(), fields.size()));
+  serde::PutU32(&bytes, static_cast<uint32_t>(payload.size()));
+  serde::PutU32(&bytes, Crc32(payload.data(), payload.size()));
+  return bytes + payload;
+}
+
+// Checks the source's G_0 against AddEdge over `frame0` in order, then
+// hands it off: the taken graph, a second take and InitialGraph() (both
+// decoded again from frame 0), and a take after that must all be the
+// same graph.
+void ExpectInitialGraphAndHandOff(MmapEdgeLogSource& source,
+                                  const std::vector<Edge>& frame0) {
+  const Graph want =
+      AddEdgesInOrder(source.InitialGraph().NumVertices(), frame0);
+  ExpectSameLists(source.InitialGraph(), want, "open");
+  ExpectSameLists(source.TakeInitialGraph(), want, "taken");
+  ExpectSameLists(source.TakeInitialGraph(), want, "taken again");
+  ExpectSameLists(source.InitialGraph(), want, "decoded again");
+  ExpectSameLists(source.TakeInitialGraph(), want, "taken after that");
+}
+
+TEST(EdgeLog, BulkInitialGraphKeepsPerEdgeOrderWithAdjacentDuplicates) {
+  TempDir dir("bulk_dup");
+  const std::string path = dir.path() + "/dup.avtb";
+  const std::vector<Edge> frame0 = {{0, 1}, {0, 1}, {0, 3}, {1, 2},
+                                    {1, 2}, {1, 4}, {2, 3}, {3, 4},
+                                    {3, 4}};
+  WriteFileBytes(path, HandWrittenLog(6, frame0));
+  auto source = MmapEdgeLogSource::Open(path);
+  ASSERT_TRUE(source.ok()) << source.status().ToString();
+  EXPECT_EQ(source.value()->InitialGraph().NumEdges(), 6u);
+  ExpectInitialGraphAndHandOff(*source.value(), frame0);
+}
+
+TEST(EdgeLog, BulkInitialGraphKeepsPerEdgeOrderOnAGeneratedGraph) {
+  TempDir dir("bulk_gen");
+  const std::string path = dir.path() + "/gen.avtb";
+  Rng rng(5);
+  const Graph g = ChungLuPowerLaw(3000, 8.0, 2.3, 200, rng);
+  auto writer = EdgeLogWriter::Create(path, 4);
+  ASSERT_TRUE(writer.ok());
+  ASSERT_TRUE(writer.value()->AppendInitial(g).ok());
+  ASSERT_TRUE(writer.value()->Finish(g.NumVertices()).ok());
+  writer.value().reset();
+
+  auto source = MmapEdgeLogSource::Open(path);
+  ASSERT_TRUE(source.ok()) << source.status().ToString();
+  ExpectInitialGraphAndHandOff(*source.value(), g.CollectEdges());
 }
 
 TEST(EdgeLog, ConvertMatchesTextStreamerBitForBit) {

@@ -4,9 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <vector>
+
 #include "graph/delta.h"
 #include "graph/snapshots.h"
 #include "maint/maintainer.h"
+#include "util/random.h"
 
 namespace avt {
 namespace {
@@ -98,6 +103,51 @@ TEST(Graph, FromEdgesSkipsJunk) {
   std::vector<Edge> edges{Edge(0, 1), Edge(1, 0), Edge(2, 2), Edge(1, 2)};
   Graph g = Graph::FromEdges(3, edges);
   EXPECT_EQ(g.NumEdges(), 2u);
+}
+
+// Per-edge AddEdge over `edges` in order: the reference FromEdges must
+// reproduce, neighbor order included.
+Graph AddEdgesInOrder(VertexId n, const std::vector<Edge>& edges) {
+  Graph g(n);
+  for (const Edge& e : edges) g.AddEdge(e.u, e.v);
+  return g;
+}
+
+void ExpectSameLists(const Graph& got, const Graph& want) {
+  ASSERT_EQ(got.NumVertices(), want.NumVertices());
+  EXPECT_EQ(got.NumEdges(), want.NumEdges());
+  for (VertexId v = 0; v < want.NumVertices(); ++v) {
+    const std::span<const VertexId> a = got.Neighbors(v);
+    const std::span<const VertexId> b = want.Neighbors(v);
+    EXPECT_EQ(std::vector<VertexId>(a.begin(), a.end()),
+              std::vector<VertexId>(b.begin(), b.end()))
+        << "vertex " << v;
+  }
+}
+
+TEST(Graph, FromEdgesMatchesAddEdgeOrderOnCanonicalAndUnsortedLists) {
+  Rng rng(11);
+  const VertexId n = 60;
+  std::vector<Edge> canonical;
+  for (int i = 0; i < 400; ++i) {
+    canonical.emplace_back(static_cast<VertexId>(rng.Uniform(n)),
+                           static_cast<VertexId>(rng.Uniform(n)));
+  }
+  std::sort(canonical.begin(), canonical.end());  // self-loops and twins
+  ExpectSameLists(Graph::FromEdges(n, canonical),
+                  AddEdgesInOrder(n, canonical));
+
+  // Unsorted, with far-apart duplicates and both orientations of a pair
+  // (fields assigned directly, so not normalized): the HasEdge path.
+  std::vector<Edge> unsorted = canonical;
+  for (size_t i = unsorted.size(); i > 1; --i) {
+    std::swap(unsorted[i - 1], unsorted[rng.Uniform(i)]);
+  }
+  for (size_t i = 0; i < unsorted.size(); i += 3) {
+    std::swap(unsorted[i].u, unsorted[i].v);
+  }
+  ExpectSameLists(Graph::FromEdges(n, unsorted),
+                  AddEdgesInOrder(n, unsorted));
 }
 
 TEST(Graph, EqualityIsStructural) {

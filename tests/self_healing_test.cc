@@ -26,6 +26,7 @@
 #include "gen/models.h"
 #include "graph/delta.h"
 #include "graph/delta_source.h"
+#include "graph/edge_log.h"
 #include "graph/resilient_source.h"
 #include "util/random.h"
 
@@ -362,6 +363,52 @@ TEST(AuditRecovery, DrilledDesyncSelfHealsBitIdentically) {
   EXPECT_EQ(engine.QuarantinedDeltas(), 0u);
   EXPECT_TRUE(Capture(engine) == Capture(reference))
       << "self-recovery did not reproduce the clean run";
+}
+
+TEST(AuditRecovery, DrilledDesyncSelfHealsOverABinlogSource) {
+  // The engine hands G_0 to the tracker, so the rollback's rebuild gets
+  // it from an edge log source by decoding frame 0 again.
+  TempDir dir("avt-audit-binlog");
+  fs::create_directories(dir.path());
+  const std::string log = dir.path() + "/stream.avtb";
+  ChurnOptions churn;
+  churn.num_snapshots = 12;
+  churn.min_churn = 8;
+  churn.max_churn = 18;
+  ChurnSource generated(TestGraph(), churn, Rng(29));
+  ASSERT_TRUE(WriteEdgeLog(generated, log).ok());
+  auto open = [&log]() {
+    StatusOr<std::unique_ptr<MmapEdgeLogSource>> source =
+        MmapEdgeLogSource::Open(log);
+    EXPECT_TRUE(source.ok()) << source.status().ToString();
+    return std::move(source).value();
+  };
+  auto make_tracker = []() {
+    return std::make_unique<IncAvtTracker>(3, 3, IncAvtMode::kRestricted,
+                                           IncAvtOptions{});
+  };
+
+  AvtEngine reference(make_tracker(), open());
+  ASSERT_TRUE(reference.Drain().ok());
+
+  EngineOptions options;
+  options.audit.every = 2;
+  AvtEngine engine(make_tracker(), open(), options);
+  engine.SetTrackerFactory(make_tracker);
+  DurabilityOptions durability;
+  durability.dir = dir.path() + "/durable";
+  ASSERT_TRUE(engine.EnableDurability(durability).ok());
+  engine.SetObserver([&engine](const AvtSnapshotResult& snap) {
+    if (snap.t == 5) engine.RequestAuditFaultDrill();
+  });
+  Status status = engine.Drain();
+  ASSERT_TRUE(status.ok()) << status.ToString();
+
+  EXPECT_EQ(engine.Recoveries(), 1u);
+  EXPECT_EQ(engine.auditor().audits_failed(), 1u);
+  EXPECT_EQ(engine.health().reason(), HealthReason::kAuditRecovered);
+  EXPECT_TRUE(Capture(engine) == Capture(reference))
+      << "self-recovery over the binlog did not reproduce the clean run";
 }
 
 TEST(AuditRecovery, WithoutRollbackMachineryHaltsWithCorruption) {

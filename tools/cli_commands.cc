@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <memory>
+#include <string>
 
 #include "anchor/anchored_core.h"
 #include "anchor/brute_force.h"
@@ -75,17 +77,65 @@ bool ReadIntFlag(const Flags& flags, const char* name, T fallback,
   errno = 0;
   const long long parsed = std::strtoll(text.c_str(), &end, 10);
   if (end == text.c_str() || *end != '\0' || errno == ERANGE ||
-      parsed < min || static_cast<uint64_t>(parsed) > max) {
-    std::fprintf(err,
-                 "error: --%s must be a %s integer (at most %llu, got "
-                 "'%s')\n",
-                 name, min > 0 ? "positive" : "non-negative",
-                 static_cast<unsigned long long>(max), text.c_str());
+      parsed < min || (parsed > 0 && static_cast<uint64_t>(parsed) > max)) {
+    const std::string kind =
+        min > 0    ? "a positive integer"
+        : min == 0 ? "a non-negative integer"
+        : min == std::numeric_limits<int64_t>::min()
+            ? "an integer"
+            : "an integer of at least " + std::to_string(min);
+    std::fprintf(err, "error: --%s must be %s (at most %llu, got '%s')\n",
+                 name, kind.c_str(), static_cast<unsigned long long>(max),
+                 text.c_str());
     return false;
   }
   *value = static_cast<T>(parsed);
   return true;
 }
+
+// Bounds for ReadDoubleFlag: [lo, hi], either end optionally open.
+constexpr double kNoBound = std::numeric_limits<double>::infinity();
+struct Interval {
+  double lo;
+  double hi = kNoBound;
+  bool lo_open = false;
+  bool hi_open = false;
+};
+
+// ReadIntFlag's twin for floating-point flags: a value that does not
+// parse or falls outside `range` is rejected with a one-line error
+// naming the flag; the caller exits 2.
+bool ReadDoubleFlag(const Flags& flags, const char* name, double fallback,
+                    FILE* err, double* value, const Interval& range) {
+  if (!flags.Has(name)) {
+    *value = fallback;
+    return true;
+  }
+  const std::string text = flags.GetString(name, "");
+  char* end = nullptr;
+  errno = 0;
+  const double parsed = std::strtod(text.c_str(), &end);
+  const bool in_range = (range.lo_open ? parsed > range.lo
+                                       : parsed >= range.lo) &&
+                        (range.hi_open ? parsed < range.hi
+                                       : parsed <= range.hi);
+  if (end == text.c_str() || *end != '\0' || errno == ERANGE || !in_range) {
+    std::fprintf(err,
+                 "error: --%s must be a number in %c%g, %g%c (got '%s')\n",
+                 name, range.lo_open ? '(' : '[', range.lo, range.hi,
+                 range.hi_open || std::isinf(range.hi) ? ')' : ']',
+                 text.c_str());
+    return false;
+  }
+  *value = parsed;
+  return true;
+}
+
+constexpr Interval kNonNegative{0.0};
+constexpr Interval kProbability{0.0, 1.0};
+constexpr Interval kRate{0.0, 1.0, false, true};            // [0, 1)
+constexpr Interval kPowerLawExponent{1.0, kNoBound, true};  // (1, inf)
+constexpr Interval kPositive{0.0, kNoBound, true};          // (0, inf)
 
 // Loads the graph named by the first positional argument. Returns 0 on
 // success, else the exit code the command should return.
@@ -133,9 +183,22 @@ bool ParseAlgorithm(const std::string& name, AvtAlgorithm* algorithm) {
 int RunGenCommand(const Flags& flags, FILE* out, FILE* err) {
   const std::string model = flags.GetString("model", "chung-lu");
   VertexId n = 0;
-  if (!ReadIntFlag(flags, "n", VertexId{1000}, err, &n)) return 2;
-  const double avg_degree = flags.GetDouble("avg-degree", 6.0);
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
+  uint64_t seed = 0;
+  uint32_t max_degree = 0, communities = 0;
+  double avg_degree = 0, alpha = 0, beta = 0, p_intra = 0;
+  if (!ReadIntFlag(flags, "n", VertexId{1000}, err, &n) ||
+      !ReadIntFlag(flags, "seed", uint64_t{42}, err, &seed) ||
+      !ReadIntFlag(flags, "max-degree",
+                   static_cast<uint32_t>(std::max<VertexId>(n / 20, 16)),
+                   err, &max_degree, 1) ||
+      !ReadIntFlag(flags, "communities", uint32_t{8}, err, &communities, 1) ||
+      !ReadDoubleFlag(flags, "avg-degree", 6.0, err, &avg_degree,
+                      kNonNegative) ||
+      !ReadDoubleFlag(flags, "alpha", 2.2, err, &alpha, kPowerLawExponent) ||
+      !ReadDoubleFlag(flags, "beta", 0.2, err, &beta, kProbability) ||
+      !ReadDoubleFlag(flags, "p-intra", 0.8, err, &p_intra, kProbability)) {
+    return 2;
+  }
   const std::string path = flags.GetString("out", "");
   if (path.empty()) {
     std::fprintf(err, "error: --out=<path> is required\n");
@@ -145,10 +208,7 @@ int RunGenCommand(const Flags& flags, FILE* out, FILE* err) {
   Rng rng(seed);
   Graph g;
   if (model == "chung-lu") {
-    g = ChungLuPowerLaw(n, avg_degree, flags.GetDouble("alpha", 2.2),
-                        static_cast<uint32_t>(flags.GetInt(
-                            "max-degree", std::max<int64_t>(n / 20, 16))),
-                        rng);
+    g = ChungLuPowerLaw(n, avg_degree, alpha, max_degree, rng);
   } else if (model == "er") {
     g = ErdosRenyi(
         n, static_cast<uint64_t>(avg_degree * static_cast<double>(n) / 2),
@@ -163,18 +223,14 @@ int RunGenCommand(const Flags& flags, FILE* out, FILE* err) {
     g = WattsStrogatz(n,
                       static_cast<uint32_t>(std::max<int64_t>(
                           2, static_cast<int64_t>(avg_degree))),
-                      flags.GetDouble("beta", 0.2), rng);
+                      beta, rng);
   } else if (model == "config") {
-    g = ConfigurationModel(n, avg_degree, flags.GetDouble("alpha", 2.2),
-                           static_cast<uint32_t>(flags.GetInt(
-                               "max-degree",
-                               std::max<int64_t>(n / 20, 16))),
-                           rng);
+    g = ConfigurationModel(n, avg_degree, alpha, max_degree, rng);
   } else if (model == "sbm") {
     g = PlantedPartition(
-        n, static_cast<uint32_t>(flags.GetInt("communities", 8)),
+        n, communities,
         static_cast<uint64_t>(avg_degree * static_cast<double>(n) / 2),
-        flags.GetDouble("p-intra", 0.8), rng);
+        p_intra, rng);
   } else {
     std::fprintf(err,
                  "error: unknown --model '%s' (chung-lu, er, ba, ws, "
@@ -277,10 +333,14 @@ int RunAnchorsCommand(const Flags& flags, FILE* out, FILE* err) {
 int RunTrackCommand(const Flags& flags, FILE* out, FILE* err) {
   uint32_t k = 0, l = 0, window = 0;
   size_t T = 0;
+  uint64_t seed = 0;
+  double scale = 0;
   if (!ReadIntFlag(flags, "k", uint32_t{3}, err, &k) ||
       !ReadIntFlag(flags, "l", uint32_t{5}, err, &l) ||
       !ReadIntFlag(flags, "t", size_t{10}, err, &T) ||
-      !ReadIntFlag(flags, "window", uint32_t{45}, err, &window)) {
+      !ReadIntFlag(flags, "window", uint32_t{45}, err, &window) ||
+      !ReadIntFlag(flags, "seed", uint64_t{42}, err, &seed) ||
+      !ReadDoubleFlag(flags, "scale", 0.25, err, &scale, kPositive)) {
     return 2;
   }
   const std::string algo = flags.GetString("algo", "incavt");
@@ -299,9 +359,7 @@ int RunTrackCommand(const Flags& flags, FILE* out, FILE* err) {
   const std::string temporal = flags.GetString("temporal", "");
   if (!dataset.empty()) {
     const DatasetInfo& info = DatasetByName(dataset);
-    sequence = MakeDatasetSnapshots(
-        info, flags.GetDouble("scale", 0.25), T,
-        static_cast<uint64_t>(flags.GetInt("seed", 42)));
+    sequence = MakeDatasetSnapshots(info, scale, T, seed);
   } else if (!temporal.empty()) {
     auto log = LoadTemporalEdgeList(temporal);
     if (!log.ok()) {
@@ -371,6 +429,50 @@ int RunStreamCommand(const Flags& flags, FILE* out, FILE* err) {
       !ReadIntFlag(flags, "max-universe", VertexId{0}, err, &max_universe)) {
     return 2;
   }
+  // Generator and dataset shape (--source=gen, --source=sequence).
+  uint64_t seed = 0;
+  uint32_t max_degree = 0, churn_min = 0, churn_max = 0;
+  double avg_degree = 0, alpha = 0, scale = 0;
+  if (!ReadIntFlag(flags, "seed", uint64_t{42}, err, &seed) ||
+      !ReadIntFlag(flags, "max-degree",
+                   static_cast<uint32_t>(std::max<VertexId>(n / 20, 16)),
+                   err, &max_degree, 1) ||
+      !ReadIntFlag(flags, "churn-min", uint32_t{100}, err, &churn_min) ||
+      !ReadIntFlag(flags, "churn-max", uint32_t{250}, err, &churn_max) ||
+      !ReadDoubleFlag(flags, "avg-degree", 6.0, err, &avg_degree,
+                      kNonNegative) ||
+      !ReadDoubleFlag(flags, "alpha", 2.2, err, &alpha, kPowerLawExponent) ||
+      !ReadDoubleFlag(flags, "scale", 0.25, err, &scale, kPositive)) {
+    return 2;
+  }
+  if (churn_min > churn_max) {
+    std::fprintf(err, "error: --churn-min (%u) exceeds --churn-max (%u)\n",
+                 churn_min, churn_max);
+    return 2;
+  }
+  // Fault-injection, breaker, poison, audit and drill knobs.
+  uint64_t fault_seed = 0, poison_seed = 0, audit_seed = 0,
+           breaker_cooldown = 0;
+  uint32_t breaker_window = 0;
+  int64_t fault_corrupt_after = 0, corrupt_state_after = 0;
+  double fault_rate = 0, poison_rate = 0, breaker_threshold = 0;
+  if (!ReadIntFlag(flags, "fault-seed", uint64_t{1}, err, &fault_seed) ||
+      !ReadIntFlag(flags, "poison-seed", uint64_t{99}, err, &poison_seed) ||
+      !ReadIntFlag(flags, "audit-seed", uint64_t{0x5eed}, err, &audit_seed) ||
+      !ReadIntFlag(flags, "breaker-window", uint32_t{8}, err,
+                   &breaker_window, 1) ||
+      !ReadIntFlag(flags, "breaker-cooldown", uint64_t{16}, err,
+                   &breaker_cooldown, 1) ||
+      !ReadIntFlag(flags, "fault-corrupt-after", int64_t{-1}, err,
+                   &fault_corrupt_after, -1) ||
+      !ReadIntFlag(flags, "corrupt-state-after", int64_t{-1}, err,
+                   &corrupt_state_after) ||
+      !ReadDoubleFlag(flags, "fault-rate", 0.0, err, &fault_rate, kRate) ||
+      !ReadDoubleFlag(flags, "poison-rate", 0.0, err, &poison_rate, kRate) ||
+      !ReadDoubleFlag(flags, "breaker-threshold", 0.5, err,
+                      &breaker_threshold, {0.0, 1.0, true})) {
+    return 2;
+  }
 
   const std::string checkpoint_dir = flags.GetString("checkpoint-dir", "");
   const bool resume = flags.GetBool("resume", false);
@@ -393,18 +495,6 @@ int RunStreamCommand(const Flags& flags, FILE* out, FILE* err) {
     return 2;
   }
 
-  // Fault-injection / retry flags (graph/resilient_source.h). A
-  // nonzero --fault-rate (or an explicit --fault-corrupt-after) wraps
-  // the source in FaultInjectingSource + RetryingSource: transient
-  // faults are absorbed with bounded backoff, corruption surfaces as
-  // exit 4.
-  const double fault_rate = flags.GetDouble("fault-rate", 0.0);
-  if (fault_rate < 0.0 || fault_rate >= 1.0) {
-    std::fprintf(err, "error: --fault-rate must be in [0, 1) (got '%s')\n",
-                 flags.GetString("fault-rate", "").c_str());
-    return 2;
-  }
-
   // Self-healing flags (core/health.h, docs/DURABILITY.md): cadenced
   // integrity audits, the poison-delta quarantine, the source circuit
   // breaker, and the corruption drill.
@@ -416,12 +506,6 @@ int RunStreamCommand(const Flags& flags, FILE* out, FILE* err) {
     return 2;
   }
   const std::string quarantine_dir = flags.GetString("quarantine-dir", "");
-  const double poison_rate = flags.GetDouble("poison-rate", 0.0);
-  if (poison_rate < 0.0 || poison_rate >= 1.0) {
-    std::fprintf(err, "error: --poison-rate must be in [0, 1) (got '%s')\n",
-                 flags.GetString("poison-rate", "").c_str());
-    return 2;
-  }
   const bool breaker = flags.GetBool("breaker", false);
   if (!breaker && (flags.Has("breaker-window") ||
                    flags.Has("breaker-threshold") ||
@@ -431,13 +515,8 @@ int RunStreamCommand(const Flags& flags, FILE* out, FILE* err) {
                  "--breaker-cooldown need --breaker\n");
     return 2;
   }
-  const int64_t corrupt_state_after =
-      flags.Has("corrupt-state-after")
-          ? flags.GetInt("corrupt-state-after", -1)
-          : -1;
   if (flags.Has("corrupt-state-after") &&
-      (corrupt_state_after < 0 || checkpoint_dir.empty() ||
-       audit_every == 0)) {
+      (checkpoint_dir.empty() || audit_every == 0)) {
     std::fprintf(err,
                  "error: --corrupt-state-after needs a non-negative "
                  "transaction index, --checkpoint-dir, and --audit-every "
@@ -473,16 +552,21 @@ int RunStreamCommand(const Flags& flags, FILE* out, FILE* err) {
         return 2;
       }
       TemporalFileMetadata meta;
-      meta.t_min = flags.GetInt("meta-tmin", 0);
-      meta.t_max = flags.GetInt("meta-tmax", 0);
-      const int64_t vertices = flags.GetInt("meta-vertices", -1);
-      if (vertices <= 0 || meta.t_max < meta.t_min) {
-        std::fprintf(err,
-                     "error: stream metadata needs --meta-vertices > 0 and "
-                     "--meta-tmax >= --meta-tmin\n");
+      constexpr int64_t kAnyTime = std::numeric_limits<int64_t>::min();
+      if (!ReadIntFlag(flags, "meta-tmin", int64_t{0}, err, &meta.t_min,
+                       kAnyTime) ||
+          !ReadIntFlag(flags, "meta-tmax", int64_t{0}, err, &meta.t_max,
+                       kAnyTime) ||
+          !ReadIntFlag(flags, "meta-vertices", VertexId{0}, err,
+                       &meta.num_vertices, 1)) {
         return 2;
       }
-      meta.num_vertices = static_cast<VertexId>(vertices);
+      if (meta.t_max < meta.t_min) {
+        std::fprintf(err,
+                     "error: stream metadata needs --meta-tmax >= "
+                     "--meta-tmin\n");
+        return 2;
+      }
       opened = StreamingEdgeFileSource::Open(temporal, T, window, meta);
     } else {
       opened = StreamingEdgeFileSource::Open(temporal, T, window);
@@ -508,18 +592,12 @@ int RunStreamCommand(const Flags& flags, FILE* out, FILE* err) {
     }
     source = std::move(opened).value();
   } else if (kind == "gen") {
-    Rng rng(static_cast<uint64_t>(flags.GetInt("seed", 42)));
-    Graph initial = ChungLuPowerLaw(
-        n, flags.GetDouble("avg-degree", 6.0), flags.GetDouble("alpha", 2.2),
-        static_cast<uint32_t>(flags.GetInt(
-            "max-degree", std::max<int64_t>(n / 20, 16))),
-        rng);
+    Rng rng(seed);
+    Graph initial = ChungLuPowerLaw(n, avg_degree, alpha, max_degree, rng);
     ChurnOptions churn;
     churn.num_snapshots = T;
-    churn.min_churn =
-        static_cast<uint32_t>(flags.GetInt("churn-min", 100));
-    churn.max_churn =
-        static_cast<uint32_t>(flags.GetInt("churn-max", 250));
+    churn.min_churn = churn_min;
+    churn.max_churn = churn_max;
     source = std::make_unique<ChurnSource>(std::move(initial), churn, rng);
   } else if (kind == "sequence") {
     const std::string dataset = flags.GetString("dataset", "");
@@ -529,9 +607,7 @@ int RunStreamCommand(const Flags& flags, FILE* out, FILE* err) {
       return 2;
     }
     const DatasetInfo& info = DatasetByName(dataset);
-    sequence = MakeDatasetSnapshots(
-        info, flags.GetDouble("scale", 0.25), T,
-        static_cast<uint64_t>(flags.GetInt("seed", 42)));
+    sequence = MakeDatasetSnapshots(info, scale, T, seed);
     source = std::make_unique<SequenceSource>(&sequence);
   } else {
     std::fprintf(err,
@@ -540,11 +616,16 @@ int RunStreamCommand(const Flags& flags, FILE* out, FILE* err) {
                  kind.c_str());
     return 2;
   }
+  // Fault-injection / retry flags (graph/resilient_source.h). A
+  // nonzero --fault-rate (or an explicit --fault-corrupt-after) wraps
+  // the source in FaultInjectingSource + RetryingSource: transient
+  // faults are absorbed with bounded backoff, corruption surfaces as
+  // exit 4.
   if (fault_rate > 0.0 || flags.Has("fault-corrupt-after")) {
     FaultInjectionOptions fault;
-    fault.seed = static_cast<uint64_t>(flags.GetInt("fault-seed", 1));
+    fault.seed = fault_seed;
     fault.transient_rate = fault_rate;
-    fault.corrupt_after = flags.GetInt("fault-corrupt-after", -1);
+    fault.corrupt_after = fault_corrupt_after;
     source = std::make_unique<FaultInjectingSource>(std::move(source), fault);
     RetryOptions retry;
     retry.max_retries = max_retries;
@@ -552,21 +633,9 @@ int RunStreamCommand(const Flags& flags, FILE* out, FILE* err) {
   }
   if (breaker) {
     CircuitBreakerOptions breaker_options;
-    breaker_options.window = static_cast<size_t>(
-        flags.GetInt("breaker-window", 8));
-    breaker_options.failure_threshold =
-        flags.GetDouble("breaker-threshold", 0.5);
-    breaker_options.cooldown_pulls = static_cast<size_t>(
-        flags.GetInt("breaker-cooldown", 16));
-    if (breaker_options.window == 0 ||
-        breaker_options.failure_threshold <= 0.0 ||
-        breaker_options.failure_threshold > 1.0 ||
-        breaker_options.cooldown_pulls == 0) {
-      std::fprintf(err,
-                   "error: --breaker-window/--breaker-cooldown must be "
-                   "positive and --breaker-threshold in (0, 1]\n");
-      return 2;
-    }
+    breaker_options.window = breaker_window;
+    breaker_options.failure_threshold = breaker_threshold;
+    breaker_options.cooldown_pulls = breaker_cooldown;
     source = std::make_unique<CircuitBreakerSource>(std::move(source),
                                                     breaker_options);
   }
@@ -579,7 +648,7 @@ int RunStreamCommand(const Flags& flags, FILE* out, FILE* err) {
     // deltas (dropping self-loops), which would silently launder the
     // poison before the engine ever saw it.
     PoisonInjectionOptions poison;
-    poison.seed = static_cast<uint64_t>(flags.GetInt("poison-seed", 99));
+    poison.seed = poison_seed;
     poison.poison_rate = poison_rate;
     auto poisoned = std::make_unique<PoisonInjectingSource>(
         std::move(source), poison);
@@ -595,8 +664,7 @@ int RunStreamCommand(const Flags& flags, FILE* out, FILE* err) {
   EngineOptions engine_options;
   engine_options.audit.every = audit_every;
   engine_options.audit.sample = audit_sample;
-  engine_options.audit.seed =
-      static_cast<uint64_t>(flags.GetInt("audit-seed", 0x5eed));
+  engine_options.audit.seed = audit_seed;
   engine_options.quarantine_dir = quarantine_dir;
   engine_options.max_universe = max_universe;
 
@@ -617,14 +685,14 @@ int RunStreamCommand(const Flags& flags, FILE* out, FILE* err) {
         ";algo=" + algo + ";coalesce=" + std::to_string(coalesce) +
         ";source=" + kind + ";t=" + std::to_string(T) +
         ";window=" + std::to_string(window) +
-        ";seed=" + std::to_string(flags.GetInt("seed", 42)) +
+        ";seed=" + std::to_string(seed) +
         ";temporal=" + flags.GetString("temporal", "") +
         ";binlog=" + flags.GetString("binlog", "") +
         ";dataset=" + flags.GetString("dataset", "") +
-        ";scale=" + std::to_string(flags.GetDouble("scale", 0.25)) +
+        ";scale=" + std::to_string(scale) +
         ";n=" + std::to_string(n) +
-        ";churn=" + std::to_string(flags.GetInt("churn-min", 100)) + "-" +
-        std::to_string(flags.GetInt("churn-max", 250));
+        ";churn=" + std::to_string(churn_min) + "-" +
+        std::to_string(churn_max);
     if (resume) {
       auto recovered = AvtEngine::Recover(std::move(tracker),
                                           std::move(source), engine_options,
@@ -767,8 +835,10 @@ int RunConvertCommand(const Flags& flags, FILE* out, FILE* err) {
   if (flags.positional().size() >= 2) {
     const std::string& text = flags.positional()[0];
     const std::string& binlog = flags.positional()[1];
-    const uint32_t index_every = static_cast<uint32_t>(
-        flags.GetInt("index-every", 64));
+    uint32_t index_every = 0;
+    if (!ReadIntFlag(flags, "index-every", uint32_t{64}, err, &index_every)) {
+      return 2;
+    }
     auto written =
         ConvertTemporalToEdgeLog(text, T, window, binlog, index_every);
     if (!written.ok()) {
