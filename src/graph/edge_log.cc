@@ -1,5 +1,6 @@
 #include "graph/edge_log.h"
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -168,6 +169,22 @@ StatusOr<std::unique_ptr<MappedFile>> MappedFile::Open(
   }
   std::fclose(in);
   return file;
+#endif
+}
+
+void MappedFile::Release(size_t begin, size_t end) const {
+#if defined(__unix__) || defined(__APPLE__)
+  if (!mapped_) return;
+  const size_t page = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
+  begin = begin / page * page;
+  end = std::min(end, size_) / page * page;
+  if (begin >= end) return;
+  // A read-only private mapping never dirties a page, so dropping one
+  // loses nothing. A failure only leaves the pages resident.
+  ::madvise(const_cast<uint8_t*>(data_) + begin, end - begin, MADV_DONTNEED);
+#else
+  (void)begin;
+  (void)end;
 #endif
 }
 
@@ -391,13 +408,21 @@ StatusOr<bool> EdgeLogReader::NextFrame(EdgeDelta* delta) {
   if (decoded.ok() && decoded.value()) {
     cursor_ = end;
     ++frame_index_;
+    // The decoded frame is in *delta: every page read past is spent.
+    map_->Release(released_, cursor_);
+    released_ = cursor_;
   }
   return decoded;
 }
 
 StatusOr<bool> EdgeLogReader::ReadInitialFrame(EdgeDelta* delta) const {
   size_t end = 0;
-  return DecodeFrame(EdgeLogLayout::kHeaderSize, 0, delta, &end);
+  StatusOr<bool> decoded =
+      DecodeFrame(EdgeLogLayout::kHeaderSize, 0, delta, &end);
+  // Frame 0 pages the cursor has already passed were faulted back in
+  // for this read only.
+  map_->Release(0, std::min(end, released_));
+  return decoded;
 }
 
 StatusOr<bool> EdgeLogReader::DecodeFrame(size_t offset,
@@ -470,6 +495,7 @@ Status EdgeLogReader::SeekToFrame(uint64_t index) {
     frame = entry * index_every_;
     offset = static_cast<size_t>(index_[entry]);
   }
+  const size_t start = offset;
   // Forward skip. A skipped frame's CRC is not reported here: NextFrame
   // reports it when the frame is decoded.
   const std::string_view bytes = map_->bytes(FrameRegionEnd());
@@ -493,6 +519,9 @@ Status EdgeLogReader::SeekToFrame(uint64_t index) {
   }
   cursor_ = offset;
   frame_index_ = frame;
+  // The skip read frame headers from `start` on: the next NextFrame
+  // releases those pages too.
+  released_ = std::min(released_, start);
   return Status::Ok();
 }
 

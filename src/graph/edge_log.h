@@ -74,6 +74,12 @@ class MappedFile {
 
   const uint8_t* data() const { return data_; }
   size_t size() const { return size_; }
+  /// Returns the pages from the one holding byte `begin` up to the
+  /// last one that ends at or before `end` to the kernel
+  /// (MADV_DONTNEED): they leave this process's resident set, and a
+  /// later read faults them back in from the file, so the bytes seen
+  /// never change. A no-op on the heap-buffer fallback.
+  void Release(size_t begin, size_t end) const;
   /// The first `size` bytes as a view (no copy).
   std::string_view bytes(size_t size) const {
     return std::string_view(reinterpret_cast<const char*>(data_), size);
@@ -154,7 +160,11 @@ class EdgeLogWriter {
 /// Random-access reader over a mapped edge log. NextFrame decodes
 /// frames in order straight out of the mapping (the only writes are
 /// into the caller's reused EdgeDelta, so steady-state pulls allocate
-/// nothing); SeekToFrame jumps via the sparse index.
+/// nothing); SeekToFrame jumps via the sparse index. The whole pages a
+/// NextFrame has read past are released from the process, so a drain
+/// keeps only the frame being read resident, not every page read so
+/// far; ReadInitialFrame, SeekToFrame and a second drain fault them
+/// back in.
 class EdgeLogReader {
  public:
   static StatusOr<std::unique_ptr<EdgeLogReader>> Open(
@@ -209,6 +219,7 @@ class EdgeLogReader {
   std::vector<uint64_t> index_;  // decoded seek index (finalized logs)
   size_t cursor_ = 0;            // byte offset of the next frame
   uint64_t frame_index_ = 0;     // frame number at cursor_
+  size_t released_ = 0;          // read and released up to here
 };
 
 /// Zero-copy pull-based DeltaSource over a binary edge log: frame 0 is

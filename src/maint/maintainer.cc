@@ -60,7 +60,7 @@ size_t CoreMaintainer::MemoryFootprint() const {
          scratch_.MemoryFootprint() + affected_mark_.MemoryFootprint() +
          bytes(affected_list_) + bytes(heap_) + bytes(visited_) +
          bytes(candidates_) + bytes(review_) + bytes(moved_) +
-         bytes(promoted_) + bytes(seeds_);
+         bytes(promoted_) + bytes(seeds_) + bytes(stash_);
 }
 
 void CoreMaintainer::RecountNeighbors(VertexId v) {
@@ -71,6 +71,7 @@ void CoreMaintainer::RecountNeighbors(VertexId v) {
     counts.core += cls == kInCore;
   }
   nbr_counts_[v] = counts;
+  stats_.adjacency_reads += graph_.Degree(v);
 }
 
 std::vector<VertexId> CoreMaintainer::CollectCandidates() const {
@@ -113,6 +114,7 @@ bool CoreMaintainer::InsertEdge(VertexId u, VertexId v) {
 void CoreMaintainer::RunInsertCascade(VertexId root, uint32_t level) {
   ++stats_.cascades;
   scratch_.Clear();
+  stash_.clear();
 
   // Forward pass in K-order position over level `level`, visiting only
   // affected vertices (root + vertices whose candidate degree turned
@@ -132,6 +134,13 @@ void CoreMaintainer::RunInsertCascade(VertexId root, uint32_t level) {
   push(order_.TagOf(root), root);
   scratch_.Mutable(root).flags |= kInHeap;
 
+  // A candidate's one walk of its adjacency records everything the rest
+  // of the cascade reads: its count of neighbors above `level`, and its
+  // level-`level` neighbors in list order (its stash segment, the only
+  // neighbors that can be candidates). Support needs no second scan:
+  // support(w) = above + candidate neighbors, and the candidates before
+  // w are exactly its deg-, while each later candidate credits w from
+  // its own walk.
   while (!heap.empty()) {
     std::pop_heap(heap.begin(), heap.end(), std::greater<HeapEntry>{});
     const VertexId w = heap.back().second;
@@ -145,31 +154,41 @@ void CoreMaintainer::RunInsertCascade(VertexId root, uint32_t level) {
                                    // later pushes can target it).
     slot.flags |= kCandidate;
     candidates_in_order.push_back(w);
+    const uint64_t tag = order_.TagOf(w);
+    const uint32_t at = OpenStash();
+    uint32_t above = 0;
     for (VertexId x : graph_.Neighbors(w)) {
-      if (order_.CoreOf(x) != level) continue;
-      if (!order_.Precedes(w, x)) continue;
+      const uint32_t core = order_.CoreOf(x);
+      if (core != level) {
+        above += core > level;
+        continue;
+      }
+      stash_.push_back(x);
+      if (order_.TagOf(x) < tag) {
+        if (HasFlag(x, kCandidate)) ++scratch_.Mutable(x).support;
+        continue;
+      }
       CascadeSlot& next = scratch_.Mutable(x);
-      if (next.flags & kCandidate) continue;
       ++next.count;  // deg-
       if (!(next.flags & kInHeap)) {
         next.flags |= kInHeap;
         push(order_.TagOf(x), x);
       }
     }
+    CloseStash(at);
+    stats_.adjacency_reads += graph_.Degree(w);
+    slot.support = slot.count + above;
+    slot.count = at;  // deg- is spent; the stash offset also ranks w
+                      // among the candidates in K-order
   }
 
-  // Elimination to fixpoint with exact support counts. Support of a
-  // candidate = neighbors already above `level` + surviving candidates.
-  // review_ is the FIFO (a head index, not a std::queue).
+  // Elimination to fixpoint. review_ is the FIFO (a head index, not a
+  // std::queue). An eliminated candidate's support is frozen from then
+  // on: above + candidate neighbors that outlive it.
   std::vector<VertexId>& review = review_;
   review.clear();
   for (VertexId w : candidates_in_order) {
-    uint32_t support = 0;
-    for (VertexId x : graph_.Neighbors(w)) {
-      if (order_.CoreOf(x) > level || HasFlag(x, kCandidate)) ++support;
-    }
-    scratch_.Mutable(w).support = support;
-    if (support <= level) review.push_back(w);
+    if (scratch_.Get(w).support <= level) review.push_back(w);
   }
   std::vector<VertexId>& eliminated_in_order = moved_;
   eliminated_in_order.clear();
@@ -181,19 +200,40 @@ void CoreMaintainer::RunInsertCascade(VertexId root, uint32_t level) {
                                          // but keep the check cheap.
     slot.flags = (slot.flags | kEliminated) & ~kCandidate;
     eliminated_in_order.push_back(w);
-    for (VertexId x : graph_.Neighbors(w)) {
+    const uint32_t end = StashEnd(slot.count);
+    for (uint32_t i = slot.count + 1; i < end; ++i) {
+      const VertexId x = stash_[i];
       if (!HasFlag(x, kCandidate)) continue;  // eliminated clears it
       if (--scratch_.Mutable(x).support <= level) review.push_back(x);
     }
   }
 
-  // Apply moves. Survivors rise to level+1, entering at the front in
-  // their original relative order (push front in reverse pop order).
+  // Exact deg+ from the stash, before any move (see the file comment):
+  // a survivor keeps above + the survivors after it, an eliminated
+  // vertex its frozen support, and an unmoved vertex gains its deg-,
+  // since each candidate before it lands after it.
   std::vector<VertexId>& promoted = promoted_;
   promoted.clear();
-  for (VertexId w : candidates_in_order) {
-    if (!HasFlag(w, kEliminated)) promoted.push_back(w);
+  for (VertexId w : visited) {
+    const CascadeSlot& slot = scratch_.Get(w);
+    if (slot.flags & kEliminated) {
+      order_.SetDegPlus(w, slot.support);
+    } else if (slot.flags & kCandidate) {
+      uint32_t deg_plus = slot.support;
+      const uint32_t end = StashEnd(slot.count);
+      for (uint32_t i = slot.count + 1; i < end; ++i) {
+        const CascadeSlot& other = scratch_.Get(stash_[i]);
+        deg_plus -= (other.flags & kCandidate) && other.count < slot.count;
+      }
+      order_.SetDegPlus(w, deg_plus);
+      promoted.push_back(w);
+    } else {
+      order_.IncrementDegPlus(w, static_cast<int32_t>(slot.count));
+    }
   }
+
+  // Apply moves. Survivors rise to level+1, entering at the front in
+  // their original relative order (push front in reverse pop order).
   const bool reclass = ChangesClass(level, level + 1);
   for (auto it = promoted.rbegin(); it != promoted.rend(); ++it) {
     order_.MoveToLevelFront(*it, level + 1);
@@ -203,6 +243,7 @@ void CoreMaintainer::RunInsertCascade(VertexId root, uint32_t level) {
         CountNeighbor(x, level, -1);
         CountNeighbor(x, level + 1, 1);
       }
+      stats_.adjacency_reads += graph_.Degree(*it);
     }
   }
   // Failed candidates move to the back of their level in elimination
@@ -211,16 +252,8 @@ void CoreMaintainer::RunInsertCascade(VertexId root, uint32_t level) {
     order_.MoveToLevelBack(w, level);
   }
 
-  // Refresh deg+ for everything whose later-neighbor set may have
-  // changed: exactly the visited vertices (a vertex not visited has no
-  // moved neighbor that crossed from before to after it). Every moved
-  // vertex was visited, so this also refreshes the verdict bytes of the
-  // vertices whose core changed.
-  for (VertexId w : visited) {
-    order_.RecomputeDegPlus(graph_, w);
-    RefreshCandidate(w);
-  }
-  stats_.degplus_recounts += visited.size();
+  // Every vertex whose deg+ or core changed was visited.
+  for (VertexId w : visited) RefreshCandidate(w);
 }
 
 bool CoreMaintainer::RemoveEdge(VertexId u, VertexId v) {
@@ -256,18 +289,32 @@ bool CoreMaintainer::RemoveEdge(VertexId u, VertexId v) {
 void CoreMaintainer::RunRemoveCascade(const std::vector<VertexId>& seeds,
                                       uint32_t level) {
   scratch_.Clear();
+  stash_.clear();
 
   // cd(w): number of neighbors currently supporting w at `level`, i.e.
   // with effective core >= level, where already-dropped vertices count as
-  // level-1. Computed lazily on first touch.
+  // level-1. Computed lazily on first touch, by the one walk of w's
+  // adjacency the cascade makes; it also stashes w's level-`level`
+  // neighbors (the only ones a drop can reach), whose segment offset
+  // `support` keeps.
   auto touch = [&](VertexId w) {
     CascadeSlot& slot = scratch_.Mutable(w);
     if (slot.flags & kCdSet) return;
+    const uint32_t at = OpenStash();
     uint32_t count = 0;
     for (VertexId x : graph_.Neighbors(w)) {
-      if (order_.CoreOf(x) >= level && !HasFlag(x, kDropped)) ++count;
+      const uint32_t core = order_.CoreOf(x);
+      if (core < level) continue;
+      if (core == level) {
+        stash_.push_back(x);
+        if (HasFlag(x, kDropped)) continue;
+      }
+      ++count;
     }
+    CloseStash(at);
+    stats_.adjacency_reads += graph_.Degree(w);
     slot.count = count;
+    slot.support = at;
     slot.flags |= kCdSet;
   };
 
@@ -279,6 +326,8 @@ void CoreMaintainer::RunRemoveCascade(const std::vector<VertexId>& seeds,
     if (scratch_.Get(s).count < level) review.push_back(s);
   }
 
+  // A dropped vertex's cd is frozen from its drop on. Its stash segment
+  // is read by index: touch() appends to stash_ inside the loop.
   std::vector<VertexId>& dropped_in_order = moved_;
   dropped_in_order.clear();
   for (size_t head = 0; head < review.size(); ++head) {
@@ -289,8 +338,10 @@ void CoreMaintainer::RunRemoveCascade(const std::vector<VertexId>& seeds,
     slot.flags |= kDropped;
     dropped_in_order.push_back(w);
     MarkAffected(w);
-    for (VertexId x : graph_.Neighbors(w)) {
-      if (order_.CoreOf(x) != level || HasFlag(x, kDropped)) continue;
+    const uint32_t end = StashEnd(slot.support);
+    for (uint32_t i = slot.support + 1; i < end; ++i) {
+      const VertexId x = stash_[i];
+      if (HasFlag(x, kDropped)) continue;
       if (HasFlag(x, kCdSet)) {
         --scratch_.Mutable(x).count;
       } else {
@@ -306,19 +357,24 @@ void CoreMaintainer::RunRemoveCascade(const std::vector<VertexId>& seeds,
   // Exact deg+ before any move: a kept level-`level` neighbor x loses a
   // dropped w from its later set iff x precedes w, since w lands below
   // all of level `level`; every other neighbor keeps its side of w.
-  // The same neighbor walk re-classes w in its neighbors' counters when
-  // its drop crosses the k-2 | k-1 | k boundary (dropped neighbors are
-  // still at `level` here, so a drop out of the k-core skips them; they
-  // are recounted below).
+  // Those x are in w's stash. A drop across the k-2 | k-1 | k boundary
+  // re-classes w in its neighbors' counters with a full walk (dropped
+  // neighbors are still at `level` here, so a drop out of the k-core
+  // skips them; they are recounted below).
   const bool reclass = ChangesClass(level, level - 1);
   for (VertexId w : dropped_in_order) {
-    for (VertexId x : graph_.Neighbors(w)) {
-      if (reclass) {
+    if (reclass) {
+      for (VertexId x : graph_.Neighbors(w)) {
         CountNeighbor(x, level, -1);
         CountNeighbor(x, level - 1, 1);
       }
-      if (order_.CoreOf(x) == level && !HasFlag(x, kDropped) &&
-          order_.Precedes(x, w)) {
+      stats_.adjacency_reads += graph_.Degree(w);
+    }
+    const uint32_t at = scratch_.Get(w).support;
+    const uint32_t end = StashEnd(at);
+    for (uint32_t i = at + 1; i < end; ++i) {
+      const VertexId x = stash_[i];
+      if (!HasFlag(x, kDropped) && order_.Precedes(x, w)) {
         order_.IncrementDegPlus(x, -1);
         RefreshCandidate(x);
       }
@@ -326,20 +382,21 @@ void CoreMaintainer::RunRemoveCascade(const std::vector<VertexId>& seeds,
   }
   // Dropped vertices join the back of level-1 in drop order (valid: at
   // drop time each had < level supporters counting later-dropped ones).
+  // A dropped vertex's later set is then exactly the cd it dropped
+  // with: its kept neighbors at core >= level plus the neighbors
+  // dropped after it. Once all have moved, those that just left the
+  // k-core start keeping neighbor counters, and core, deg+ and
+  // counters of w are final: refresh its verdict.
   for (VertexId w : dropped_in_order) {
     order_.MoveToLevelBack(w, level - 1);
+    order_.SetDegPlus(w, scratch_.Get(w).count);
     ++stats_.demotions;
   }
-  // Only the dropped vertices' own later sets need a recount; those
-  // that just left the k-core also start keeping neighbor counters.
-  // Core, deg+ and counters of w are now final: refresh its verdict.
   const bool left_core = counter_k_ > 0 && level == counter_k_;
   for (VertexId w : dropped_in_order) {
-    order_.RecomputeDegPlus(graph_, w);
     if (left_core) RecountNeighbors(w);
     RefreshCandidate(w);
   }
-  stats_.degplus_recounts += dropped_in_order.size();
 }
 
 const std::vector<VertexId>& CoreMaintainer::ApplyDelta(

@@ -21,28 +21,45 @@
 // of level K+1. Eliminated vertices move to the back of level K in
 // elimination order, which provably restores deg+(v) <= core(v).
 //
+// The cascade walks a candidate's adjacency once, when it is popped. The
+// walk counts `above` (neighbors at core > K), pushes the later level-K
+// neighbors (their deg-), credits each earlier candidate neighbor's
+// support by one, and appends every level-K neighbor, in list order, to
+// a per-cascade stash. So support(w) = above + deg-(w) + the credits of
+// later candidates, with no second scan; elimination walks w's stash
+// (every candidate is at level K), in the same order as a full walk.
+// deg+ then follows without a recount. A survivor sits at the front of
+// K+1, so its later set is `above` plus the survivors after it among
+// its stash. An eliminated vertex's support froze when it fell: above
+// plus the candidates that outlived it, which is exactly its later set
+// at the back of level K. An unmoved vertex gains one later neighbor
+// per candidate before it, i.e. its deg-.
+//
 // Deletion cascade ("EdgeRemove"). Only vertices at level K = min endpoint
 // core can drop, by exactly one level. Starting from the endpoints, a
 // vertex drops when its current-core degree (the paper's max-core degree,
 // Definition 6) falls below K; drops propagate to level-K neighbors.
-// Dropped vertices move to the back of level K-1 in drop order. deg+
-// stays exact without a neighborhood recount: a dropped vertex w leaves
-// the later set of a kept level-K neighbor x iff x preceded w (w ends
-// up below all of level K), and every other neighbor keeps its relative
-// position to w, so the cascade decrements those x and recounts only
-// the dropped vertices themselves.
+// Dropped vertices move to the back of level K-1 in drop order. The
+// first touch of a vertex walks its adjacency once for that degree, cd,
+// and stashes its level-K neighbors; drop propagation reads the stash.
+// deg+ stays exact without a neighborhood recount: a dropped vertex w
+// leaves the later set of a kept level-K neighbor x iff x preceded w (w
+// ends up below all of level K), and every other neighbor keeps its
+// relative position to w, so the cascade decrements those x (from w's
+// stash). w's own later set is the cd it dropped with: its kept
+// neighbors at core >= K plus the neighbors dropped after it.
 //
 // Theorem-3 neighbor counters. Reset(graph, k) with k > 0 also keeps,
 // per vertex x outside the k-core, the number of neighbors at core k-1
 // (shell) and at core >= k (core) in one 8-byte record. Each edge
 // operation adjusts its endpoints in O(1); a cascade that moves a
 // vertex across the k-2 | k-1 | k class boundary re-classes it in its
-// neighbors' records in O(deg), which the cascade already pays. k-core
-// members keep no live counts (Theorem 3 rejects them without one): a
-// vertex that drops out of the k-core is recounted in O(deg) next to
-// its deg+ recount, so neither the fill nor any update has to visit
-// the dense k-core's adjacency. The counters and deg+ then decide
-// Theorem 3 (anchor/candidates.h) without a neighbor scan:
+// neighbors' records with one more O(deg) walk. k-core members keep no
+// live counts (Theorem 3 rejects them without one): a vertex that drops
+// out of the k-core is recounted in O(deg) once the drops have moved,
+// so neither the fill nor any update has to visit the dense k-core's
+// adjacency. The counters and deg+ then decide Theorem 3
+// (anchor/candidates.h) without a neighbor scan:
 //   core(x) >= k:   never a candidate;
 //   core(x) <  k-1: every level-(k-1) vertex follows x in the K-order,
 //                   so x qualifies iff shell(x) > 0;
@@ -56,9 +73,9 @@
 // above wherever one of its inputs changes for a vertex: its counters
 // (the per-edge and re-class updates, the recount after leaving the
 // k-core), its deg+ (the Lemma-1 endpoint of every edge operation, the
-// removal cascade's kept-neighbor decrement, both cascades' deg+
-// recounts) and its core (every moved vertex is among the recounted
-// ones, so the recount loops refresh it after its move).
+// removal cascade's kept-neighbor decrement, the deg+ both cascades set
+// for the vertices they visit or drop) and its core (every moved vertex
+// is visited or dropped, so the final loops refresh it after its move).
 //
 // After every edge operation the index satisfies the full invariant suite
 // of corelib/invariants.h; randomized differential tests in
@@ -86,7 +103,9 @@ struct MaintenanceStats {
   uint64_t demotions = 0;    // vertices whose core fell
   uint64_t visited = 0;      // vertices examined by cascades
   uint64_t cascades = 0;     // operations that triggered a cascade
-  uint64_t degplus_recounts = 0;  // full deg+ neighbor recounts
+  uint64_t adjacency_reads = 0;   // adjacency-list entries the cascades
+                                  // read (one walk per cascade vertex,
+                                  // plus re-class and recount walks)
 
   void Reset() { *this = MaintenanceStats{}; }
 };
@@ -182,9 +201,11 @@ class CoreMaintainer {
     uint32_t core = 0;
   };
   /// Per-vertex cascade scratch, one epoch-stamped record. Insertion
-  /// uses `count` as deg- (candidate neighbors before the vertex) and
-  /// `support` as the elimination support; removal uses `count` as cd
-  /// (current-core degree), valid once kCdSet is set.
+  /// uses `count` as deg- (candidate neighbors before the vertex) until
+  /// a candidate is popped, then as the offset of its stash segment,
+  /// and `support` as the elimination support; removal uses `count` as
+  /// cd (current-core degree) and `support` as the stash offset, both
+  /// valid once kCdSet is set.
   struct CascadeSlot {
     uint32_t count = 0;
     uint32_t support = 0;
@@ -216,6 +237,20 @@ class CoreMaintainer {
   void RefreshCandidate(VertexId x) {
     if (counter_k_ > 0) candidate_[x] = ComputeCandidate(x);
   }
+  /// Stash segments: a cascade vertex's one adjacency walk appends its
+  /// level neighbors to stash_ as [length][neighbors...], in list order.
+  /// OpenStash reserves the length word and returns its offset;
+  /// CloseStash fills it; StashEnd is one past the segment's last entry.
+  /// Segments are read by index, never by span: the removal cascade
+  /// appends while it reads.
+  uint32_t OpenStash() {
+    stash_.push_back(0);
+    return static_cast<uint32_t>(stash_.size() - 1);
+  }
+  void CloseStash(uint32_t at) {
+    stash_[at] = static_cast<VertexId>(stash_.size() - at - 1);
+  }
+  uint32_t StashEnd(uint32_t at) const { return at + 1 + stash_[at]; }
   void MarkAffected(VertexId v);
   bool HasFlag(VertexId v, uint32_t flag) const {
     return (scratch_.Get(v).flags & flag) != 0;
@@ -265,6 +300,7 @@ class CoreMaintainer {
   std::vector<VertexId> moved_;        // eliminated / dropped, in order
   std::vector<VertexId> promoted_;     // insertion survivors
   std::vector<VertexId> seeds_;        // RemoveEdge's cascade seeds
+  std::vector<VertexId> stash_;        // walked vertices' level neighbors
 
   // Batch-level affected set (valid during ApplyDelta).
   EpochArray<uint8_t> affected_mark_;

@@ -262,6 +262,58 @@ TEST(EdgeLog, SeekToFrameMatchesSequentialDecode) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(EdgeLog, ReleasedPagesReadBackAfterAFullDrain) {
+  // Frames of a few hundred bytes each over ~150 KiB: NextFrame hands
+  // the pages it has read past back to the kernel, so a later
+  // ReadInitialFrame, seek and second drain must fault them back in.
+  TempDir dir("release");
+  const std::string path = dir.path() + "/log.avtb";
+  Rng rng(29);
+  std::vector<EdgeDelta> frames;
+  for (int i = 0; i < 300; ++i) {
+    std::vector<Edge> ins, del;
+    for (int j = 0; j < 120; ++j) {
+      const VertexId u = static_cast<VertexId>(rng.Uniform(50000));
+      const VertexId v = static_cast<VertexId>(rng.Uniform(50000));
+      if (u != v) (i == 0 || j % 2 == 0 ? ins : del).push_back(Edge(u, v));
+    }
+    frames.push_back(MakeDelta(std::move(ins), std::move(del)));
+  }
+  const std::string bytes =
+      WriteLog(path, frames, /*index_every=*/16, /*finish=*/true);
+  ASSERT_GT(bytes.size(), size_t{32} * 4096);
+
+  auto fresh = EdgeLogReader::Open(path);
+  ASSERT_TRUE(fresh.ok());
+  Status status;
+  const std::vector<EdgeDelta> want = DrainReader(*fresh.value(), &status);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  ExpectSameFrames(want, frames, "fresh reader");
+
+  auto reader = EdgeLogReader::Open(path);
+  ASSERT_TRUE(reader.ok());
+  ExpectSameFrames(DrainReader(*reader.value(), &status), want, "drain");
+  ASSERT_TRUE(status.ok()) << status.ToString();
+
+  EdgeDelta initial;
+  auto decoded = reader.value()->ReadInitialFrame(&initial);
+  ASSERT_TRUE(decoded.ok() && decoded.value());
+  EXPECT_EQ(initial.insertions, want[0].insertions);
+  EXPECT_TRUE(initial.deletions.empty());
+
+  ASSERT_TRUE(reader.value()->SeekToFrame(0).ok());
+  ExpectSameFrames(DrainReader(*reader.value(), &status), want,
+                   "drain after SeekToFrame(0)");
+  ASSERT_TRUE(status.ok()) << status.ToString();
+
+  ASSERT_TRUE(reader.value()->SeekToFrame(150).ok());
+  EdgeDelta delta;
+  auto more = reader.value()->NextFrame(&delta);
+  ASSERT_TRUE(more.ok() && more.value());
+  EXPECT_EQ(delta.insertions, want[150].insertions);
+  EXPECT_EQ(delta.deletions, want[150].deletions);
+}
+
 TEST(EdgeLog, SeekWorksWithoutAnIndex) {
   TempDir dir("seek_noindex");
   const std::string path = dir.path() + "/log.avtb";

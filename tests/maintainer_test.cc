@@ -6,6 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <ostream>
+#include <string>
+#include <vector>
+
 #include "corelib/invariants.h"
 #include "gen/models.h"
 #include "util/random.h"
@@ -273,6 +279,117 @@ TEST(MaintainerStats, CountersAdvance) {
   EXPECT_EQ(m.stats().edges_removed, 1u);
   EXPECT_GT(m.stats().demotions, 0u);
 }
+
+TEST(MaintainerStats, HubCandidateWalksItsAdjacencyOnce) {
+  // Hub 0 with 200 leaves sits at core 1; a K4 on 201..204 sits at
+  // core 3, after it in K-order. The hub's second edge into the K4
+  // lifts deg+(0) past its core: the cascade's only candidate is the
+  // hub (each leaf after it reaches deg+ + deg- = 1), which gains
+  // support from the two K4 neighbors and rises to core 2.
+  Graph g(205);
+  for (VertexId leaf = 1; leaf <= 200; ++leaf) g.AddEdge(0, leaf);
+  for (VertexId u = 201; u <= 204; ++u) {
+    for (VertexId v = u + 1; v <= 204; ++v) g.AddEdge(u, v);
+  }
+  CoreMaintainer m;
+  m.Reset(g);
+  ASSERT_EQ(m.CoreOf(0), 1u);
+  ASSERT_EQ(m.order().DegPlus(0), 0u);
+  ASSERT_TRUE(m.InsertEdge(0, 201));
+  ASSERT_EQ(m.stats().cascades, 0u);
+
+  m.ResetStats();
+  ASSERT_TRUE(m.InsertEdge(0, 202));
+  EXPECT_EQ(m.stats().cascades, 1u);
+  EXPECT_EQ(m.stats().promotions, 1u);
+  EXPECT_EQ(m.CoreOf(0), 2u);
+  // One walk of the hub's 202 entries; support, elimination and deg+
+  // read what that walk recorded.
+  EXPECT_EQ(m.stats().adjacency_reads, m.graph().Degree(0));
+  EXPECT_GE(m.graph().Degree(0), 200u);
+  ExpectConsistent(m, "hub promotion");
+}
+
+// K-order golden digest: the soak checks only that the maintained
+// K-order is a valid one; this pins that it is the same one. Seeded
+// hub-heavy churn (a third of the insertions touch one of the 20
+// highest-degree vertices) goes through ApplyDelta, and after every
+// delta FNV-1a folds the full order, then each vertex's deg+, core and
+// Theorem-3 verdict byte. A cascade that picks a different, equally
+// valid order (another elimination order, another front/back move)
+// changes the digest.
+struct GoldenCase {
+  const char* label;
+  int model;  // 0: BA(3000, 3); 1: Chung-Lu(3000, 6, alpha 2.0)
+  uint32_t k;
+  uint64_t digest;
+};
+
+void PrintTo(const GoldenCase& c, std::ostream* os) { *os << c.label; }
+
+class KOrderGoldenDigest : public ::testing::TestWithParam<GoldenCase> {};
+
+uint64_t FoldWord(uint64_t hash, uint32_t word) {
+  for (int byte = 0; byte < 4; ++byte) {
+    hash ^= (word >> (8 * byte)) & 0xFFu;
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+TEST_P(KOrderGoldenDigest, MatchesRecordedStream) {
+  const GoldenCase& c = GetParam();
+  constexpr VertexId kN = 3000;
+  Rng rng(0x60D5EED ^ c.model);
+  Graph g = c.model == 0 ? BarabasiAlbert(kN, 3, rng)
+                         : ChungLuPowerLaw(kN, 6.0, 2.0, 600, rng);
+  std::vector<VertexId> by_degree(kN);
+  std::iota(by_degree.begin(), by_degree.end(), VertexId{0});
+  std::stable_sort(by_degree.begin(), by_degree.end(),
+                   [&g](VertexId a, VertexId b) {
+                     return g.Degree(a) > g.Degree(b);
+                   });
+  const std::vector<VertexId> hubs(by_degree.begin(), by_degree.begin() + 20);
+
+  CoreMaintainer m;
+  m.Reset(g, c.k);
+  uint64_t digest = 0xcbf29ce484222325ULL;
+  for (int step = 0; step < 40; ++step) {
+    EdgeDelta delta;
+    for (int i = 0; i < 90; ++i) {
+      const VertexId u = i % 3 == 0 ? hubs[rng.Uniform(hubs.size())]
+                                    : static_cast<VertexId>(rng.Uniform(kN));
+      const VertexId v = static_cast<VertexId>(rng.Uniform(kN));
+      if (u != v) delta.insertions.push_back(Edge(u, v));
+    }
+    const std::vector<Edge> edges = m.graph().CollectEdges();
+    for (uint64_t i : rng.SampleDistinct(edges.size(), 90)) {
+      delta.deletions.push_back(edges[i]);
+    }
+    m.ApplyDelta(delta);
+    for (VertexId v : m.order().FullOrder()) digest = FoldWord(digest, v);
+    for (VertexId v = 0; v < kN; ++v) {
+      digest = FoldWord(digest, m.order().DegPlus(v));
+      digest = FoldWord(digest, m.CoreOf(v));
+      digest = FoldWord(digest, m.IsCandidate(v) ? 1u : 0u);
+    }
+  }
+  ExpectConsistent(m, c.label);
+  EXPECT_EQ(digest, c.digest)
+      << c.label << ": digest 0x" << std::hex << digest;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    HubChurn, KOrderGoldenDigest,
+    ::testing::Values(GoldenCase{"ba_k0", 0, 0, 0xf17a44c00148b177ULL},
+                      GoldenCase{"ba_k3", 0, 3, 0x06899b60039bf3b7ULL},
+                      GoldenCase{"ba_k5", 0, 5, 0x6015ad6ddbc77e07ULL},
+                      GoldenCase{"chung_lu_k0", 1, 0, 0xae07c4cdd05a8e7aULL},
+                      GoldenCase{"chung_lu_k3", 1, 3, 0x81743759bc57dcfbULL},
+                      GoldenCase{"chung_lu_k5", 1, 5, 0x66a50dbb0af18052ULL}),
+    [](const ::testing::TestParamInfo<GoldenCase>& param_info) {
+      return std::string(param_info.param.label);
+    });
 
 }  // namespace
 }  // namespace avt

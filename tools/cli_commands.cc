@@ -1,9 +1,6 @@
 #include "cli_commands.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <memory>
 #include <string>
@@ -19,6 +16,7 @@
 #include "corelib/coreness_history.h"
 #include "corelib/decomposition.h"
 #include "corelib/graph_stats.h"
+#include "flag_readers.h"
 #include "gen/churn.h"
 #include "gen/datasets.h"
 #include "gen/degree_sequence.h"
@@ -59,83 +57,6 @@ int ExitCodeFor(const Status& status) {
 // Exit code for a stream run that drained successfully but may have
 // degraded along the way (see above).
 constexpr int kExitDegraded = 6;
-
-// Reads integer flag --`name` into `*value` (`fallback` when absent).
-// A value that does not parse, is below `min`, or does not fit T is
-// rejected with a one-line error naming the flag; the caller exits 2.
-template <typename T>
-bool ReadIntFlag(const Flags& flags, const char* name, T fallback,
-                 FILE* err, T* value, int64_t min = 0) {
-  if (!flags.Has(name)) {
-    *value = fallback;
-    return true;
-  }
-  const std::string text = flags.GetString(name, "");
-  const uint64_t max = std::min<uint64_t>(
-      std::numeric_limits<T>::max(), std::numeric_limits<int64_t>::max());
-  char* end = nullptr;
-  errno = 0;
-  const long long parsed = std::strtoll(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0' || errno == ERANGE ||
-      parsed < min || (parsed > 0 && static_cast<uint64_t>(parsed) > max)) {
-    const std::string kind =
-        min > 0    ? "a positive integer"
-        : min == 0 ? "a non-negative integer"
-        : min == std::numeric_limits<int64_t>::min()
-            ? "an integer"
-            : "an integer of at least " + std::to_string(min);
-    std::fprintf(err, "error: --%s must be %s (at most %llu, got '%s')\n",
-                 name, kind.c_str(), static_cast<unsigned long long>(max),
-                 text.c_str());
-    return false;
-  }
-  *value = static_cast<T>(parsed);
-  return true;
-}
-
-// Bounds for ReadDoubleFlag: [lo, hi], either end optionally open.
-constexpr double kNoBound = std::numeric_limits<double>::infinity();
-struct Interval {
-  double lo;
-  double hi = kNoBound;
-  bool lo_open = false;
-  bool hi_open = false;
-};
-
-// ReadIntFlag's twin for floating-point flags: a value that does not
-// parse or falls outside `range` is rejected with a one-line error
-// naming the flag; the caller exits 2.
-bool ReadDoubleFlag(const Flags& flags, const char* name, double fallback,
-                    FILE* err, double* value, const Interval& range) {
-  if (!flags.Has(name)) {
-    *value = fallback;
-    return true;
-  }
-  const std::string text = flags.GetString(name, "");
-  char* end = nullptr;
-  errno = 0;
-  const double parsed = std::strtod(text.c_str(), &end);
-  const bool in_range = (range.lo_open ? parsed > range.lo
-                                       : parsed >= range.lo) &&
-                        (range.hi_open ? parsed < range.hi
-                                       : parsed <= range.hi);
-  if (end == text.c_str() || *end != '\0' || errno == ERANGE || !in_range) {
-    std::fprintf(err,
-                 "error: --%s must be a number in %c%g, %g%c (got '%s')\n",
-                 name, range.lo_open ? '(' : '[', range.lo, range.hi,
-                 range.hi_open || std::isinf(range.hi) ? ')' : ']',
-                 text.c_str());
-    return false;
-  }
-  *value = parsed;
-  return true;
-}
-
-constexpr Interval kNonNegative{0.0};
-constexpr Interval kProbability{0.0, 1.0};
-constexpr Interval kRate{0.0, 1.0, false, true};            // [0, 1)
-constexpr Interval kPowerLawExponent{1.0, kNoBound, true};  // (1, inf)
-constexpr Interval kPositive{0.0, kNoBound, true};          // (0, inf)
 
 // Loads the graph named by the first positional argument. Returns 0 on
 // success, else the exit code the command should return.

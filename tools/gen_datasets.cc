@@ -9,12 +9,15 @@
 // snapshots. Each dataset also gets a binary edge log
 // (<name>.avtb, graph/edge_log.h) holding the SAME delta stream —
 // `avt_cli stream --source=binlog --binlog=data/<name>.avtb` replays
-// it without any text parsing (pass --no-binlog to skip).
+// it without any text parsing (pass --no-binlog to skip). A --t below
+// 1, a --scale not above 0, or a value that does not parse exits 2
+// before anything is written.
 
 #include <cstdio>
 #include <filesystem>
 #include <string>
 
+#include "flag_readers.h"
 #include "gen/datasets.h"
 #include "graph/delta_source.h"
 #include "graph/edge_log.h"
@@ -26,9 +29,15 @@ using namespace avt;
 int main(int argc, char** argv) {
   Flags flags = Flags::Parse(argc, argv);
   const std::string dir = flags.GetString("dir", "data");
-  const double scale = flags.GetDouble("scale", 0.1);
-  const size_t T = static_cast<size_t>(flags.GetInt("t", 10));
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
+  double scale = 0;
+  size_t T = 0;
+  uint64_t seed = 0;
+  if (!cli::ReadDoubleFlag(flags, "scale", 0.1, stderr, &scale,
+                           cli::kPositive) ||
+      !cli::ReadIntFlag(flags, "t", size_t{10}, stderr, &T, 1) ||
+      !cli::ReadIntFlag(flags, "seed", uint64_t{42}, stderr, &seed)) {
+    return 2;
+  }
 
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
