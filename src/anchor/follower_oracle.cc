@@ -6,8 +6,8 @@
 namespace avt {
 
 void FollowerOracle::ResizeScratch() {
-  // Grow, never reset: appended slots carry a stale stamp, so a growing
-  // universe costs O(new vertices), not a rewrite of every record.
+  // Grow, never reset: a growing universe extends the bitmaps by
+  // O(new vertices) bits and leaves every table as it is.
   const size_t n = graph_->NumVertices();
   query_.Grow(n);
   base_.Grow(n);
@@ -43,7 +43,7 @@ template <typename Adjacency>
 uint32_t FollowerOracle::RunCascade(const Adjacency& adj,
                                     std::span<const VertexId> anchors,
                                     VertexId extra, uint32_t k,
-                                    EpochArray<CascadeState>& state,
+                                    SparseScratch<CascadeState>& state,
                                     std::vector<VertexId>& anchors_out,
                                     std::vector<VertexId>& visited_out,
                                     std::vector<VertexId>* candidates_out) {
@@ -146,8 +146,10 @@ uint32_t FollowerOracle::Eliminate(const Adjacency& adj, uint32_t k,
     ++stats_.eliminated;
     for (VertexId x : adj.Neighbors(w)) {
       constexpr uint8_t kMask = kCandidate | kEliminated | kAnchor;
-      if ((query_.Get(x).flags & kMask) != kCandidate) continue;
-      if (--query_.Mutable(x).support < k) review_.push_back(x);
+      if (!query_.Contains(x)) continue;
+      CascadeState& t = query_.Mutable(x);  // present: no insertion
+      if ((t.flags & kMask) != kCandidate) continue;
+      if (--t.support < k) review_.push_back(x);
     }
   }
 
@@ -208,7 +210,7 @@ template <bool kCheckDirty, typename Adjacency>
 int32_t FollowerOracle::MarginalUpperBoundImpl(const Adjacency& adj,
                                                VertexId x) {
   const uint32_t k = base_k_;
-  overlay_.Clear();  // probe reset: one epoch bump, no O(n) work
+  overlay_.Clear();  // probe reset: O(last probe's region), no O(n) work
   heap_.clear();
 
   const uint8_t x_flags = base_.Get(x).flags;
@@ -303,10 +305,10 @@ void FollowerOracle::BuildSwapReference(std::span<const VertexId> anchors,
     constexpr uint8_t kVisible = kAnchor | kCandidate;
     auto mark_if_differs = [&](VertexId v) {
       const CascadeState q = query_.Get(v);
-      CascadeState& b = base_.Mutable(v);
+      const CascadeState b = base_.Get(v);
       if (((b.flags ^ q.flags) & kVisible) || b.bump != q.bump ||
           b.deg_minus != q.deg_minus) {
-        b.flags |= kDirty;
+        base_.Mutable(v).flags |= kDirty;
       }
     };
     for (size_t i = first_slot; i < anchors.size(); ++i) {

@@ -34,13 +34,16 @@
 // is valid (not a stale heuristic), the lazy argmax is bit-identical to
 // the exhaustive scan. See docs/PERFORMANCE.md.
 //
-// All scratch state is epoch-stamped and all hot vectors are reused
-// across queries: evaluating a candidate anchor set is allocation-free
-// and leaves the K-order untouched, which is what lets Greedy and IncAVT
-// probe thousands of hypothetical sets per snapshot. The per-vertex
-// scratch is three packed 16-byte records — one per cascade bundle
-// (per-query, resident base, marginal overlay) — so a visit costs one
-// cache line per bundle and an oracle holds 48 bytes per vertex.
+// All scratch state is reset in O(what the last pass touched) and all
+// hot vectors are reused across queries: evaluating a candidate anchor
+// set leaves the K-order untouched and allocates only while the scratch
+// grows to its high-water mark, which is what lets Greedy and IncAVT
+// probe thousands of hypothetical sets per snapshot. The scratch is one
+// 12-byte record per touched vertex in each of three cascade bundles
+// (per-query, resident base, marginal overlay), each a SparseScratch: a
+// table sized by the cascade plus a 1-bit-per-vertex membership bitmap,
+// so an oracle holds 3 bits per vertex and its tables grow with the
+// largest cascade it has run, not with n.
 // Every cascade is templated over an adjacency view — any type exposing
 // Neighbors(v) -> contiguous span in Graph's iteration order — so the
 // oracle scans whichever backing the caller binds: the graph itself (the
@@ -58,7 +61,7 @@
 
 #include "corelib/korder.h"
 #include "graph/graph.h"
-#include "util/epoch.h"
+#include "util/sparse_scratch.h"
 
 namespace avt {
 
@@ -87,12 +90,12 @@ class FollowerOracle {
     ResizeScratch();
   }
 
-  /// Re-binds after the underlying graph/order grew: appends stale
-  /// scratch slots (live slots untouched, no O(n) rewrite) and drops
+  /// Re-binds after the underlying graph/order grew: extends the
+  /// scratch bitmaps (live entries untouched, no O(n) rewrite) and drops
   /// the resident base. Never shrinks.
   void ResizeScratch();
 
-  /// Heap bytes held by the per-vertex records and the reused vectors.
+  /// Heap bytes held by the scratch bundles and the reused vectors.
   size_t MemoryFootprint() const;
 
   /// Returns |F_k(anchors)|; optionally materializes the follower set
@@ -181,9 +184,8 @@ class FollowerOracle {
   void ResetStats() { stats_.Reset(); }
 
  private:
-  /// Per-vertex cascade state of one bundle; an EpochArray slot adds the
-  /// stamp, so each record is 16 bytes and one stamp bump clears every
-  /// field of the bundle at once.
+  /// Per-vertex cascade state of one bundle; a vertex the bundle never
+  /// wrote reads as all-zero, and one Clear() drops every record.
   struct CascadeState {
     union {
       uint32_t bump;     // phase 1: credit from earlier anchors
@@ -194,7 +196,7 @@ class FollowerOracle {
     uint8_t flags;       // k* bits below
   };
   static_assert(sizeof(CascadeState) == 12,
-                "with the epoch stamp a slot is 16 bytes: one line read");
+                "with key and stamp a table slot is 20 bytes");
   enum : uint8_t {
     kAnchor = 1,
     kInHeap = 2,
@@ -226,7 +228,7 @@ class FollowerOracle {
   template <typename Adjacency>
   uint32_t RunCascade(const Adjacency& adj,
                       std::span<const VertexId> anchors, VertexId extra,
-                      uint32_t k, EpochArray<CascadeState>& state,
+                      uint32_t k, SparseScratch<CascadeState>& state,
                       std::vector<VertexId>& anchors_out,
                       std::vector<VertexId>& visited_out,
                       std::vector<VertexId>* candidates_out);
@@ -244,14 +246,16 @@ class FollowerOracle {
   template <typename F>
   decltype(auto) WithAdjacency(F&& f);
 
-  /// Per-query bundle (CountFollowers / UpperBound).
-  EpochArray<CascadeState> query_;
+  /// Per-query bundle (CountFollowers / UpperBound). Every record
+  /// reference in the cascades below is dropped before the next
+  /// insertion into its bundle (SparseScratch's reference contract).
+  SparseScratch<CascadeState> query_;
   /// Resident base cascade (BuildBase) and the per-probe overlay on top
   /// of it (bump/deg_minus/flags there are the probe's deltas). The
   /// overlay is the only state a marginal probe writes, so resetting a
-  /// probe is one O(1) epoch bump.
-  EpochArray<CascadeState> base_;
-  EpochArray<CascadeState> overlay_;
+  /// probe costs O(the probe's own region).
+  SparseScratch<CascadeState> base_;
+  SparseScratch<CascadeState> overlay_;
   std::vector<VertexId> base_anchors_;
   std::vector<VertexId> base_visited_;
   std::vector<VertexId> slot_base_;  // BuildSwapReference's S∖{S[i]}

@@ -7,6 +7,7 @@
 #include "anchor/candidates.h"
 #include "anchor/greedy.h"
 #include "anchor/trial_engine.h"
+#include "util/radix_sort.h"
 #include "util/timer.h"
 
 namespace avt {
@@ -161,15 +162,15 @@ AvtSnapshotResult IncAvtTracker::ProcessDelta(const EdgeDelta& delta) {
   // Step 3: replacement pool. The published algorithm (kRestricted)
   // takes impacted vertices and their neighbors, outside C_k, passing
   // Theorem 3 (Algorithm 6 line 12); the ablation modes widen or empty
-  // the pool to isolate the restriction's contribution. Sorted by id so
-  // the scan order (and thus tie-breaks) is deterministic. The
-  // Theorem-3 verdict is one read of the maintainer's verdict byte
-  // (CoreMaintainer::IsCandidate), so a walked vertex that fails it —
-  // most of them — costs no K-order, counter or pool-mark load. Only
-  // candidates are checked against in_pool_ (a candidate adjacent to
-  // several impacted vertices is pooled once), and the marks are reset
-  // afterwards from the pool itself, so the delta costs O(pool region),
-  // not O(n). is_anchor_ is kept current by every commit.
+  // the pool to isolate the restriction's contribution. Sorted by id (an
+  // O(pool) radix sort) so the scan order (and thus tie-breaks) is
+  // deterministic. The Theorem-3 verdict is one read of the maintainer's
+  // verdict byte (CoreMaintainer::IsCandidate), so a walked vertex that
+  // fails it — most of them — costs no K-order, counter or pool-mark
+  // load. Only candidates are checked against in_pool_ (a candidate
+  // adjacent to several impacted vertices is pooled once), and the marks
+  // are reset afterwards from the pool itself, so the delta costs
+  // O(pool region), not O(n). is_anchor_ is kept current by every commit.
   AVT_DCHECK(std::all_of(anchors_.begin(), anchors_.end(),
                          [&](VertexId a) { return is_anchor_[a] != 0; }));
   pool_.clear();
@@ -202,7 +203,7 @@ AvtSnapshotResult IncAvtTracker::ProcessDelta(const EdgeDelta& delta) {
   }
   for (VertexId v : pool_) in_pool_[v] = 0;
   std::vector<VertexId>& pool = pool_;
-  std::sort(pool.begin(), pool.end());
+  RadixSortIds(pool, pool_sort_scratch_);
   snap.pool_size = pool.size();
 
   // Step 2: seed with S_{t-1}; re-establish the incumbent follower count

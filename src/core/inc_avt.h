@@ -177,6 +177,7 @@ class IncAvtTracker : public AvtTracker {
   std::vector<uint8_t> in_pool_;
   std::vector<uint8_t> is_anchor_;
   std::vector<VertexId> pool_;
+  std::vector<VertexId> pool_sort_scratch_;  // RadixSortIds' buffer
   std::vector<VertexId> live_;  // CollectLive's output
   /// Swap-reference scratch for the lazy search: one SwapMarginal per
   /// live_ entry and one phase-1 count per slot base. Pool- and

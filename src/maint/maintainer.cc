@@ -12,6 +12,7 @@ void CoreMaintainer::Reset(Graph&& graph, uint32_t k) {
   const size_t n = graph_.NumVertices();
   scratch_.Resize(n);
   affected_mark_.Resize(n);
+  affected_list_.clear();
   counter_k_ = k;
   if (k == 0) {
     std::vector<NeighborCounts>().swap(nbr_counts_);
@@ -84,10 +85,7 @@ std::vector<VertexId> CoreMaintainer::CollectCandidates() const {
 
 void CoreMaintainer::MarkAffected(VertexId v) {
   if (!collecting_affected_) return;
-  if (!affected_mark_.Get(v)) {
-    affected_mark_.Set(v, 1);
-    affected_list_.push_back(v);
-  }
+  if (affected_mark_.TestAndSet(v)) affected_list_.push_back(v);
 }
 
 bool CoreMaintainer::InsertEdge(VertexId u, VertexId v) {
@@ -401,7 +399,7 @@ void CoreMaintainer::RunRemoveCascade(const std::vector<VertexId>& seeds,
 
 const std::vector<VertexId>& CoreMaintainer::ApplyDelta(
     const EdgeDelta& delta) {
-  affected_mark_.Clear();
+  for (VertexId v : affected_list_) affected_mark_.Reset(v);
   affected_list_.clear();
   collecting_affected_ = true;
   for (const Edge& e : delta.insertions) InsertEdge(e.u, e.v);

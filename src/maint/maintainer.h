@@ -91,6 +91,7 @@
 #include "corelib/korder.h"
 #include "graph/delta.h"
 #include "graph/graph.h"
+#include "util/bitmap.h"
 #include "util/epoch.h"
 
 namespace avt {
@@ -302,8 +303,10 @@ class CoreMaintainer {
   std::vector<VertexId> seeds_;        // RemoveEdge's cascade seeds
   std::vector<VertexId> stash_;        // walked vertices' level neighbors
 
-  // Batch-level affected set (valid during ApplyDelta).
-  EpochArray<uint8_t> affected_mark_;
+  // Batch-level affected set (valid during ApplyDelta). The next
+  // ApplyDelta clears the marks from the list, so a delta pays for the
+  // previous delta's affected set, not for n.
+  Bitmap affected_mark_;
   std::vector<VertexId> affected_list_;
   bool collecting_affected_ = false;
 };

@@ -1,17 +1,23 @@
 // Epoch-stamped scratch arrays: O(1) logical reset of per-vertex state.
 //
-// The follower oracle evaluates thousands of hypothetical anchor sets per
-// snapshot; each evaluation needs clean per-vertex scratch (candidate
-// flags, candidate degrees, supports) without paying O(n) to clear or
-// allocating. EpochArray stamps each slot with the epoch that wrote it;
-// bumping the epoch invalidates everything at once.
+// A pass that needs clean per-vertex scratch (flags, degrees, supports)
+// many times over must not pay O(n) to clear it or allocate it each
+// time. EpochArray stamps each slot with the epoch that wrote it;
+// bumping the epoch invalidates everything at once. The price is one
+// slot per vertex of the graph, whatever the pass touches.
 //
-// Layout: value and stamp live in ONE slot struct, not parallel arrays.
-// The cascade hot loops touch several EpochArrays per visited vertex;
-// with parallel arrays every Get/Set costs two cache lines (stamp +
-// value), with packed slots it costs one. That halves the scratch
-// traffic of the oracle's probe path — measurable on bandwidth-bound
-// per-delta workloads (docs/PERFORMANCE.md).
+// Layout: value and stamp live in ONE slot struct, not parallel arrays,
+// so a Get/Set costs one cache line, not two (stamp + value).
+//
+// Users, and why each stays dense: CoreMaintainer's 16-byte cascade
+// record, whose lookups mostly hit vertices the cascade already wrote
+// (a sparse table there raised window-200k-durable's K-order
+// maintenance from 7.2 to 8.2 ms per delta in a prototype);
+// TraversalMaintainer, the reference maintainer the tests check
+// CoreMaintainer against; and the OLAK baseline's region and support
+// marks, in a one-shot solve that holds O(n) onion layers anyway. The
+// follower oracle, whose cascades touch a few hundred vertices and whose
+// lookups mostly miss, uses SparseScratch (util/sparse_scratch.h).
 
 #ifndef AVT_UTIL_EPOCH_H_
 #define AVT_UTIL_EPOCH_H_

@@ -5,9 +5,10 @@
 // work counters equal a standalone GreedySolver::Solve under both
 // strategies, and a repeated ProcessFirst (the rollback rebuild)
 // reproduces the first — and that the memory it saves stays saved:
-// packed oracle scratch per vertex, one oracle per tracker whatever
-// num_threads says, and a maintainer that holds one adjacency (no
-// mirror) and one packed cascade-scratch record per vertex.
+// oracle scratch sized by the cascade (bits, not records, per vertex),
+// one oracle per tracker whatever num_threads says, and a maintainer
+// that holds one adjacency (no mirror), one packed cascade-scratch
+// record and one affected bit per vertex.
 
 #include <gtest/gtest.h>
 
@@ -117,6 +118,23 @@ TEST(ColdStart, OracleScratchIsPackedPerVertex) {
   EXPECT_LE(per_vertex, 56u);
 }
 
+TEST(ColdStart, OracleScratchIsSizedByTheCascade) {
+  // Each bundle's per-vertex cost is one membership bit; its records
+  // live in a table sized by the cascades run, so the slope between two
+  // universe sizes is at most 1 byte per vertex (3 bits today).
+  constexpr VertexId kN = 50'000;
+  Graph small(kN);
+  Graph large(2 * kN);
+  KOrder small_order;
+  KOrder large_order;
+  small_order.Build(small);
+  large_order.Build(large);
+  const FollowerOracle small_oracle(&small, &small_order);
+  const FollowerOracle large_oracle(&large, &large_order);
+  EXPECT_LE(large_oracle.MemoryFootprint() - small_oracle.MemoryFootprint(),
+            size_t{1} * kN);
+}
+
 TEST(ColdStart, TrackerHoldsOneOracle) {
   Rng rng(94);
   const Graph g0 = ChungLuPowerLaw(20'000, 8.0, 2.2, 200, rng);
@@ -169,6 +187,18 @@ TEST(ColdStart, MaintainerHoldsOneAdjacency) {
   tracker.ProcessFirst(g0);
   const size_t per_vertex = tracker.maintainer().MemoryFootprint() / kN;
   EXPECT_LE(per_vertex, 128u);
+}
+
+TEST(ColdStart, MaintainerAffectedMarkIsABit) {
+  // The cold-1m shape of MaintainerHoldsOneAdjacency. The affected mark
+  // is one bit per vertex (it was an 8-byte epoch slot), so the whole
+  // maintainer fits in 114 B/vertex.
+  constexpr VertexId kN = 20'000;
+  Rng rng(96);
+  const Graph g0 = ChungLuPowerLaw(kN, 10.0, 2.2, kN / 20, rng);
+  IncAvtTracker tracker(5, 4);
+  tracker.ProcessFirst(g0);
+  EXPECT_LE(tracker.maintainer().MemoryFootprint(), size_t{114} * kN);
 }
 
 }  // namespace

@@ -400,6 +400,51 @@ TEST(FollowerOracle, BaseSurvivesFullQueries) {
   EXPECT_EQ(oracle.MarginalUpperBound(pool[4]), before);
 }
 
+TEST(FollowerOracle, CascadeBeyondInitialScratchCapacityMatchesPeel) {
+  // The scratch tables start small and rehash as a cascade grows, moving
+  // live records mid-cascade. A path anchored at both ends makes every
+  // inner vertex a follower at k = 2 — one cascade thousands of records
+  // long — and a power-law graph gives wide multi-anchor cascades; both
+  // must equal the dense exact peel, and the marginal probes over that
+  // base must equal the full bound.
+  constexpr VertexId kPath = 3000;
+  Graph path(kPath);
+  for (VertexId v = 0; v + 1 < kPath; ++v) path.AddEdge(v, v + 1);
+  KOrder path_order;
+  path_order.Build(path);
+  FollowerOracle path_oracle(&path, &path_order);
+  const std::vector<VertexId> ends{0, kPath - 1};
+  std::vector<VertexId> followers;
+  EXPECT_EQ(path_oracle.CountFollowers(ends, 2, &followers), kPath - 2);
+  EXPECT_EQ(Sorted(followers),
+            Sorted(ComputeAnchoredKCore(path, 2, ends).followers));
+  const std::vector<VertexId> one_end{0};
+  path_oracle.BuildBase(one_end, 2);
+  EXPECT_EQ(path_oracle.MarginalUpperBound(kPath - 1),
+            path_oracle.UpperBound(one_end, kPath - 1, 2));
+
+  Rng rng(8100);
+  Graph g = ChungLuPowerLaw(4000, 6.0, 2.1, 400, rng);
+  KOrder order;
+  order.Build(g);
+  FollowerOracle oracle(&g, &order);
+  const uint32_t k = 4;
+  std::vector<VertexId> pool = CollectAnchorCandidates(g, order, k);
+  ASSERT_GE(pool.size(), 40u);
+  std::vector<VertexId> anchors(pool.begin(), pool.begin() + 30);
+  EXPECT_EQ(oracle.CountFollowers(anchors, k, &followers),
+            ComputeAnchoredKCore(g, k, anchors).followers.size());
+  EXPECT_EQ(Sorted(followers),
+            Sorted(ComputeAnchoredKCore(g, k, anchors).followers));
+  EXPECT_GT(followers.size(), 16u);  // outgrew the initial table
+  oracle.BuildBase(anchors, k);
+  for (size_t i = 30; i < pool.size(); ++i) {
+    ASSERT_EQ(oracle.MarginalUpperBound(pool[i]),
+              oracle.UpperBound(anchors, pool[i], k))
+        << pool[i];
+  }
+}
+
 TEST(FollowerOracle, CsrRoutingIsBitIdentical) {
   Rng rng(7700);
   Graph g = ChungLuPowerLaw(200, 6.0, 2.2, 40, rng);

@@ -1,13 +1,19 @@
-// Tests for the utility layer: status, RNG, epoch arrays, flags, tables,
-// summaries, timers.
+// Tests for the utility layer: status, RNG, epoch arrays, sparse
+// scratch, the id radix sort, flags, tables, summaries, timers.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <set>
+#include <vector>
 
+#include "corelib/korder.h"
 #include "util/epoch.h"
 #include "util/flags.h"
+#include "util/radix_sort.h"
 #include "util/random.h"
+#include "util/sparse_scratch.h"
 #include "util/stats.h"
 #include "util/status.h"
 #include "util/table.h"
@@ -163,6 +169,161 @@ TEST(EpochArray, MutableResetsStaleRecordsAndGrowKeepsLiveOnes) {
   arr.Clear();
   EXPECT_EQ(arr.Mutable(1).count, 0u);  // a stale record resets whole
   EXPECT_EQ(arr.Get(1).flags, 0);
+}
+
+struct ScratchRecord {
+  uint32_t count;
+  uint8_t flags;
+};
+
+TEST(SparseScratch, MissReturnsTheDefault) {
+  SparseScratch<ScratchRecord> scratch(100);
+  EXPECT_FALSE(scratch.Contains(42));
+  EXPECT_EQ(scratch.Get(42).count, 0u);
+  EXPECT_EQ(scratch.Get(42).flags, 0);
+  EXPECT_EQ(scratch.size(), 0u);  // a miss inserts nothing
+}
+
+TEST(SparseScratch, MutableInsertsTheDefault) {
+  SparseScratch<ScratchRecord> scratch(100);
+  ScratchRecord& record = scratch.Mutable(7);
+  EXPECT_EQ(record.count, 0u);
+  EXPECT_EQ(record.flags, 0);
+  record.count = 5;
+  record.flags |= 4;
+  EXPECT_TRUE(scratch.Contains(7));
+  EXPECT_EQ(scratch.Get(7).count, 5u);
+  EXPECT_EQ(scratch.Get(7).flags, 4);
+  ++scratch.Mutable(7).count;  // a hit returns the live record
+  EXPECT_EQ(scratch.Get(7).count, 6u);
+  EXPECT_EQ(scratch.size(), 1u);
+}
+
+TEST(SparseScratch, ValuesSurviveRehashesWhileLive) {
+  // Enough entries to double the table many times over; every value
+  // written before a rehash must read back after it, and a reference
+  // taken after the last insertion must see and update the live slot.
+  constexpr uint32_t kUniverse = 1 << 20;
+  SparseScratch<ScratchRecord> scratch(kUniverse);
+  Rng rng(2024);
+  std::map<uint32_t, uint32_t> expected;
+  for (int i = 0; i < 5000; ++i) {
+    const auto id = static_cast<uint32_t>(rng.Uniform(kUniverse));
+    scratch.Mutable(id).count += static_cast<uint32_t>(i);
+    expected[id] += static_cast<uint32_t>(i);
+  }
+  EXPECT_EQ(scratch.size(), expected.size());
+  for (const auto& [id, value] : expected) {
+    ASSERT_TRUE(scratch.Contains(id));
+    EXPECT_EQ(scratch.Get(id).count, value) << id;
+  }
+  const uint32_t first = expected.begin()->first;
+  ScratchRecord& record = scratch.Mutable(first);
+  record.flags = 9;
+  EXPECT_EQ(scratch.Get(first).flags, 9);
+}
+
+TEST(SparseScratch, ClearEmptiesTableAndBitmap) {
+  SparseScratch<ScratchRecord> scratch(1000);
+  for (uint32_t id = 0; id < 1000; id += 3) scratch.Mutable(id).count = id + 1;
+  const size_t footprint = scratch.MemoryFootprint();
+  scratch.Clear();
+  EXPECT_EQ(scratch.size(), 0u);
+  for (uint32_t id = 0; id < 1000; ++id) {
+    ASSERT_FALSE(scratch.Contains(id)) << id;
+    ASSERT_EQ(scratch.Get(id).count, 0u) << id;
+  }
+  // Re-inserting an id of the cleared epoch starts from the default,
+  // and the table keeps its high-water capacity.
+  EXPECT_EQ(scratch.Mutable(3).count, 0u);
+  EXPECT_EQ(scratch.MemoryFootprint(), footprint);
+  // Many clear/insert rounds over the same ids stay exact.
+  for (uint32_t round = 1; round < 50; ++round) {
+    scratch.Clear();
+    for (uint32_t id = round; id < 1000; id += 7) {
+      scratch.Mutable(id).count = round;
+    }
+    for (uint32_t id = 0; id < 1000; ++id) {
+      const bool live = id >= round && (id - round) % 7 == 0;
+      ASSERT_EQ(scratch.Contains(id), live) << round << " " << id;
+      ASSERT_EQ(scratch.Get(id).count, live ? round : 0u) << round << " " << id;
+    }
+  }
+}
+
+TEST(SparseScratch, GrowExtendsTheUniverse) {
+  SparseScratch<ScratchRecord> scratch(10);
+  scratch.Mutable(9).count = 3;
+  const size_t before = scratch.MemoryFootprint();
+  scratch.Grow(100'000);
+  EXPECT_GT(scratch.MemoryFootprint(), before);
+  EXPECT_EQ(scratch.Get(9).count, 3u);  // live entries survive growth
+  EXPECT_FALSE(scratch.Contains(99'999));
+  scratch.Mutable(99'999).count = 4;
+  EXPECT_EQ(scratch.Get(99'999).count, 4u);
+  scratch.Grow(50);  // never shrinks
+  EXPECT_EQ(scratch.Get(99'999).count, 4u);
+  // The bitmap is the per-id cost: one bit per id, rounded to words.
+  SparseScratch<ScratchRecord> empty(1 << 16);
+  EXPECT_EQ(empty.MemoryFootprint(), (1u << 16) / 8);
+}
+
+TEST(SparseScratch, MatchesEpochArrayUnderRandomOperations) {
+  constexpr uint32_t kUniverse = 3000;
+  SparseScratch<uint32_t> sparse(kUniverse);
+  EpochArray<uint32_t> dense(kUniverse);
+  Rng rng(77);
+  for (int step = 0; step < 200'000; ++step) {
+    const auto id = static_cast<uint32_t>(rng.Uniform(kUniverse));
+    switch (rng.Uniform(100)) {
+      case 0:
+        sparse.Clear();
+        dense.Clear();
+        break;
+      case 1:
+      case 2:
+      case 3:
+        ASSERT_EQ(sparse.Get(id), dense.Get(id)) << step;
+        ASSERT_EQ(sparse.Contains(id), dense.Contains(id)) << step;
+        break;
+      default:
+        sparse.Mutable(id) += static_cast<uint32_t>(step);
+        dense.Mutable(id) += static_cast<uint32_t>(step);
+    }
+  }
+  for (uint32_t id = 0; id < kUniverse; ++id) {
+    ASSERT_EQ(sparse.Get(id), dense.Get(id)) << id;
+  }
+}
+
+TEST(RadixSortIds, MatchesStdSort) {
+  Rng rng(31);
+  std::vector<uint32_t> scratch;
+  // Ids drawn from the whole 32-bit range, from a small range (the top
+  // digits are shared and skipped), near kNoVertex - 1, and with
+  // duplicates; lengths 0, 1, 2 and larger.
+  const uint32_t top = kNoVertex - 1;
+  for (size_t size : {0, 1, 2, 3, 17, 256, 1000, 40'000}) {
+    for (int shape = 0; shape < 4; ++shape) {
+      std::vector<uint32_t> ids(size);
+      for (uint32_t& id : ids) {
+        switch (shape) {
+          case 0: id = static_cast<uint32_t>(rng.Next()); break;
+          case 1: id = static_cast<uint32_t>(rng.Uniform(1'000'000)); break;
+          case 2: id = top - static_cast<uint32_t>(rng.Uniform(600)); break;
+          default: id = static_cast<uint32_t>(rng.Uniform(8)) << 24 |
+                        static_cast<uint32_t>(rng.Uniform(4));
+        }
+      }
+      std::vector<uint32_t> expected = ids;
+      std::sort(expected.begin(), expected.end());
+      RadixSortIds(ids, scratch);
+      ASSERT_EQ(ids, expected) << "size " << size << " shape " << shape;
+    }
+  }
+  std::vector<uint32_t> edge{top, 0, top, top - 1, 1, top - 256};
+  RadixSortIds(edge, scratch);
+  EXPECT_EQ(edge, (std::vector<uint32_t>{0, 1, top - 256, top - 1, top, top}));
 }
 
 TEST(Flags, ParsesAllForms) {
