@@ -1,6 +1,7 @@
 // Google-benchmark microbenches for the library's primitives:
 // core decomposition, K-order construction, single-edge maintenance vs
-// rebuild, follower-oracle queries, and exact anchored peels.
+// rebuild, follower-oracle queries, a static greedy solve, and exact
+// anchored peels.
 //
 //   ./micro_benchmarks [--benchmark_filter=...]
 
@@ -9,6 +10,7 @@
 #include "anchor/anchored_core.h"
 #include "anchor/candidates.h"
 #include "anchor/follower_oracle.h"
+#include "anchor/greedy.h"
 #include "corelib/decomposition.h"
 #include "corelib/korder.h"
 #include "gen/models.h"
@@ -100,6 +102,21 @@ void BM_FollowerOracleQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FollowerOracleQuery)->Arg(1000)->Arg(10000)->Arg(50000);
+
+// A whole static solve: K-order build, Theorem-3 pool, five lazy picks
+// and the final follower count, all scanning the graph.
+void BM_GreedySolve(benchmark::State& state) {
+  Graph g = BenchGraph(state.range(0));
+  GreedySolver solver;
+  for (auto _ : state) {
+    SolverResult result = solver.Solve(g, 5, 5);
+    benchmark::DoNotOptimize(result.followers.data());
+  }
+}
+BENCHMARK(BM_GreedySolve)
+    ->Arg(10000)
+    ->Arg(50000)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_ExactAnchoredPeel(benchmark::State& state) {
   Graph g = BenchGraph(state.range(0));

@@ -39,14 +39,13 @@ size_t FollowerOracle::MemoryFootprint() const {
 // drift — the MarginalUpperBound == UpperBound invariant the lazy argmax
 // proof rests on depends on that. `heap_` is a shared transient (only
 // live during one cascade); the in-heap bit lives in each bundle.
-template <typename Adjacency>
-uint32_t FollowerOracle::RunCascade(const Adjacency& adj,
-                                    std::span<const VertexId> anchors,
+uint32_t FollowerOracle::RunCascade(std::span<const VertexId> anchors,
                                     VertexId extra, uint32_t k,
                                     SparseScratch<CascadeState>& state,
                                     std::vector<VertexId>& anchors_out,
                                     std::vector<VertexId>& visited_out,
                                     std::vector<VertexId>* candidates_out) {
+  const Graph& graph = *graph_;
   state.Clear();
   anchors_out.clear();
   visited_out.clear();
@@ -74,7 +73,7 @@ uint32_t FollowerOracle::RunCascade(const Adjacency& adj,
   // Seed: anchors raise the potential of neighbors they precede (anchors
   // positioned after a neighbor are already inside its deg+ bound).
   for (VertexId a : anchors_out) {
-    for (VertexId w : adj.Neighbors(a)) {
+    for (VertexId w : graph.Neighbors(a)) {
       if (order_->CoreOf(w) >= k || !order_->Precedes(a, w)) continue;
       CascadeState& s = state.Mutable(w);
       if (s.flags & kAnchor) continue;
@@ -98,7 +97,7 @@ uint32_t FollowerOracle::RunCascade(const Adjacency& adj,
     s.flags |= kCandidate;
     ++count;
     if (candidates_out) candidates_out->push_back(w);
-    for (VertexId x : adj.Neighbors(w)) {
+    for (VertexId x : graph.Neighbors(w)) {
       if (order_->CoreOf(x) >= k || !order_->Precedes(w, x)) continue;
       CascadeState& t = state.Mutable(x);
       if (t.flags & (kAnchor | kCandidate)) continue;
@@ -109,27 +108,25 @@ uint32_t FollowerOracle::RunCascade(const Adjacency& adj,
   return count;
 }
 
-template <typename Adjacency>
-uint32_t FollowerOracle::ForwardPass(const Adjacency& adj,
-                                     std::span<const VertexId> anchors,
+uint32_t FollowerOracle::ForwardPass(std::span<const VertexId> anchors,
                                      VertexId extra, uint32_t k) {
-  return RunCascade(adj, anchors, extra, k, query_, unique_anchors_,
-                    visited_, &candidates_in_order_);
+  return RunCascade(anchors, extra, k, query_, unique_anchors_, visited_,
+                    &candidates_in_order_);
 }
 
-template <typename Adjacency>
-uint32_t FollowerOracle::Eliminate(const Adjacency& adj, uint32_t k,
+uint32_t FollowerOracle::Eliminate(uint32_t k,
                                    std::vector<VertexId>* followers) {
   // Elimination fixpoint with exact support. `review_` doubles as the
   // FIFO (head index instead of std::queue — no per-query allocation).
   // Every candidate's support is written before any is read, so the
   // union with the (now dead) bump field is safe.
+  const Graph& graph = *graph_;
   constexpr uint8_t kSupporting = kAnchor | kCandidate;
   review_.clear();
   size_t head = 0;
   for (VertexId w : candidates_in_order_) {
     uint32_t support = 0;
-    for (VertexId x : adj.Neighbors(w)) {
+    for (VertexId x : graph.Neighbors(w)) {
       if ((query_.Get(x).flags & kSupporting) || order_->CoreOf(x) >= k) {
         ++support;
       }
@@ -144,7 +141,7 @@ uint32_t FollowerOracle::Eliminate(const Adjacency& adj, uint32_t k,
     if (s.support >= k) continue;
     s.flags = static_cast<uint8_t>((s.flags | kEliminated) & ~kCandidate);
     ++stats_.eliminated;
-    for (VertexId x : adj.Neighbors(w)) {
+    for (VertexId x : graph.Neighbors(w)) {
       constexpr uint8_t kMask = kCandidate | kEliminated | kAnchor;
       if (!query_.Contains(x)) continue;
       CascadeState& t = query_.Mutable(x);  // present: no insertion
@@ -163,30 +160,21 @@ uint32_t FollowerOracle::Eliminate(const Adjacency& adj, uint32_t k,
   return count;
 }
 
-template <typename F>
-decltype(auto) FollowerOracle::WithAdjacency(F&& f) {
-  if (csr_ != nullptr) return f(*csr_);
-  return f(*graph_);
-}
-
 uint32_t FollowerOracle::CountFollowers(std::span<const VertexId> anchors,
                                         VertexId extra, uint32_t k,
                                         std::vector<VertexId>* followers) {
   ++stats_.queries;
   if (followers) followers->clear();
   if (k == 0) return 0;  // every vertex is trivially in the 0-core
-  return WithAdjacency([&](const auto& adj) {
-    ForwardPass(adj, anchors, extra, k);
-    return Eliminate(adj, k, followers);
-  });
+  ForwardPass(anchors, extra, k);
+  return Eliminate(k, followers);
 }
 
 uint32_t FollowerOracle::UpperBound(std::span<const VertexId> anchors,
                                     VertexId extra, uint32_t k) {
   ++stats_.bound_queries;
   if (k == 0) return 0;
-  return WithAdjacency(
-      [&](const auto& adj) { return ForwardPass(adj, anchors, extra, k); });
+  return ForwardPass(anchors, extra, k);
 }
 
 void FollowerOracle::BuildBase(std::span<const VertexId> anchors,
@@ -200,15 +188,13 @@ void FollowerOracle::BuildBase(std::span<const VertexId> anchors,
     base_count_ = 0;
     return;
   }
-  base_count_ = WithAdjacency([&](const auto& adj) {
-    return RunCascade(adj, anchors, kNoVertex, k, base_, base_anchors_,
-                      base_visited_, nullptr);
-  });
+  base_count_ = RunCascade(anchors, kNoVertex, k, base_, base_anchors_,
+                           base_visited_, nullptr);
 }
 
-template <bool kCheckDirty, typename Adjacency>
-int32_t FollowerOracle::MarginalUpperBoundImpl(const Adjacency& adj,
-                                               VertexId x) {
+template <bool kCheckDirty>
+int32_t FollowerOracle::MarginalUpperBoundImpl(VertexId x) {
+  const Graph& graph = *graph_;
   const uint32_t k = base_k_;
   overlay_.Clear();  // probe reset: O(last probe's region), no O(n) work
   heap_.clear();
@@ -237,7 +223,7 @@ int32_t FollowerOracle::MarginalUpperBoundImpl(const Adjacency& adj,
   // base record is read, so a neighbor x never credits is never read —
   // and cannot make a reference probe dirty.
   constexpr uint8_t kSettled = kAnchor | kCandidate;
-  for (VertexId w : adj.Neighbors(x)) {
+  for (VertexId w : graph.Neighbors(x)) {
     if (order_->CoreOf(w) >= k || !order_->Precedes(x, w)) continue;
     const uint8_t w_flags = base_.Get(w).flags;
     if (kCheckDirty && (w_flags & kDirty)) return kDirtyMarginal;
@@ -265,7 +251,7 @@ int32_t FollowerOracle::MarginalUpperBoundImpl(const Adjacency& adj,
     if (upper < k) continue;
     o.flags |= kCandidate;
     ++added;
-    for (VertexId z : adj.Neighbors(w)) {
+    for (VertexId z : graph.Neighbors(w)) {
       if (order_->CoreOf(z) >= k || z == x || !order_->Precedes(w, z)) {
         continue;
       }
@@ -285,11 +271,9 @@ uint32_t FollowerOracle::MarginalUpperBound(VertexId x) {
   AVT_DCHECK(base_valid_);
   ++stats_.bound_queries;
   if (base_k_ == 0) return 0;
-  return WithAdjacency([&](const auto& adj) {
-    return static_cast<uint32_t>(
-        static_cast<int64_t>(base_count_) +
-        MarginalUpperBoundImpl</*kCheckDirty=*/false>(adj, x));
-  });
+  return static_cast<uint32_t>(
+      static_cast<int64_t>(base_count_) +
+      MarginalUpperBoundImpl</*kCheckDirty=*/false>(x));
 }
 
 void FollowerOracle::BuildSwapReference(std::span<const VertexId> anchors,
@@ -299,38 +283,34 @@ void FollowerOracle::BuildSwapReference(std::span<const VertexId> anchors,
   BuildBase(anchors, k);
   slot_counts->assign(anchors.size(), 0);
   if (k == 0) return;
-  WithAdjacency([&](const auto& adj) {
-    // Only vertices some cascade touched can hold non-default state, so
-    // comparing S's region and slot i's region finds every difference.
-    constexpr uint8_t kVisible = kAnchor | kCandidate;
-    auto mark_if_differs = [&](VertexId v) {
-      const CascadeState q = query_.Get(v);
-      const CascadeState b = base_.Get(v);
-      if (((b.flags ^ q.flags) & kVisible) || b.bump != q.bump ||
-          b.deg_minus != q.deg_minus) {
-        base_.Mutable(v).flags |= kDirty;
-      }
-    };
-    for (size_t i = first_slot; i < anchors.size(); ++i) {
-      slot_base_.assign(anchors.begin(), anchors.end());
-      slot_base_.erase(slot_base_.begin() + static_cast<ptrdiff_t>(i));
-      (*slot_counts)[i] = RunCascade(adj, slot_base_, kNoVertex, k, query_,
-                                     unique_anchors_, visited_, nullptr);
-      for (VertexId v : base_anchors_) mark_if_differs(v);
-      for (VertexId v : base_visited_) mark_if_differs(v);
-      for (VertexId v : unique_anchors_) mark_if_differs(v);
-      for (VertexId v : visited_) mark_if_differs(v);
+  // Only vertices some cascade touched can hold non-default state, so
+  // comparing S's region and slot i's region finds every difference.
+  constexpr uint8_t kVisible = kAnchor | kCandidate;
+  auto mark_if_differs = [&](VertexId v) {
+    const CascadeState q = query_.Get(v);
+    const CascadeState b = base_.Get(v);
+    if (((b.flags ^ q.flags) & kVisible) || b.bump != q.bump ||
+        b.deg_minus != q.deg_minus) {
+      base_.Mutable(v).flags |= kDirty;
     }
-  });
+  };
+  for (size_t i = first_slot; i < anchors.size(); ++i) {
+    slot_base_.assign(anchors.begin(), anchors.end());
+    slot_base_.erase(slot_base_.begin() + static_cast<ptrdiff_t>(i));
+    (*slot_counts)[i] = RunCascade(slot_base_, kNoVertex, k, query_,
+                                   unique_anchors_, visited_, nullptr);
+    for (VertexId v : base_anchors_) mark_if_differs(v);
+    for (VertexId v : base_visited_) mark_if_differs(v);
+    for (VertexId v : unique_anchors_) mark_if_differs(v);
+    for (VertexId v : visited_) mark_if_differs(v);
+  }
 }
 
 int32_t FollowerOracle::SwapMarginal(VertexId x) {
   AVT_DCHECK(base_valid_);
   ++stats_.bound_queries;
   if (base_k_ == 0) return 0;
-  return WithAdjacency([&](const auto& adj) {
-    return MarginalUpperBoundImpl</*kCheckDirty=*/true>(adj, x);
-  });
+  return MarginalUpperBoundImpl</*kCheckDirty=*/true>(x);
 }
 
 }  // namespace avt

@@ -44,12 +44,9 @@
 // table sized by the cascade plus a 1-bit-per-vertex membership bitmap,
 // so an oracle holds 3 bits per vertex and its tables grow with the
 // largest cascade it has run, not with n.
-// Every cascade is templated over an adjacency view — any type exposing
-// Neighbors(v) -> contiguous span in Graph's iteration order — so the
-// oracle scans whichever backing the caller binds: the graph itself (the
-// incremental tracker, whose maintainer patches it under churn) or a
-// frozen CsrView (one-shot solvers). Both iterate neighbors in the
-// identical order, so results are bit-identical across backings.
+// Every cascade scans the bound Graph: the one the incremental tracker's
+// maintainer patches under churn, or the snapshot a one-shot solver was
+// handed.
 
 #ifndef AVT_ANCHOR_FOLLOWER_ORACLE_H_
 #define AVT_ANCHOR_FOLLOWER_ORACLE_H_
@@ -79,14 +76,11 @@ struct OracleStats {
 
 /// Read-only follower computation bound to a (graph, K-order) pair.
 /// The referenced structures must outlive the oracle and stay consistent
-/// (rebuild/maintain them through CoreMaintainer). An optional CsrView
-/// snapshot of the same graph routes all neighbor scans through
-/// contiguous storage; the graph must not change while it is bound.
+/// (rebuild/maintain them through CoreMaintainer).
 class FollowerOracle {
  public:
-  FollowerOracle(const Graph* graph, const KOrder* order,
-                 const CsrView* csr = nullptr)
-      : graph_(graph), order_(order), csr_(csr) {
+  FollowerOracle(const Graph* graph, const KOrder* order)
+      : graph_(graph), order_(order) {
     ResizeScratch();
   }
 
@@ -207,27 +201,20 @@ class FollowerOracle {
 
   /// Phase 1 for anchors ∪ {extra}: fills query_ / candidates_in_
   /// order_ / visited_ and returns the candidate count.
-  template <typename Adjacency>
-  uint32_t ForwardPass(const Adjacency& adj,
-                       std::span<const VertexId> anchors, VertexId extra,
+  uint32_t ForwardPass(std::span<const VertexId> anchors, VertexId extra,
                        uint32_t k);
 
   /// Phase 2: elimination fixpoint over candidates_in_order_.
-  template <typename Adjacency>
-  uint32_t Eliminate(const Adjacency& adj, uint32_t k,
-                     std::vector<VertexId>* followers);
+  uint32_t Eliminate(uint32_t k, std::vector<VertexId>* followers);
 
   const Graph* graph_;
   const KOrder* order_;
-  const CsrView* csr_;
   OracleStats stats_;
 
   /// The phase-1 cascade, parameterized over the bundle it writes
   /// (per-query scratch vs resident base) so both paths share one
   /// definition. Returns the candidate count.
-  template <typename Adjacency>
-  uint32_t RunCascade(const Adjacency& adj,
-                      std::span<const VertexId> anchors, VertexId extra,
+  uint32_t RunCascade(std::span<const VertexId> anchors, VertexId extra,
                       uint32_t k, SparseScratch<CascadeState>& state,
                       std::vector<VertexId>& anchors_out,
                       std::vector<VertexId>& visited_out,
@@ -237,14 +224,8 @@ class FollowerOracle {
   /// SwapMarginal: x's phase-1 delta over the resident base. With
   /// kCheckDirty it returns kDirtyMarginal on the first kDirty base
   /// record it reads.
-  template <bool kCheckDirty, typename Adjacency>
-  int32_t MarginalUpperBoundImpl(const Adjacency& adj, VertexId x);
-
-  /// Single definition of the backing precedence (frozen snapshot, then
-  /// the graph): every query entry point dispatches through this so the
-  /// rule cannot drift per method.
-  template <typename F>
-  decltype(auto) WithAdjacency(F&& f);
+  template <bool kCheckDirty>
+  int32_t MarginalUpperBoundImpl(VertexId x);
 
   /// Per-query bundle (CountFollowers / UpperBound). Every record
   /// reference in the cascades below is dropped before the next

@@ -11,17 +11,12 @@ namespace avt {
 SolverResult GreedySolver::Solve(const Graph& graph, uint32_t k,
                                  uint32_t l) {
   if (k == 0 || l == 0) return SolverResult{};
-  // One contiguous adjacency snapshot serves the whole solve: the
-  // K-order build, the candidate filter and every oracle cascade scan
-  // it. The view lives in the solver so back-to-back solves reuse its
-  // buffers.
-  graph.BuildCsr(&csr_);
   KOrder order;
-  order.Build(csr_);
-  FollowerOracle oracle(&graph, &order, &csr_);
+  order.Build(graph);
+  FollowerOracle oracle(&graph, &order);
   const std::vector<VertexId> pool =
-      options_.prune_candidates ? CollectAnchorCandidates(csr_, order, k)
-                                : CollectUnprunedCandidates(csr_, order, k);
+      options_.prune_candidates ? CollectAnchorCandidates(graph, order, k)
+                                : CollectUnprunedCandidates(graph, order, k);
   return PickFrom(pool, oracle, k, l);
 }
 

@@ -29,9 +29,9 @@
 //     per candidate per pick. Kept as the reference for tests and the
 //     execution-strategy ablation.
 //
-// Solve(graph) snapshots the graph into a CsrView once per solve and
-// routes the K-order build, the candidate filter and all cascade scans
-// through contiguous spans, then runs the shared pick loop (PickFrom).
+// Solve(graph) builds the K-order, the candidate pool and an oracle over
+// the graph it is handed (the adjacency every solver and the tracker
+// scan), then runs the shared pick loop (PickFrom).
 // Callers that already hold the K-order, an oracle and the pool —
 // IncAvtTracker's first snapshot, whose maintainer reads the Theorem-3
 // pool off its neighbor counters in O(n) — call PickFrom directly and
@@ -41,7 +41,6 @@
 #define AVT_ANCHOR_GREEDY_H_
 
 #include "anchor/solver.h"
-#include "graph/csr.h"
 
 namespace avt {
 
@@ -87,10 +86,6 @@ class GreedySolver : public AnchorSolver {
 
  private:
   GreedyOptions options_;
-  /// Per-solve adjacency snapshot, kept across Solve calls so repeated
-  /// solves (StaticAvtTracker re-solving every snapshot) refill the same
-  /// buffers instead of reallocating offsets/targets each time.
-  CsrView csr_;
 };
 
 }  // namespace avt

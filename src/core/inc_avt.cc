@@ -52,7 +52,7 @@ AvtSnapshotResult IncAvtTracker::ProcessFirstOwned(Graph g0) {
     oracle_->ResizeScratch();
   }
   // The greedy solve runs over the maintainer's K-order and the
-  // tracker's oracle — no second CSR, K-order or oracle — and its
+  // tracker's oracle — no second K-order or oracle — and its
   // Theorem-3 pool comes off the maintainer's neighbor counters in
   // O(n) rather than an O(m) neighbor scan.
   GreedyOptions greedy_options;

@@ -3,14 +3,9 @@
 #include <algorithm>
 
 namespace avt {
-namespace {
 
-// The bucket algorithm is adjacency-layout agnostic: it only needs
-// NumVertices / Degree / Neighbors. Instantiated for the dynamic Graph
-// and for the contiguous CsrView (the hot path of per-solve rebuilds).
-template <typename Adjacency>
-CoreDecomposition DecomposeCoresImpl(const Adjacency& graph,
-                                     const std::vector<VertexId>& pinned) {
+CoreDecomposition DecomposeCores(const Graph& graph,
+                                 const std::vector<VertexId>& pinned) {
   const VertexId n = graph.NumVertices();
   CoreDecomposition result;
   result.core.assign(n, 0);
@@ -97,18 +92,6 @@ CoreDecomposition DecomposeCoresImpl(const Adjacency& graph,
   }
   result.max_core = max_core;
   return result;
-}
-
-}  // namespace
-
-CoreDecomposition DecomposeCores(const Graph& graph,
-                                 const std::vector<VertexId>& pinned) {
-  return DecomposeCoresImpl(graph, pinned);
-}
-
-CoreDecomposition DecomposeCores(const CsrView& csr,
-                                 const std::vector<VertexId>& pinned) {
-  return DecomposeCoresImpl(csr, pinned);
 }
 
 CoreDecomposition DecomposeCoresNaive(const Graph& graph) {

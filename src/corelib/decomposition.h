@@ -43,12 +43,6 @@ struct CoreDecomposition {
 CoreDecomposition DecomposeCores(const Graph& graph,
                                  const std::vector<VertexId>& pinned = {});
 
-/// Same algorithm over a CSR snapshot (contiguous neighbor scans). The
-/// view preserves the graph's neighbor order, so the result — including
-/// the peel order — is bit-identical to the Graph overload.
-CoreDecomposition DecomposeCores(const CsrView& csr,
-                                 const std::vector<VertexId>& pinned = {});
-
 /// Literal transcription of the paper's Algorithm 1 (repeated scanning).
 /// O(n^2) worst case — reference implementation for differential tests.
 CoreDecomposition DecomposeCoresNaive(const Graph& graph);

@@ -6,17 +6,7 @@ void KOrder::Build(const Graph& graph) {
   BuildFrom(graph, DecomposeCores(graph));
 }
 
-void KOrder::Build(const CsrView& csr) {
-  BuildFromImpl(csr, DecomposeCores(csr));
-}
-
 void KOrder::BuildFrom(const Graph& graph, const CoreDecomposition& cores) {
-  BuildFromImpl(graph, cores);
-}
-
-template <typename Adjacency>
-void KOrder::BuildFromImpl(const Adjacency& graph,
-                           const CoreDecomposition& cores) {
   const VertexId n = graph.NumVertices();
   AVT_CHECK(cores.core.size() == n);
   hot_.assign(n, Hot{});
@@ -31,15 +21,12 @@ void KOrder::BuildFromImpl(const Adjacency& graph,
     hot_[v].level = cores.core[v];
     PushBack(cores.core[v], v);
   }
-  // The deg+ pass is the second O(m) scan of a build; over a CsrView it
-  // runs on contiguous targets.
   for (VertexId v = 0; v < n; ++v) {
     hot_[v].deg_plus = ComputeDegPlus(graph, v);
   }
 }
 
-template <typename Adjacency>
-uint32_t KOrder::ComputeDegPlus(const Adjacency& graph, VertexId v) const {
+uint32_t KOrder::ComputeDegPlus(const Graph& graph, VertexId v) const {
   uint32_t count = 0;
   for (VertexId w : graph.Neighbors(v)) {
     if (Precedes(v, w)) ++count;

@@ -44,11 +44,6 @@ class KOrder {
   /// Builds the index from scratch: O(m) decomposition + O(m) deg+ pass.
   void Build(const Graph& graph);
 
-  /// Same build over a CSR snapshot of the graph: both O(m) phases scan
-  /// contiguous neighbor spans. Bit-identical to Build(graph) when the
-  /// view was taken from `graph` (CsrView preserves neighbor order).
-  void Build(const CsrView& csr);
-
   /// Rebuilds from an existing decomposition (must match `graph`).
   void BuildFrom(const Graph& graph, const CoreDecomposition& cores);
 
@@ -164,13 +159,9 @@ class KOrder {
   void EnsureLevel(uint32_t level) {
     if (level >= levels_.size()) levels_.resize(level + 1);
   }
-  template <typename Adjacency>
-  void BuildFromImpl(const Adjacency& graph, const CoreDecomposition& cores);
-
   /// Single definition of deg+: neighbors positioned after v. Shared by
   /// the bulk build and RecomputeDegPlus so the two paths cannot drift.
-  template <typename Adjacency>
-  uint32_t ComputeDegPlus(const Adjacency& graph, VertexId v) const;
+  uint32_t ComputeDegPlus(const Graph& graph, VertexId v) const;
 
   void Detach(VertexId v);
   void PushFront(uint32_t level, VertexId v);

@@ -149,27 +149,6 @@ std::vector<Edge> Graph::CollectEdges() const {
   return edges;
 }
 
-CsrView Graph::BuildCsr() const {
-  CsrView csr;
-  BuildCsr(&csr);
-  return csr;
-}
-
-void Graph::BuildCsr(CsrView* out) const {
-  const VertexId n = NumVertices();
-  out->offsets_.resize(static_cast<size_t>(n) + 1);
-  out->offsets_[0] = 0;
-  for (VertexId u = 0; u < n; ++u) {
-    out->offsets_[u + 1] = out->offsets_[u] + adjacency_[u].size();
-  }
-  out->targets_.resize(out->offsets_[n]);
-  for (VertexId u = 0; u < n; ++u) {
-    std::copy(adjacency_[u].begin(), adjacency_[u].end(),
-              out->targets_.begin() +
-                  static_cast<ptrdiff_t>(out->offsets_[u]));
-  }
-}
-
 uint32_t Graph::MaxDegree() const {
   uint32_t best = 0;
   for (const auto& list : adjacency_) {

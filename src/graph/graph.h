@@ -5,7 +5,10 @@
 // Graph keeps the vertex count fixed and supports edge insertion and
 // deletion in O(deg). Neighbor lists are unsorted vectors; deletion swaps
 // with the back. This favors the access pattern of every algorithm in the
-// library — full neighbor scans — over ordered iteration.
+// library — full neighbor scans — over ordered iteration. It is the only
+// adjacency: the decomposition, the K-order, the follower oracle and every
+// solver scan it, so neighbor order is load-bearing (peel order, K-order
+// tags and every tie-break read it).
 
 #ifndef AVT_GRAPH_GRAPH_H_
 #define AVT_GRAPH_GRAPH_H_
@@ -15,7 +18,6 @@
 #include <utility>
 #include <vector>
 
-#include "graph/csr.h"
 #include "util/status.h"
 
 namespace avt {
@@ -108,18 +110,6 @@ class Graph {
 
   /// Materializes all edges (normalized, u <= v), sorted.
   std::vector<Edge> CollectEdges() const;
-
-  /// Snapshots the adjacency into a contiguous CSR view (O(n + m)).
-  /// Neighbor order per vertex is preserved exactly, so algorithms give
-  /// bit-identical results whether they scan the view or the graph. The
-  /// view does not track later mutations.
-  CsrView BuildCsr() const;
-
-  /// Same snapshot into caller-owned buffers: `out`'s vectors are
-  /// resized in place, so a view reused across solves (per-snapshot
-  /// solvers, the rebuild-per-delta tracker arm) stops reallocating
-  /// offsets/targets once it reaches its high-water capacity.
-  void BuildCsr(CsrView* out) const;
 
   /// Average degree 2m/n (0 for empty graph).
   double AverageDegree() const {

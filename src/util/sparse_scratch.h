@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "util/bitmap.h"
+#include "util/status.h"
 
 namespace avt {
 
@@ -109,10 +110,16 @@ class SparseScratch {
   /// Slot of a present id. An insertion takes the first non-live slot on
   /// its probe path, so every slot before a live entry on that path is
   /// live with another key: the first key match is the live entry, and
-  /// no stamp needs reading.
+  /// no stamp needs reading. A membership bit left set for an id with no
+  /// live slot would walk past a stale slot (and, with no stale key
+  /// match, spin forever); Debug builds fail on the first such slot.
   size_t Find(uint32_t i) const {
     size_t s = Home(i);
-    while (slots_[s].key != i) s = (s + 1) & mask_;
+    AVT_DCHECK(slots_[s].stamp == epoch_);
+    while (slots_[s].key != i) {
+      s = (s + 1) & mask_;
+      AVT_DCHECK(slots_[s].stamp == epoch_);
+    }
     return s;
   }
 

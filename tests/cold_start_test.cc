@@ -99,6 +99,53 @@ TEST(ColdStart, ProcessFirstEqualsStandaloneGreedy) {
                          what + " (replayed delta)");
     }
   }
+
+  // Absolute pins of the standalone solve. The checks above are
+  // relative (Solve ≡ ProcessFirst, lazy ≡ scan), so a change that moves
+  // both sides together passes them; these values do not move with it.
+  struct Pin {
+    const char* name;
+    bool prune;
+    bool lazy;
+    std::vector<VertexId> anchors;
+    uint32_t followers;
+    uint64_t candidates_visited;
+    uint64_t bound_probes;
+    uint64_t cascade_visited;
+  };
+  const std::vector<VertexId> power_law_anchors = {70, 1231, 256, 512};
+  const std::vector<VertexId> erdos_renyi_anchors = {521, 392, 718, 420};
+  const Pin pins[] = {
+      {"power-law", true, true, power_law_anchors, 10, 4, 618, 827},
+      {"power-law", true, false, power_law_anchors, 10, 618, 0, 3991},
+      {"power-law", false, true, power_law_anchors, 10, 4, 4906, 1886},
+      {"power-law", false, false, power_law_anchors, 10, 4906, 0, 27550},
+      {"erdos-renyi", true, true, erdos_renyi_anchors, 27, 4, 454, 811},
+      {"erdos-renyi", true, false, erdos_renyi_anchors, 27, 454, 0, 7166},
+      {"erdos-renyi", false, true, erdos_renyi_anchors, 27, 4, 1426, 827},
+      {"erdos-renyi", false, false, erdos_renyi_anchors, 27, 1426, 0,
+       21264},
+  };
+  const std::vector<Case> cases = Cases();
+  for (const Pin& pin : pins) {
+    const Case* c = nullptr;
+    for (const Case& candidate : cases) {
+      if (std::string(candidate.name) == pin.name) c = &candidate;
+    }
+    ASSERT_NE(c, nullptr) << pin.name;
+    GreedyOptions options;
+    options.prune_candidates = pin.prune;
+    options.lazy = pin.lazy;
+    const SolverResult r = GreedySolver(options).Solve(c->graph, c->k, c->l);
+    const std::string what = std::string(pin.name) +
+                             " prune=" + std::to_string(pin.prune) +
+                             " lazy=" + std::to_string(pin.lazy);
+    EXPECT_EQ(r.anchors, pin.anchors) << what;
+    EXPECT_EQ(r.num_followers(), pin.followers) << what;
+    EXPECT_EQ(r.candidates_visited, pin.candidates_visited) << what;
+    EXPECT_EQ(r.bound_probes, pin.bound_probes) << what;
+    EXPECT_EQ(r.cascade_visited, pin.cascade_visited) << what;
+  }
 }
 
 TEST(ColdStart, OracleScratchIsPackedPerVertex) {

@@ -445,26 +445,5 @@ TEST(FollowerOracle, CascadeBeyondInitialScratchCapacityMatchesPeel) {
   }
 }
 
-TEST(FollowerOracle, CsrRoutingIsBitIdentical) {
-  Rng rng(7700);
-  Graph g = ChungLuPowerLaw(200, 6.0, 2.2, 40, rng);
-  CsrView csr = g.BuildCsr();
-  KOrder order;
-  order.Build(csr);
-  FollowerOracle plain(&g, &order);
-  FollowerOracle routed(&g, &order, &csr);
-  std::vector<VertexId> pool = CollectAnchorCandidates(g, order, 3);
-  std::vector<VertexId> followers_a;
-  std::vector<VertexId> followers_b;
-  for (size_t i = 0; i + 1 < std::min<size_t>(pool.size(), 30); ++i) {
-    std::vector<VertexId> anchors{pool[i], pool[i + 1]};
-    EXPECT_EQ(plain.CountFollowers(anchors, 3, &followers_a),
-              routed.CountFollowers(anchors, 3, &followers_b));
-    EXPECT_EQ(followers_a, followers_b);
-    EXPECT_EQ(plain.UpperBound(anchors, kNoVertex, 3),
-              routed.UpperBound(anchors, kNoVertex, 3));
-  }
-}
-
 }  // namespace
 }  // namespace avt
